@@ -36,9 +36,9 @@ test-race:
 lint:
 	./scripts/lint.sh
 
-# fuzz smokes the native fuzz targets over the validator stack and the
-# open-world spec parser for FUZZ_TIME each; the committed seed corpora
-# replay in plain `make test`.
+# fuzz smokes the native fuzz targets over the validator stack, the
+# open-world spec parser and the summary cache for FUZZ_TIME each; the
+# committed seed corpora replay in plain `make test`.
 .PHONY: fuzz
 fuzz:
 	$(GO) test ./internal/check -fuzz FuzzFreezeValidate -fuzztime $(FUZZ_TIME)
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/persist/journal -run '^$$' -fuzz FuzzJournalScan -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/openworld -run '^$$' -fuzz FuzzSpecParse -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSummaryCache -fuzztime $(FUZZ_TIME)
 
 # faultcheck runs the query-lifecycle hardening suite: deterministic
 # fault-injection crash-consistency sweeps (internal/enginetest) plus

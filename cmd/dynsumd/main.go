@@ -43,8 +43,21 @@ import (
 	"dynsum/internal/mj"
 	"dynsum/internal/openworld"
 	"dynsum/internal/pag"
+	"dynsum/internal/persist/journal"
 	"dynsum/internal/serve"
 )
+
+// maxBodyBytes bounds every POST body. The largest legitimate request is
+// an apply whose delta fills one journal record — a persisted session
+// journals each applied delta as one record of at most MaxRecordLen bytes,
+// so a bigger delta could never be made durable — base64-encoded (4 bytes
+// per 3) inside a small JSON envelope. Larger bodies are refused with 413
+// before they are buffered.
+const maxBodyBytes = (journal.MaxRecordLen+2)/3*4 + bodyEnvelopeBytes
+
+// bodyEnvelopeBytes is the allowance for a request's JSON field names,
+// session and tenant IDs, and variable lists around the payload.
+const bodyEnvelopeBytes = 64 << 10
 
 func main() {
 	var (
@@ -89,27 +102,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	mux := http.NewServeMux()
-	d := &daemon{srv: srv}
-	mux.HandleFunc("POST /v1/sessions", d.handleCreateSession)
-	mux.HandleFunc("POST /v1/query", d.handleQuery)
-	mux.HandleFunc("POST /v1/apply", d.handleApply)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !srv.Ready() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(srv.MetricsSnapshot())
-	})
-
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: newHandler(srv, maxBodyBytes)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "dynsumd: serving on %s (%d nodes)\n", *addr, prog.G.NumNodes())
@@ -213,8 +206,54 @@ func loadBase(bench string, scale float64, seed int64) (*pag.Program, error) {
 	return prog, nil
 }
 
+// newHandler routes the daemon's endpoints to srv, refusing POST bodies
+// over maxBody bytes.
+func newHandler(srv *serve.Server, maxBody int64) http.Handler {
+	mux := http.NewServeMux()
+	d := &daemon{srv: srv, maxBody: maxBody}
+	mux.HandleFunc("POST /v1/sessions", d.handleCreateSession)
+	mux.HandleFunc("POST /v1/query", d.handleQuery)
+	mux.HandleFunc("POST /v1/apply", d.handleApply)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	})
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		if !srv.Ready() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(srv.MetricsSnapshot())
+	})
+	return mux
+}
+
 type daemon struct {
-	srv *serve.Server
+	srv     *serve.Server
+	maxBody int64
+}
+
+// decode reads r's JSON body into v through a maxBody limit. On failure
+// it has already answered: 413 (typed "too-large") for an oversized body,
+// 400 with msg (or the decoder's message when msg is empty) otherwise.
+func (d *daemon) decode(w http.ResponseWriter, r *http.Request, v any, msg string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeTypedError(w, err)
+		return false
+	}
+	if msg == "" {
+		msg = err.Error()
+	}
+	http.Error(w, msg, http.StatusBadRequest)
+	return false
 }
 
 type queryResult struct {
@@ -229,8 +268,12 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		ID     string `json:"id"`
 		Tenant string `json:"tenant"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.ID == "" {
-		http.Error(w, "body must be {\"id\":..., \"tenant\":...}", http.StatusBadRequest)
+	const usage = "body must be {\"id\":..., \"tenant\":...}"
+	if !d.decode(w, r, &req, usage) {
+		return
+	}
+	if req.ID == "" {
+		http.Error(w, usage, http.StatusBadRequest)
 		return
 	}
 	if _, err := d.srv.CreateSession(req.ID, req.Tenant); err != nil {
@@ -247,8 +290,7 @@ func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Vars       []int64 `json:"vars"`
 		DeadlineMS int64   `json:"deadline_ms"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !d.decode(w, r, &req, "") {
 		return
 	}
 	queries := make([]core.Query, len(req.Vars))
@@ -292,8 +334,7 @@ func (d *daemon) handleApply(w http.ResponseWriter, r *http.Request) {
 		Session  string `json:"session"`
 		DeltaB64 string `json:"delta_b64"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !d.decode(w, r, &req, "") {
 		return
 	}
 	raw, err := base64.StdEncoding.DecodeString(req.DeltaB64)
@@ -317,19 +358,23 @@ func (d *daemon) handleApply(w http.ResponseWriter, r *http.Request) {
 
 // writeTypedError maps the serve error taxonomy onto HTTP statuses, so
 // clients can tell shed (retry elsewhere) from quota (back off) from
-// expiry (tighten deadlines) without parsing strings.
+// expiry (tighten deadlines) without parsing strings. An oversized body
+// (*http.MaxBytesError) answers 413 in the same shape.
 func writeTypedError(w http.ResponseWriter, err error) {
 	var (
-		oe *serve.OverloadError
-		qe *serve.QuotaError
-		ee *serve.ExpiredError
-		ue *serve.UnknownSessionError
-		de *serve.DuplicateSessionError
-		pe *serve.PanicError
+		mbe *http.MaxBytesError
+		oe  *serve.OverloadError
+		qe  *serve.QuotaError
+		ee  *serve.ExpiredError
+		ue  *serve.UnknownSessionError
+		de  *serve.DuplicateSessionError
+		pe  *serve.PanicError
 	)
 	status := http.StatusInternalServerError
 	kind := "internal"
 	switch {
+	case errors.As(err, &mbe):
+		status, kind = http.StatusRequestEntityTooLarge, "too-large"
 	case errors.As(err, &oe):
 		status, kind = http.StatusServiceUnavailable, "overload"
 	case errors.As(err, &qe):

@@ -1,0 +1,143 @@
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dynsum/internal/benchgen"
+	"dynsum/internal/core"
+	"dynsum/internal/pag"
+	"dynsum/internal/persist/journal"
+	"dynsum/internal/serve"
+)
+
+// testDaemon serves a small synthetic program through the daemon's real
+// handler, with a body limit small enough to exceed cheaply.
+func testDaemon(t *testing.T, maxBody int64) (*httptest.Server, *pag.Program) {
+	t.Helper()
+	prog := benchgen.Generate(benchgen.ProfileByNameMust("soot-c").Scaled(0.002), 7)
+	srv, err := serve.NewServer(prog, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newHandler(srv, maxBody))
+	t.Cleanup(func() {
+		ts.Close()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	return ts, prog
+}
+
+func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// typedKind decodes writeTypedError's {"kind", "error"} reply.
+func typedKind(t *testing.T, body []byte) string {
+	t.Helper()
+	var e struct{ Kind, Error string }
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("reply %q is not a typed error: %v", body, err)
+	}
+	return e.Kind
+}
+
+func TestMaxBodyBytesFitsOneJournalRecord(t *testing.T) {
+	// The largest apply the journal can hold, base64-encoded, plus the
+	// envelope, must fit.
+	payload := int64(journal.MaxRecordLen)
+	if encoded := (payload + 2) / 3 * 4; maxBodyBytes < encoded+bodyEnvelopeBytes {
+		t.Errorf("maxBodyBytes = %d, below a full journal record's %d encoded bytes plus envelope", int64(maxBodyBytes), encoded)
+	}
+}
+
+func TestOversizedBodyIs413(t *testing.T) {
+	ts, _ := testDaemon(t, 1<<10)
+	big := `{"session":"s1","delta_b64":"` + strings.Repeat("A", 4<<10) + `"}`
+	for _, path := range []string{"/v1/sessions", "/v1/query", "/v1/apply"} {
+		status, body := post(t, ts, path, big)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", path, status, body)
+			continue
+		}
+		if kind := typedKind(t, body); kind != "too-large" {
+			t.Errorf("%s: kind %q, want too-large", path, kind)
+		}
+	}
+}
+
+func TestMalformedBodyIs400(t *testing.T) {
+	ts, _ := testDaemon(t, maxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sessions", `{"id":`},
+		{"/v1/sessions", `{"tenant":"t"}`}, // no id
+		{"/v1/query", `not json`},
+		{"/v1/apply", `{"session":"s1","delta_b64":"!!"}`},
+	} {
+		if status, body := post(t, ts, c.path, c.body); status != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400 (%s)", c.path, c.body, status, body)
+		}
+	}
+}
+
+func TestUnknownSessionIs404(t *testing.T) {
+	ts, _ := testDaemon(t, maxBodyBytes)
+	status, body := post(t, ts, "/v1/query", `{"session":"nope","vars":[1]}`)
+	if status != http.StatusNotFound {
+		t.Fatalf("status %d, want 404 (%s)", status, body)
+	}
+	if kind := typedKind(t, body); kind != "unknown-session" {
+		t.Errorf("kind %q, want unknown-session", kind)
+	}
+}
+
+func TestQueryRoundTrip(t *testing.T) {
+	ts, prog := testDaemon(t, maxBodyBytes)
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	v := prog.Derefs[0].Var
+	status, body := post(t, ts, "/v1/query", `{"session":"s1","vars":[`+strconv.Itoa(int(v))+`]}`)
+	if status != http.StatusOK {
+		t.Fatalf("query: status %d (%s)", status, body)
+	}
+	var reply struct {
+		Results []queryResult `json:"results"`
+	}
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Results) != 1 || reply.Results[0].Err != "" || reply.Results[0].Var != int64(v) {
+		t.Fatalf("query reply %s", body)
+	}
+	want, err := core.NewDynSum(prog.G, core.Config{}, nil).PointsTo(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantObjs []int64
+	for _, o := range want.Objects() {
+		wantObjs = append(wantObjs, int64(o))
+	}
+	if got := reply.Results[0].Objects; !slices.Equal(got, wantObjs) {
+		t.Errorf("pts(%d) over HTTP = %v, in process %v", v, got, wantObjs)
+	}
+}

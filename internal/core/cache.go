@@ -1,76 +1,126 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dynsum/internal/faultinject"
+	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
 )
 
-// This file implements the concurrent summary cache backing DynSum: a
-// striped-lock hash map from PPTA start states to cached results. Sharding
-// keeps the batch-query workers from serialising on one lock — each
-// ⟨node, field-stack, state⟩ key hashes to one of summaryShards independent
-// stripes, so concurrent queries touching different methods proceed without
-// contention while still sharing every summary (the paper's Figure 4
-// batch-amortisation effect, now across goroutines as well as across
-// queries).
+// This file implements the concurrent summary cache backing DynSum: a map
+// from PPTA start states to cached results, laid out so that nothing the
+// cache holds per entry contains a pointer. Cached summaries live for the
+// engine's lifetime (the paper's reuse argument, Alg. 4), so their per-entry
+// footprint sets a serving daemon's heap, and every pointer-bearing entry is
+// one more word for the garbage collector to mark on every cycle.
 //
-// Alongside the key-sharded entry map the cache maintains a per-method key
-// index: every inserted key is also appended to its method's list (the
-// method of a key never changes — condensed keys are SCC representatives,
-// and assign SCCs never cross methods). InvalidateMethod then walks the
-// one affected list instead of scanning every shard's full map, making
-// invalidation O(entries of that method) — the cost profile an IDE doing
-// per-edit invalidation needs once write-backs grow the cache to many
-// entries per method.
+// Three layers, all pointer-free apart from a few dozen segment headers:
 //
-// Cached pptaResults are immutable once inserted; readers receive the
-// shared pointer and must not mutate it. Two workers that miss on the same
-// key may both run the PPTA; the computation is deterministic up to
-// element order, so whichever insert lands last overwrites a set-identical
-// value.
+//   - Keys. A pptaState packs into one uint64 (pkey: node 32 bits, field
+//     stack 31 bits with ⊤ remapped so it cannot alias, state 1 bit). Each
+//     of summaryShards stripes holds an open-addressing table of packed
+//     keys (linear probing, backward-shift delete) mapping each key to a
+//     uint32 record index. Striping keeps batch workers from serialising on
+//     one lock: a key's stripe is picked by the top bits of its hash.
+//   - Records. A record is the four-word {objOff, objLen, frOff, frLen}
+//     description of one result. Records are hash-consed: structurally
+//     equal (objects, frontier) pairs share one record, so the thousands of
+//     keys whose closures coincide (library methods reached under different
+//     field stacks, SCC-heavy graphs funnelling into one closure, the many
+//     one-object results) cost one table slot each and nothing more.
+//   - Arenas. Records, objects and frontier states live in append-only
+//     arenas of geometrically growing segments. A segment, once allocated,
+//     never moves, so a cache hit hands the driver read-only slice views
+//     straight into the arena — no copy, no allocation.
+//
+// Concurrency. Each stripe has an RWMutex; readers (get) resolve a key to
+// its views under the stripe's read lock. Writers first file their results
+// in the store under the store's mutex, then publish keys under the stripe
+// write locks, so a record and its arena ranges are fully written before
+// any reader can reach them (the stripe lock carries the happens-before
+// edge); readers never touch the store's mutex. Two workers that miss on
+// the same key may both run the PPTA; the computation is deterministic up
+// to element order, so whichever insert lands last overwrites a
+// set-identical value.
+//
+// Lifetime. Arena space is reclaimed only wholesale: deleteMethod removes
+// keys but leaves their records (a later identical result re-shares them),
+// and clear — ResetCache, Compact, an adjacency-mode flip — drops every
+// segment. Per-method invalidation is rare and small (an evolving program
+// invalidates a few entries per edit), so the stranded records are a
+// bounded cost until the next Compact.
+//
+// The per-method invalidation index maps each method to the packed keys
+// inserted for it (the method of a key never changes — condensed keys are
+// SCC representatives, and assign SCCs never cross methods), so
+// InvalidateMethod walks one list instead of scanning every stripe.
 
-// summaryShards is the stripe count; a power of two so the shard pick is a
-// mask, sized well above any realistic worker count.
-const summaryShards = 64
+// summaryShardBits sets the stripe count; summaryShards is a power of two
+// so the stripe pick is a shift, sized well above any realistic worker
+// count.
+const (
+	summaryShardBits = 6
+	summaryShards    = 1 << summaryShardBits
+)
 
-// summaryCache is a sharded map from pptaState to *pptaResult, plus the
-// method-keyed invalidation index.
+// summaryCache is the striped key table, the method-keyed invalidation
+// index, and the record store they share.
 type summaryCache struct {
-	shards  [summaryShards]summaryShard
+	stripes [summaryShards]cacheStripe
 	methods [summaryShards]methodShard
+	store   resultStore
 }
 
-type summaryShard struct {
-	mu sync.RWMutex
-	m  map[pptaState]*pptaResult
+// cacheStripe is one stripe of the key table: an open-addressing table of
+// packed keys (stored as key+1, so 0 marks an empty slot — a packed key's
+// top bit is always clear, so the increment cannot overflow) and the
+// record index of each. Tables are allocated on first insert, so a
+// short-lived engine pays nothing for stripes it never touches.
+type cacheStripe struct {
+	mu   sync.RWMutex
+	keys []uint64
+	recs []uint32
+	n    int
 }
 
-// methodShard is one stripe of the invalidation index: method → keys
-// inserted for that method. Lists may carry duplicates (racing workers
+// methodShard is one stripe of the invalidation index: method → packed
+// keys inserted for that method. Lists may carry duplicates (racing workers
 // inserting the same key append twice); deleteMethod counts only real
 // removals, so duplicates cost a little index memory, never correctness.
-// The map is allocated on first insert: short-lived engines (the cold
-// benchmark loops build one per op) then pay nothing for stripes they
-// never touch.
 type methodShard struct {
 	mu sync.Mutex
-	m  map[pag.MethodID][]pptaState
+	m  map[pag.MethodID][]uint64
 }
 
-func newSummaryCache() *summaryCache {
-	c := new(summaryCache)
-	for i := range c.shards {
-		c.shards[i].m = make(map[pptaState]*pptaResult)
+func newSummaryCache() *summaryCache { return new(summaryCache) }
+
+// unpackKey inverts pkey.
+func unpackKey(k uint64) pptaState {
+	fs := intstack.ID(k >> 1 & 0x7FFFFFFF)
+	if fs == 0x7FFFFFFF {
+		fs = intstack.Wild
 	}
-	return c
+	return pptaState{node: pag.NodeID(k >> 32), fs: fs, st: State(k & 1)}
 }
 
-func (c *summaryCache) shard(k pptaState) *summaryShard {
-	h := uint32(k.node)*0x9E3779B1 ^ uint32(k.fs)*0x85EBCA77 ^ uint32(k.st)
-	h ^= h >> 16
-	return &c.shards[h&(summaryShards-1)]
+// stripe returns the stripe owning packed key k and k's hash, which also
+// picks its home slot.
+func (c *summaryCache) stripe(k uint64) (*cacheStripe, uint64) {
+	h := keyHash(k)
+	return &c.stripes[h>>(64-summaryShardBits)], h
+}
+
+// keyHash spreads a packed key. The product's high half depends on every
+// key bit; folding it into the low half makes the home slot depend on the
+// node as well as on the stack and state, while the top bits (the stripe
+// pick) stay the product's.
+func keyHash(k uint64) uint64 {
+	h := k * 0x9E3779B97F4A7C15
+	return h ^ h>>32
 }
 
 func (c *summaryCache) methodShard(m pag.MethodID) *methodShard {
@@ -79,43 +129,117 @@ func (c *summaryCache) methodShard(m pag.MethodID) *methodShard {
 	return &c.methods[h&(summaryShards-1)]
 }
 
-func (c *summaryCache) get(k pptaState) (*pptaResult, bool) {
-	s := c.shard(k)
-	s.mu.RLock()
-	r, ok := s.m[k]
-	s.mu.RUnlock()
-	return r, ok
+// find returns the slot holding stored key sk (packed key + 1), whose hash
+// is h.
+func (s *cacheStripe) find(sk, h uint64) (int, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	mask := uint64(len(s.keys) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch s.keys[i] {
+		case sk:
+			return int(i), true
+		case 0:
+			return 0, false
+		}
+	}
 }
 
-// put inserts one entry, maintaining the method index. method must be the
-// method of k's node. Index before entry, like putBatch: a fault in
-// between leaves a tolerated stale index key, never an unreachable entry.
-func (c *summaryCache) put(k pptaState, method pag.MethodID, r *pptaResult) {
-	s := c.shard(k)
-	s.mu.RLock()
-	_, existed := s.m[k]
-	s.mu.RUnlock()
-	if !existed {
-		ms := c.methodShard(method)
-		ms.mu.Lock()
-		if ms.m == nil {
-			ms.m = make(map[pag.MethodID][]pptaState, 8)
-		}
-		ms.m[method] = append(ms.m[method], k)
-		ms.mu.Unlock()
+// set maps stored key sk to rec, reporting whether the key was new. The
+// table doubles at 3/4 load.
+func (s *cacheStripe) set(sk, h uint64, rec uint32) bool {
+	if (s.n+1)*4 > len(s.keys)*3 {
+		s.grow()
 	}
-	s.mu.Lock()
-	s.m[k] = r
-	s.mu.Unlock()
+	mask := uint64(len(s.keys) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch s.keys[i] {
+		case sk:
+			s.recs[i] = rec
+			return false
+		case 0:
+			s.keys[i], s.recs[i] = sk, rec
+			s.n++
+			return true
+		}
+	}
+}
+
+func (s *cacheStripe) grow() {
+	keys, recs := s.keys, s.recs
+	n := 2 * len(keys)
+	if n == 0 {
+		n = 16
+	}
+	s.keys, s.recs = make([]uint64, n), make([]uint32, n)
+	mask := uint64(n - 1)
+	for i, sk := range keys {
+		if sk == 0 {
+			continue
+		}
+		j := keyHash(sk-1) & mask
+		for s.keys[j] != 0 {
+			j = (j + 1) & mask
+		}
+		s.keys[j], s.recs[j] = sk, recs[i]
+	}
+}
+
+// remove deletes stored key sk, closing the gap by backward shifting: each
+// later entry of the probe run moves into the hole unless its home slot
+// lies cyclically after the hole, so no tombstones accumulate and lookups
+// stay as short as a fresh table's.
+func (s *cacheStripe) remove(sk, h uint64) bool {
+	i, ok := s.find(sk, h)
+	if !ok {
+		return false
+	}
+	mask := len(s.keys) - 1
+	for j := (i + 1) & mask; s.keys[j] != 0; j = (j + 1) & mask {
+		home := int(keyHash(s.keys[j]-1) & uint64(mask))
+		if (j-home)&mask >= (j-i)&mask {
+			s.keys[i], s.recs[i] = s.keys[j], s.recs[j]
+			i = j
+		}
+	}
+	s.keys[i], s.recs[i] = 0, 0
+	s.n--
+	return true
+}
+
+// get returns read-only views of the result cached for k. The views point
+// into arena segments that never move, so they stay valid after the stripe
+// lock is released (even across a concurrent clear, which only drops the
+// cache's references to the segments).
+func (c *summaryCache) get(k pptaState) (Summary, bool) {
+	pk := pkey(k)
+	s, h := c.stripe(pk)
+	s.mu.RLock()
+	i, ok := s.find(pk+1, h)
+	var sum Summary
+	if ok {
+		sum = c.store.view(s.recs[i])
+	}
+	s.mu.RUnlock()
+	return sum, ok
+}
+
+// put files one result and inserts it under k; method must be the method
+// of k's node. Imports and test hooks use it; write-backs batch through
+// putBatch directly.
+func (c *summaryCache) put(k pptaState, method pag.MethodID, objs []pag.NodeID, frs []FrontierState) {
+	rec, gen := c.store.file(objs, frs)
+	c.putBatch([]pptaState{k}, []pag.MethodID{method}, []uint32{rec}, gen)
 }
 
 // putBatch inserts the write-back set of one completed PPTA run: keys[i]
-// maps to results[i] and lives in methods[i]. Runs of consecutive keys
-// share one result pointer (the members of one state-graph SCC) and —
-// since a PPTA run never leaves its start node's method — usually one
-// method, so the index takes one lock per method segment, not per key.
-// It returns how many keys were genuinely new; overwrites of entries
-// another worker landed first are not counted, and not re-indexed.
+// maps to record recs[i] and lives in methods[i]; the records were filed
+// in the store at generation gen. Since a PPTA run never leaves its start
+// node's method, keys usually share one method, so the index takes one
+// lock per method segment, not per key. It returns how many keys were
+// genuinely new; overwrites of entries another worker landed first are not
+// counted, and not re-indexed.
 //
 // Ordering is the panic-safety invariant (DESIGN.md §12): within each
 // segment the method index is extended FIRST, then the entries are
@@ -127,21 +251,25 @@ func (c *summaryCache) put(k pptaState, method pag.MethodID, r *pptaResult) {
 // probe and our insert costs one duplicate index key (tolerated, see
 // methodShard) and may overcount fresh by one — the same tolerance the
 // racing-insert comment at the top of the file already grants.
-func (c *summaryCache) putBatch(keys []pptaState, methods []pag.MethodID, results []*pptaResult) int {
+//
+// A clear that ran after the records were filed invalidated them; the
+// generation check under each stripe lock drops such stale inserts, so a
+// key can never name a record of a dropped store.
+func (c *summaryCache) putBatch(keys []pptaState, methods []pag.MethodID, recs []uint32, gen uint64) int {
 	fresh := 0
-	var freshBuf []pptaState // cold path: one small allocation per batch
+	var freshBuf []uint64 // cold path: one small allocation per batch
 	for i := 0; i < len(keys); {
 		m := methods[i]
 		j := i
 		freshBuf = freshBuf[:0]
 		for ; j < len(keys) && methods[j] == m; j++ {
-			k := keys[j]
-			s := c.shard(k)
+			pk := pkey(keys[j])
+			s, h := c.stripe(pk)
 			s.mu.RLock()
-			_, existed := s.m[k]
+			_, existed := s.find(pk+1, h)
 			s.mu.RUnlock()
 			if !existed {
-				freshBuf = append(freshBuf, k)
+				freshBuf = append(freshBuf, pk)
 			}
 		}
 		if len(freshBuf) > 0 {
@@ -149,73 +277,86 @@ func (c *summaryCache) putBatch(keys []pptaState, methods []pag.MethodID, result
 			ms := c.methodShard(m)
 			ms.mu.Lock()
 			if ms.m == nil {
-				ms.m = make(map[pag.MethodID][]pptaState, 8)
+				ms.m = make(map[pag.MethodID][]uint64, 8)
 			}
 			ms.m[m] = append(ms.m[m], freshBuf...)
 			ms.mu.Unlock()
 		}
 		for x := i; x < j; x++ {
 			faultinject.Fire(faultinject.CachePutBatch)
-			k := keys[x]
-			s := c.shard(k)
+			pk := pkey(keys[x])
+			s, h := c.stripe(pk)
 			s.mu.Lock()
-			s.m[k] = results[x]
+			stale := c.store.gen != gen
+			if !stale {
+				s.set(pk+1, h, recs[x])
+			}
 			s.mu.Unlock()
+			if stale {
+				return fresh
+			}
 		}
 		i = j
 	}
 	return fresh
 }
 
-// size returns the total number of cached summaries across shards.
+// size returns the total number of cached summaries across stripes.
 func (c *summaryCache) size() int {
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
+	for i := range c.stripes {
+		s := &c.stripes[i]
 		s.mu.RLock()
-		n += len(s.m)
+		n += s.n
 		s.mu.RUnlock()
 	}
 	return n
 }
 
-// clear drops every entry and the whole method index, shard by shard,
-// keeping the maps (and their buckets) alive so a re-warmed engine does
-// not pay the allocation bill twice. Memory-safe against concurrent
-// readers, but not an exact invalidation barrier: an in-flight query that
-// missed before the clear may insert its summary afterwards — hence
-// DynSum documents that callers must quiesce the engine before
-// invalidating.
+// clear drops every entry, the whole method index and every arena
+// segment. The key tables keep their slot arrays (zeroed), so a re-warmed
+// engine does not pay for them twice; the arenas are released, which is
+// where invalidated entries' space is reclaimed. Everything is reset under
+// every stripe lock, so no writer can index a key between the index reset
+// and the key reset, and readers stay memory-safe. It is still not an
+// exact invalidation barrier: an in-flight query that missed before the
+// clear may insert its summary afterwards (unless its records predate the
+// clear — the generation check drops those) — hence DynSum documents that
+// callers must quiesce the engine before invalidating.
 func (c *summaryCache) clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		clear(s.m)
-		s.mu.Unlock()
+	for i := range c.stripes {
+		c.stripes[i].mu.Lock()
 	}
+	c.store.reset()
 	for i := range c.methods {
 		ms := &c.methods[i]
 		ms.mu.Lock()
 		clear(ms.m)
 		ms.mu.Unlock()
 	}
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		clear(s.keys)
+		clear(s.recs)
+		s.n = 0
+		s.mu.Unlock()
+	}
 }
 
 // deleteMethod removes every entry recorded for method m, consulting the
-// per-method index instead of scanning the shards, and returns the number
+// per-method index instead of scanning the stripes, and returns the number
 // of entries actually removed (index duplicates deflate to zero here).
 func (c *summaryCache) deleteMethod(m pag.MethodID) int {
 	ms := c.methodShard(m)
 	ms.mu.Lock()
-	keys := ms.m[m]
+	pks := ms.m[m]
 	delete(ms.m, m)
 	ms.mu.Unlock()
 	dropped := 0
-	for _, k := range keys {
-		s := c.shard(k)
+	for _, pk := range pks {
+		s, h := c.stripe(pk)
 		s.mu.Lock()
-		if _, ok := s.m[k]; ok {
-			delete(s.m, k)
+		if s.remove(pk+1, h) {
 			dropped++
 		}
 		s.mu.Unlock()
@@ -223,25 +364,260 @@ func (c *summaryCache) deleteMethod(m pag.MethodID) int {
 	return dropped
 }
 
-// deleteIf removes every entry whose key satisfies pred, returning the
-// number removed. This is the legacy full-scan invalidation — O(cache),
-// not O(method) — kept for predicates the method index cannot answer and
-// as the baseline the invalidation micro-benchmark compares against. It
-// does NOT update the method index: stale index entries are tolerated by
-// deleteMethod (they count as zero) but do retain key memory, so prefer
-// deleteMethod for method-shaped invalidation.
-func (c *summaryCache) deleteIf(pred func(pptaState) bool) int {
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.m {
-			if pred(k) {
-				delete(s.m, k)
-				dropped++
+// each calls fn for every live entry, stripe by stripe under the read
+// locks. fn must not call back into the cache.
+func (c *summaryCache) each(fn func(k pptaState, sum Summary)) {
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.mu.RLock()
+		for j, sk := range s.keys {
+			if sk != 0 {
+				fn(unpackKey(sk-1), c.store.view(s.recs[j]))
 			}
 		}
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
-	return dropped
+}
+
+// resultRecord locates one cached result in the store's arenas.
+type resultRecord struct {
+	objOff, objLen uint32
+	frOff, frLen   uint32
+}
+
+// resultStore holds the deduplicated result records and their payload
+// arenas, plus the hash-consing table that files each record under the
+// content hash of its (objects, frontier) pair. Writers serialise on mu;
+// readers resolve records without it (see the file comment).
+type resultStore struct {
+	mu   sync.Mutex
+	recs arena[resultRecord]
+	objs arena[pag.NodeID]
+	frs  arena[FrontierState]
+
+	// The hash-consing table: open addressing over content hashes (never
+	// 0, so 0 marks an empty slot) with the record filed under each.
+	// Equal hashes probe on, so a collision never loses a dedup.
+	dhash []uint64
+	drec  []uint32
+	dn    int
+
+	// gen counts resets. It is written by clear with every stripe lock and
+	// mu held, so reading it under either kind of lock is race-free.
+	gen uint64
+
+	// shared counts results answered with an existing record; unique
+	// counts records filed. Their sum is the number of results interned.
+	shared, unique atomic.Int64
+}
+
+// intern returns the record holding (objs, frs), filing a new one when no
+// equal record exists. Callers hold st.mu.
+func (st *resultStore) intern(objs []pag.NodeID, frs []FrontierState) uint32 {
+	h := hashResult(objs, frs)
+	if (st.dn+1)*4 > len(st.dhash)*3 {
+		st.growDedup()
+	}
+	mask := uint64(len(st.dhash) - 1)
+	i := keyHash(h) & mask
+	for ; st.dhash[i] != 0; i = (i + 1) & mask {
+		if st.dhash[i] == h {
+			if v := st.view(st.drec[i]); slices.Equal(v.Objects, objs) && slices.Equal(v.Frontier, frs) {
+				st.shared.Add(1)
+				return st.drec[i]
+			}
+		}
+	}
+	var rec resultRecord
+	if len(objs) > 0 {
+		off, dst := st.objs.alloc(len(objs))
+		copy(dst, objs)
+		rec.objOff, rec.objLen = off, uint32(len(objs))
+	}
+	if len(frs) > 0 {
+		off, dst := st.frs.alloc(len(frs))
+		copy(dst, frs)
+		rec.frOff, rec.frLen = off, uint32(len(frs))
+	}
+	r, dst := st.recs.alloc(1)
+	dst[0] = rec
+	st.dhash[i], st.drec[i] = h, r
+	st.dn++
+	st.unique.Add(1)
+	return r
+}
+
+// file interns one result under the store lock, returning its record and
+// the generation it was filed in.
+func (st *resultStore) file(objs []pag.NodeID, frs []FrontierState) (uint32, uint64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.intern(objs, frs), st.gen
+}
+
+// internPending files the distinct results of sc's pending write-backs,
+// filling sc.pendRec parallel to sc.pendKeys, and returns the store
+// generation they were filed in (for putBatch).
+func (st *resultStore) internPending(sc *Scratch) uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sc.pendRec = sc.pendRec[:0]
+	prev, rec := int32(-1), uint32(0)
+	for _, r := range sc.pendRIdx {
+		if r != prev {
+			prev = r
+			objs, frs := sc.resultViews(r)
+			rec = st.intern(objs, frs)
+		}
+		sc.pendRec = append(sc.pendRec, rec)
+	}
+	return st.gen
+}
+
+func (st *resultStore) growDedup() {
+	hs, rs := st.dhash, st.drec
+	n := 2 * len(hs)
+	if n == 0 {
+		n = 64
+	}
+	st.dhash, st.drec = make([]uint64, n), make([]uint32, n)
+	mask := uint64(n - 1)
+	for i, h := range hs {
+		if h == 0 {
+			continue
+		}
+		j := keyHash(h) & mask
+		for st.dhash[j] != 0 {
+			j = (j + 1) & mask
+		}
+		st.dhash[j], st.drec[j] = h, rs[i]
+	}
+}
+
+// view resolves record r into read-only arena views; empty halves are nil.
+func (st *resultStore) view(r uint32) Summary {
+	rec := st.recs.at(r)
+	return Summary{
+		Objects:  st.objs.slice(rec.objOff, rec.objLen),
+		Frontier: st.frs.slice(rec.frOff, rec.frLen),
+	}
+}
+
+// reset drops every record and segment and advances the generation.
+// Callers hold every stripe lock; reset takes mu itself.
+func (st *resultStore) reset() {
+	st.mu.Lock()
+	st.recs, st.objs, st.frs = arena[resultRecord]{}, arena[pag.NodeID]{}, arena[FrontierState]{}
+	clear(st.dhash)
+	clear(st.drec)
+	st.dn = 0
+	st.gen++
+	st.mu.Unlock()
+}
+
+// Arena geometry: with B = 1<<arenaBaseBits, segment s holds B<<s
+// elements and starts at global offset B*(2^s-1), so an offset's segment
+// is one bit scan away and arenaSegs segments cover the uint32 offset
+// space.
+const (
+	arenaBaseBits = 6
+	arenaSegs     = 32 - arenaBaseBits
+)
+
+// arena is an append-only array of T in geometrically growing segments.
+// Elements never move: a segment is allocated whole, written only in the
+// ranges handed out by alloc, and dropped only by replacing the arena.
+// Only the fixed-size segment directory holds pointers.
+type arena[T any] struct {
+	segs [arenaSegs][]T
+	n    uint32 // global offset of the next allocation
+}
+
+func segStart(s int) uint32 { return (1<<s - 1) << arenaBaseBits }
+
+// segOf maps a global offset to its segment and position in it.
+func segOf(off uint32) (s int, pos uint32) {
+	s = bits.Len32(off>>arenaBaseBits+1) - 1
+	return s, off - segStart(s)
+}
+
+// alloc reserves a run of n > 0 contiguous elements and returns its
+// global offset and a writable view. A run never straddles segments: when
+// it does not fit in the current segment's tail, the tail is skipped
+// (segments double, so the waste is bounded by the run length).
+func (a *arena[T]) alloc(n int) (uint32, []T) {
+	for {
+		s, pos := segOf(a.n)
+		size := uint64(1) << (s + arenaBaseBits)
+		if uint64(pos)+uint64(n) <= size {
+			if a.segs[s] == nil {
+				a.segs[s] = make([]T, size)
+			}
+			off := a.n
+			a.n += uint32(n)
+			return off, a.segs[s][pos : int(pos)+n : int(pos)+n]
+		}
+		if s+1 >= arenaSegs {
+			panic("core: summary arena exhausted")
+		}
+		a.n = segStart(s + 1)
+	}
+}
+
+// slice returns the read-only view of the n elements at global offset
+// off; nil when n is 0.
+func (a *arena[T]) slice(off, n uint32) []T {
+	if n == 0 {
+		return nil
+	}
+	s, pos := segOf(off)
+	return a.segs[s][pos : pos+n : pos+n]
+}
+
+func (a *arena[T]) at(off uint32) T {
+	s, pos := segOf(off)
+	return a.segs[s][pos]
+}
+
+// inRange reports whether [off, off+n) lies inside one allocated segment
+// below the allocation cursor — the bounds invariant CheckIntegrity
+// verifies for every record.
+func (a *arena[T]) inRange(off, n uint32) bool {
+	if n == 0 {
+		return true
+	}
+	if uint64(off)+uint64(n) > uint64(a.n) {
+		return false
+	}
+	s, pos := segOf(off)
+	return uint64(pos)+uint64(n) <= uint64(len(a.segs[s]))
+}
+
+// fnv-1a over 64-bit words; the result halves feed their elements through
+// it word-wise.
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+func fnvWord(h, w uint64) uint64 {
+	h ^= w & 0xffffffff
+	h *= fnvPrime
+	h ^= w >> 32
+	h *= fnvPrime
+	return h
+}
+
+// hashResult is the hash-consing key of an (objects, frontier) pair. The
+// low bit is forced so no hash is 0, the table's empty marker.
+func hashResult(objs []pag.NodeID, frs []FrontierState) uint64 {
+	h := uint64(fnvOffset)
+	h = fnvWord(h, uint64(len(objs))<<32|uint64(len(frs)))
+	for _, n := range objs {
+		h = fnvWord(h, uint64(uint32(n)))
+	}
+	for _, f := range frs {
+		h = fnvWord(h, fkey(f))
+	}
+	return h | 1
 }

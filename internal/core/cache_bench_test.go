@@ -12,33 +12,26 @@ import (
 // BenchmarkInvalidateMethod is the O(method)-invalidation claim: on a warm
 // soot-c cache, InvalidateMethod consults the per-method key index and
 // walks only the edited method's entries, so its cost is flat as the cache
-// grows; the legacy full-scan path (deleteIf over every shard's map) grows
-// linearly with total cache size. Each iteration invalidates one warm
-// method and restores its entries, so the cache size is stable across
-// iterations; run the two scales to see the scan cost double while the
-// indexed cost stays put.
+// grows. Each iteration invalidates one warm method and restores its
+// entries, so the cache size is stable across iterations; run the two
+// scales to see the cost stay put while the cache doubles.
 func BenchmarkInvalidateMethod(b *testing.B) {
 	for _, scale := range []float64{0.01, 0.02} {
 		d, methods := warmSootCCache(b, scale)
 		b.Run(fmt.Sprintf("indexed/scale%g", scale), func(b *testing.B) {
-			runInvalidate(b, d, methods, d.InvalidateMethod)
-		})
-		b.Run(fmt.Sprintf("scan/scale%g", scale), func(b *testing.B) {
-			runInvalidate(b, d, methods, func(m pag.MethodID) int {
-				return core.DeleteIfMethod(d, m)
-			})
+			runInvalidate(b, d, methods)
 		})
 	}
 }
 
-func runInvalidate(b *testing.B, d *core.DynSum, methods []pag.MethodID, invalidate func(pag.MethodID) int) {
+func runInvalidate(b *testing.B, d *core.DynSum, methods []pag.MethodID) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := methods[i%len(methods)]
 		b.StopTimer()
 		saved := core.SnapshotMethod(d, m)
 		b.StartTimer()
-		if dropped := invalidate(m); dropped != len(saved) {
+		if dropped := d.InvalidateMethod(m); dropped != len(saved) {
 			b.Fatalf("invalidate(%d) dropped %d entries, snapshot holds %d", m, dropped, len(saved))
 		}
 		b.StopTimer()

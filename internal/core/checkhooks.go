@@ -25,9 +25,12 @@ const checkMaxViolations = 20
 //     InvalidateMethod's O(method) walk depends on (the reverse — stale
 //     or duplicate index keys without a live entry — is documented as
 //     tolerated and not reported)
-//   - cache keys name nodes inside the current view's ID space
-//   - every interned slice still hashes to the table key it is filed
-//     under, and is non-empty (empty slices pass through uninterned)
+//   - cache keys name nodes inside the current view's ID space, sit in
+//     the stripe their hash picks, and name a filed record
+//   - every record's object and frontier ranges lie inside one allocated
+//     segment of their arena
+//   - every hash-consing entry names a filed record whose contents still
+//     hash to the key it is filed under
 //
 // It returns nil when healthy, or the joined violations.
 func (d *DynSum) CheckIntegrity() error {
@@ -55,91 +58,91 @@ func (d *DynSum) CheckIntegrity() error {
 		return d.g.NodeString(n)
 	}
 
-	// Index the per-method key lists: method -> key set.
-	indexed := make(map[pag.MethodID]map[pptaState]bool)
+	// Index the per-method key lists: method -> packed key set.
+	indexed := make(map[pag.MethodID]map[uint64]bool)
 	for i := range d.cache.methods {
 		ms := &d.cache.methods[i]
 		ms.mu.Lock()
-		for m, keys := range ms.m {
+		for m, pks := range ms.m {
 			set := indexed[m]
 			if set == nil {
-				set = make(map[pptaState]bool, len(keys))
+				set = make(map[uint64]bool, len(pks))
 				indexed[m] = set
 			}
-			for _, k := range keys {
-				set[k] = true
+			for _, pk := range pks {
+				set[pk] = true
 			}
 		}
 		ms.mu.Unlock()
 	}
 
-	for i := range d.cache.shards {
-		s := &d.cache.shards[i]
+	st := &d.cache.store
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	nrecs := st.recs.n
+
+	for i := range d.cache.stripes {
+		s := &d.cache.stripes[i]
 		s.mu.RLock()
-		for k, res := range s.m {
+		live := 0
+		for j, sk := range s.keys {
+			if sk == 0 {
+				continue
+			}
+			live++
+			pk := sk - 1
+			k := unpackKey(pk)
+			if got, _ := d.cache.stripe(pk); got != s {
+				report("cache: key %#x filed in stripe %d, hashes elsewhere", pk, i)
+			}
+			if s.recs[j] >= nrecs {
+				report("cache: key %#x names record %d of %d", pk, s.recs[j], nrecs)
+			}
 			if int(k.node) < 0 || int(k.node) >= numNodes {
 				report("cache: entry key node %d outside the view's %d nodes", k.node, numNodes)
 				continue
 			}
 			m := nodeMethod(k.node)
-			if !indexed[m][k] {
+			if !indexed[m][pk] {
 				report("cache: entry for %s (method %d, fs %d, st %v) not reachable from the method index — InvalidateMethod would miss it",
 					nodeString(k.node), m, k.fs, k.st)
 			}
-			if res == nil {
-				report("cache: entry for %s holds a nil result", nodeString(k.node))
-			}
+		}
+		if live != s.n {
+			report("cache: stripe %d counts %d entries, holds %d", i, s.n, live)
 		}
 		s.mu.RUnlock()
 	}
 
-	// Intern table: every filed slice re-hashes to its key.
-	for i := range d.intern.shards {
-		sh := &d.intern.shards[i]
-		sh.mu.Lock()
-		for h, s := range sh.objects {
-			if len(s) == 0 {
-				report("intern: empty object slice filed under %#x", h)
-				continue
-			}
-			if got := hashObjects(s); got != h {
-				report("intern: object slice filed under %#x hashes to %#x — canonical array mutated?", h, got)
-			}
+	for r := uint32(0); r < nrecs; r++ {
+		rec := st.recs.at(r)
+		if !st.objs.inRange(rec.objOff, rec.objLen) {
+			report("cache: record %d objects [%d,+%d) outside the arena (%d used)", r, rec.objOff, rec.objLen, st.objs.n)
 		}
-		for h, s := range sh.frontiers {
-			if len(s) == 0 {
-				report("intern: empty frontier slice filed under %#x", h)
-				continue
-			}
-			if got := hashFrontiers(s); got != h {
-				report("intern: frontier slice filed under %#x hashes to %#x — canonical array mutated?", h, got)
-			}
+		if !st.frs.inRange(rec.frOff, rec.frLen) {
+			report("cache: record %d frontier [%d,+%d) outside the arena (%d used)", r, rec.frOff, rec.frLen, st.frs.n)
 		}
-		sh.mu.Unlock()
+	}
+
+	// Hash-consing table: every entry re-hashes to its filing key.
+	for i, h := range st.dhash {
+		if h == 0 {
+			continue
+		}
+		r := st.drec[i]
+		if r >= nrecs {
+			report("intern: hash %#x names record %d of %d", h, r, nrecs)
+			continue
+		}
+		rec := st.recs.at(r)
+		if !st.objs.inRange(rec.objOff, rec.objLen) || !st.frs.inRange(rec.frOff, rec.frLen) {
+			continue // reported above
+		}
+		v := st.view(r)
+		if got := hashResult(v.Objects, v.Frontier); got != h {
+			report("intern: record %d filed under %#x hashes to %#x — record contents mutated?", r, h, got)
+		}
 	}
 
 	return errors.Join(errs...)
-}
-
-// hashObjects recomputes the intern hash of an object slice — the exact
-// loop of resultIntern.objects, factored so CheckIntegrity cannot drift
-// from the insert path.
-func hashObjects(s []pag.NodeID) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(s)))
-	for _, n := range s {
-		h = fnvWord(h, uint64(uint32(n)))
-	}
-	return h
-}
-
-// hashFrontiers recomputes the intern hash of a frontier slice.
-func hashFrontiers(s []FrontierState) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(s)))
-	for _, f := range s {
-		h = fnvWord(h, uint64(uint32(f.Node))<<32|uint64(uint32(f.Fs)))
-		h = fnvWord(h, uint64(f.St))
-	}
-	return h
 }

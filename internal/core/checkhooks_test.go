@@ -9,15 +9,10 @@ import (
 	"dynsum/internal/pag"
 )
 
-// warmEngine builds an engine over a random frozen program, lowers the
-// intern threshold so the hash-consing path runs, and answers every
-// local-variable query to populate the cache.
+// warmEngine builds an engine over a random frozen program and answers
+// every local-variable query to populate the cache.
 func warmEngine(t *testing.T) *DynSum {
 	t.Helper()
-	prev := internMinSummaries
-	internMinSummaries = 0
-	t.Cleanup(func() { internMinSummaries = prev })
-
 	p := fixture.RandProgram(11, fixture.RandConfig{Globals: 2, GlobalAssigns: 4})
 	p.G.Freeze()
 	d := NewDynSum(p.G, Config{}, nil)
@@ -32,6 +27,16 @@ func warmEngine(t *testing.T) *DynSum {
 	return d
 }
 
+// plantKey inserts k → record 0 straight into its stripe, bypassing the
+// method index.
+func plantKey(d *DynSum, k pptaState) {
+	pk := pkey(k)
+	s, h := d.cache.stripe(pk)
+	s.mu.Lock()
+	s.set(pk+1, h, 0)
+	s.mu.Unlock()
+}
+
 func TestCheckIntegrityHealthy(t *testing.T) {
 	d := warmEngine(t)
 	if err := d.CheckIntegrity(); err != nil {
@@ -41,13 +46,9 @@ func TestCheckIntegrityHealthy(t *testing.T) {
 
 func TestCheckIntegrityUnindexedEntry(t *testing.T) {
 	d := warmEngine(t)
-	// Plant an entry directly in its shard, bypassing the method index —
+	// Plant an entry directly in its stripe, bypassing the method index —
 	// exactly the corruption InvalidateMethod could never clean up.
-	k := pptaState{node: 0, fs: 0, st: S1}
-	s := d.cache.shard(k)
-	s.mu.Lock()
-	s.m[k] = &pptaResult{}
-	s.mu.Unlock()
+	plantKey(d, pptaState{node: 0, fs: 0, st: S1})
 	err := d.CheckIntegrity()
 	if err == nil || !strings.Contains(err.Error(), "not reachable from the method index") {
 		t.Fatalf("unindexed entry not detected: %v", err)
@@ -56,39 +57,49 @@ func TestCheckIntegrityUnindexedEntry(t *testing.T) {
 
 func TestCheckIntegrityKeyOutOfRange(t *testing.T) {
 	d := warmEngine(t)
-	k := pptaState{node: 99999, fs: 0, st: S1}
-	s := d.cache.shard(k)
-	s.mu.Lock()
-	s.m[k] = &pptaResult{}
-	s.mu.Unlock()
+	plantKey(d, pptaState{node: 99999, fs: 0, st: S1})
 	err := d.CheckIntegrity()
 	if err == nil || !strings.Contains(err.Error(), "outside the view") {
 		t.Fatalf("out-of-range key not detected: %v", err)
 	}
 }
 
+func TestCheckIntegrityRecordOutOfRange(t *testing.T) {
+	d := warmEngine(t)
+	st := &d.cache.store
+	st.mu.Lock()
+	r, dst := st.recs.alloc(1)
+	dst[0] = resultRecord{objOff: st.objs.n, objLen: 3}
+	st.mu.Unlock()
+	err := d.CheckIntegrity()
+	if err == nil || !strings.Contains(err.Error(), "outside the arena") {
+		t.Fatalf("record %d past the arena end not detected: %v", r, err)
+	}
+}
+
 func TestCheckIntegrityInternMisfiled(t *testing.T) {
 	d := warmEngine(t)
-	sh := &d.intern.shards[0]
-	sh.mu.Lock()
-	if sh.objects == nil {
-		sh.objects = make(map[uint64][]pag.NodeID)
+	st := &d.cache.store
+	st.mu.Lock()
+	for i, h := range st.dhash {
+		if h == 0 {
+			st.dhash[i], st.drec[i] = 12345, 0
+			break
+		}
 	}
-	sh.objects[12345] = []pag.NodeID{1, 2, 3}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 	err := d.CheckIntegrity()
 	if err == nil || !strings.Contains(err.Error(), "hashes to") {
-		t.Fatalf("misfiled intern slice not detected: %v", err)
+		t.Fatalf("misfiled intern record not detected: %v", err)
 	}
 }
 
 func TestCheckIntegrityInternMutated(t *testing.T) {
 	d := warmEngine(t)
-	objs := []pag.NodeID{7, 8, 9}
-	canon := d.intern.objects(objs)
-	canon[0] = 42 // violates the immutability contract of interned slices
+	r, _ := d.cache.store.file([]pag.NodeID{7, 8, 9}, nil)
+	d.cache.store.view(r).Objects[0] = 42 // violates the immutability contract of filed records
 	err := d.CheckIntegrity()
 	if err == nil || !strings.Contains(err.Error(), "mutated") {
-		t.Fatalf("mutated canonical slice not detected: %v", err)
+		t.Fatalf("mutated record not detected: %v", err)
 	}
 }

@@ -50,8 +50,7 @@ type DynSum struct {
 	fields *intstack.Table // field stacks (private)
 	ctxs   *intstack.Table // context stacks (shareable across engines)
 
-	cache  *summaryCache
-	intern *resultIntern // hash-consing table for cached result slices
+	cache *summaryCache
 
 	// ow is the open-world model (nil on closed-world engines — the single
 	// nil-check is all a closed-world query pays). Installed by
@@ -112,7 +111,6 @@ func NewDynSum(g *pag.Graph, cfg Config, ctxs *intstack.Table) *DynSum {
 		fields: new(intstack.Table),
 		ctxs:   ctxs,
 		cache:  newSummaryCache(),
-		intern: newResultIntern(),
 	}
 }
 
@@ -128,9 +126,12 @@ func (d *DynSum) condensation() *pag.Condensation {
 }
 
 // InternStats reports the hash-consing effect on cached summaries: shared
-// is the number of result slices that re-used an existing backing array,
-// unique the number of distinct arrays retained.
-func (d *DynSum) InternStats() (shared, unique int64) { return d.intern.stats() }
+// is the number of results that re-used an existing result record, unique
+// the number of distinct records filed since the cache was last cleared
+// (see cache.go).
+func (d *DynSum) InternStats() (shared, unique int64) {
+	return d.cache.store.shared.Load(), d.cache.store.unique.Load()
+}
 
 // Name implements Analysis.
 func (d *DynSum) Name() string { return "DYNSUM" }
@@ -147,8 +148,8 @@ func (d *DynSum) Ctxs() *intstack.Table { return d.ctxs }
 func (d *DynSum) SummaryCount() int { return d.cache.size() }
 
 // ResetCache drops all summaries (used by the IDE-session example to model
-// invalidation after an edit, and by ablations). The hash-consing table is
-// kept: re-computed summaries re-share the same canonical arrays.
+// invalidation after an edit, and by ablations), releasing their arena
+// space.
 func (d *DynSum) ResetCache() { d.cache.clear() }
 
 // InvalidateMethod drops the summaries whose start node lies in method m —
@@ -307,9 +308,8 @@ func (ds *dynSummarizer) SliceFields(fs intstack.ID) []intstack.Sym {
 // keyed by SCC representatives: every member of an assign cycle hits the
 // one shared entry. (The driver already propagates representatives; the
 // mapping here also covers direct Summarize calls and keeps mixed callers
-// safe.) Freshly computed results are hash-consed before insertion, so
-// structurally equal summaries across cache entries share one backing
-// array.
+// safe.) Freshly computed results are hash-consed on insertion, so
+// structurally equal summaries across cache entries share one record.
 func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *Budget, sc *Scratch) (Summary, bool, error) {
 	d := (*DynSum)(ds)
 	gv := sc.gv // resolved once per query by the driver
@@ -323,7 +323,7 @@ func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *
 				return Summary{}, false, err
 			}
 			atomic.AddInt64(&d.metrics.BlendedSummaries, 1)
-			return r.summary(), true, nil
+			return r, true, nil
 		}
 	}
 	if !gv.hasLocalEdges(n) {
@@ -341,104 +341,49 @@ func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *
 		if d.Tracer != nil {
 			d.Tracer(TraceEvent{Node: n, Fields: d.fields.Slice(fs), State: st, Kind: "ppta"})
 		}
-		return r.summary(), false, nil
+		return r, false, nil
 	}
 
 	if r, ok := d.cache.get(key); ok {
 		atomic.AddInt64(&d.metrics.CacheHits, 1)
-		return r.summary(), true, nil
+		return r, true, nil
 	}
 	atomic.AddInt64(&d.metrics.CacheMisses, 1)
 	sum, err := runPPTAMemo(gv, d.fields, d.cache, key, d.cfg, bud, sc)
 	if err != nil {
 		return Summary{}, false, err
 	}
-	computed := atomic.AddInt64(&d.metrics.Summaries, 1)
+	atomic.AddInt64(&d.metrics.Summaries, 1)
 	if d.Tracer != nil {
 		d.Tracer(TraceEvent{Node: n, Fields: d.fields.Slice(fs), State: st, Kind: "ppta"})
 	}
-	d.commitWriteBacks(sc, computed)
+	d.commitWriteBacks(sc)
 	return sum, false, nil
 }
 
-// commitWriteBacks materialises and batch-inserts the per-state summaries
-// a successful memoised traversal queued in sc. Called only after the
-// whole traversal completed, so every committed entry is a complete
-// closure; an aborted traversal never reaches here (its pending queue was
-// discarded).
+// commitWriteBacks files and batch-inserts the per-state summaries a
+// successful memoised traversal queued in sc. Called only after the whole
+// traversal completed, so every committed entry is a complete closure; an
+// aborted traversal never reaches here (its pending queue was discarded).
 //
-// Materialisation is block-allocated: one pptaResult block plus one object
-// and one frontier backing array cover the entire run's distinct results,
-// instead of two slices and a struct per result — a PPTA run stays inside
-// one method (local edges never leave it), so the block's lifetime aligns
-// with per-method invalidation and the co-location makes warm readers'
-// cache lines denser.
-func (d *DynSum) commitWriteBacks(sc *Scratch, computed int64) {
+// Each distinct result (runs of equal indices in pendRIdx are one SCC's
+// members) is hash-consed straight into the store's arenas in one critical
+// section, then the keys are published under the stripe locks.
+func (d *DynSum) commitWriteBacks(sc *Scratch) {
 	if len(sc.pendKeys) == 0 {
 		return
 	}
 	// The last instant before anything is materialised: a fault here must
 	// leave the cache byte-identical (the crash-consistency sweep checks).
 	faultinject.Fire(faultinject.WriteBackCommit)
-	// Size the blocks: runs of equal indices in pendRIdx are one SCC.
-	distinct, totalObjs, totalFrs := 0, 0, 0
-	prev := int32(-1)
-	for _, r := range sc.pendRIdx {
-		if r == prev {
-			continue
-		}
-		prev = r
-		distinct++
-		objs, frs := sc.resultViews(r)
-		totalObjs += len(objs)
-		totalFrs += len(frs)
-	}
-	block := make([]pptaResult, distinct)
-	var objArena []pag.NodeID
-	if totalObjs > 0 {
-		objArena = make([]pag.NodeID, 0, totalObjs)
-	}
-	var frArena []FrontierState
-	if totalFrs > 0 {
-		frArena = make([]FrontierState, 0, totalFrs)
-	}
-	// Hash-consing starts once the cache is big enough for the memory win
-	// to pay for the table (see internMinSummaries).
-	intern := computed > internMinSummaries
-
+	gen := d.cache.store.internPending(sc)
 	sc.pendMeth = sc.pendMeth[:0]
-	sc.pendRes = sc.pendRes[:0]
-	prev = -1
-	var cur *pptaResult
-	bi := 0
-	for i, r := range sc.pendRIdx {
-		if r != prev {
-			prev = r
-			objs, frs := sc.resultViews(r)
-			cur = &block[bi]
-			bi++
-			if len(objs) > 0 {
-				off := len(objArena)
-				objArena = append(objArena, objs...)
-				cur.objs = objArena[off:len(objArena):len(objArena)]
-			}
-			if len(frs) > 0 {
-				off := len(frArena)
-				frArena = append(frArena, frs...)
-				cur.frontier = frArena[off:len(frArena):len(frArena)]
-			}
-			if intern {
-				cur.objs = d.intern.objects(cur.objs)
-				cur.frontier = d.intern.frontiers(cur.frontier)
-			}
-		}
-		sc.pendMeth = append(sc.pendMeth, sc.gv.nodeMethod(sc.pendKeys[i].node))
-		sc.pendRes = append(sc.pendRes, cur)
+	for _, k := range sc.pendKeys {
+		sc.pendMeth = append(sc.pendMeth, sc.gv.nodeMethod(k.node))
 	}
-	sc.written += int64(d.cache.putBatch(sc.pendKeys, sc.pendMeth, sc.pendRes))
-	clear(sc.pendRes) // committed results live in the cache; don't pin them from the pool
+	sc.written += int64(d.cache.putBatch(sc.pendKeys, sc.pendMeth, sc.pendRec, gen))
 	sc.pendKeys = sc.pendKeys[:0]
 	sc.pendRIdx = sc.pendRIdx[:0]
 	sc.pendMeth = sc.pendMeth[:0]
-	sc.pendRes = sc.pendRes[:0]
+	sc.pendRec = sc.pendRec[:0]
 }

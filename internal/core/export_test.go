@@ -13,15 +13,10 @@ import (
 // without exporting the cache types themselves.
 func CacheDump(d *DynSum) []string {
 	var out []string
-	for i := range d.cache.shards {
-		s := &d.cache.shards[i]
-		s.mu.RLock()
-		for k, r := range s.m {
-			out = append(out, fmt.Sprintf("n%d/f%d/%s objs=%v frontier=%v",
-				k.node, k.fs, k.st, r.objs, r.frontier))
-		}
-		s.mu.RUnlock()
-	}
+	d.cache.each(func(k pptaState, r Summary) {
+		out = append(out, fmt.Sprintf("n%d/f%d/%s objs=%v frontier=%v",
+			k.node, k.fs, k.st, r.Objects, r.Frontier))
+	})
 	sort.Strings(out)
 	return out
 }
@@ -33,57 +28,53 @@ func MethodIndexSize(d *DynSum) int {
 	for i := range d.cache.methods {
 		ms := &d.cache.methods[i]
 		ms.mu.Lock()
-		for _, keys := range ms.m {
-			n += len(keys)
+		for _, pks := range ms.m {
+			n += len(pks)
 		}
 		ms.mu.Unlock()
 	}
 	return n
 }
 
-// DeleteIfMethod invalidates method m through the legacy full-scan path
-// (deleteIf), bypassing the per-method index — the baseline the
-// invalidation micro-benchmark compares InvalidateMethod against.
-func DeleteIfMethod(d *DynSum, m pag.MethodID) int {
-	return d.cache.deleteIf(func(k pptaState) bool {
-		return d.g.Node(k.node).Method == m
-	})
+// CacheEntry is an opaque captured cache entry (see SnapshotMethod).
+type CacheEntry struct {
+	key pptaState
+	sum Summary
 }
 
-// RestoreMethod re-inserts previously dumped entries for benchmarks that
-// must leave the cache as they found it between iterations. entries are
-// (key, result) pairs captured by SnapshotMethod. The method's index list
-// is dropped first: put() re-indexes every restored key, so a stale list
-// (deleteIf-based invalidation leaves one behind) would otherwise grow by
-// a duplicate set per restore.
+// SnapshotMethod captures every cache entry belonging to method m, walking
+// the method's index list (duplicate and stale index keys are skipped).
+func SnapshotMethod(d *DynSum, m pag.MethodID) []CacheEntry {
+	ms := d.cache.methodShard(m)
+	ms.mu.Lock()
+	pks := append([]uint64(nil), ms.m[m]...)
+	ms.mu.Unlock()
+	var out []CacheEntry
+	seen := make(map[uint64]bool, len(pks))
+	for _, pk := range pks {
+		if seen[pk] {
+			continue
+		}
+		seen[pk] = true
+		k := unpackKey(pk)
+		if sum, ok := d.cache.get(k); ok {
+			out = append(out, CacheEntry{key: k, sum: sum})
+		}
+	}
+	return out
+}
+
+// RestoreMethod re-inserts entries captured by SnapshotMethod, for
+// benchmarks that must leave the cache as they found it between
+// iterations. The method's index list is dropped first, so restoring over
+// a method that was not invalidated does not grow it by a duplicate set.
+// The restored results re-share their original records.
 func RestoreMethod(d *DynSum, m pag.MethodID, entries []CacheEntry) {
 	ms := d.cache.methodShard(m)
 	ms.mu.Lock()
 	delete(ms.m, m)
 	ms.mu.Unlock()
 	for _, e := range entries {
-		d.cache.put(e.key, d.g.Node(e.key.node).Method, e.res)
+		d.cache.put(e.key, m, e.sum.Objects, e.sum.Frontier)
 	}
-}
-
-// CacheEntry is an opaque captured cache entry (see SnapshotMethod).
-type CacheEntry struct {
-	key pptaState
-	res *pptaResult
-}
-
-// SnapshotMethod captures every cache entry belonging to method m.
-func SnapshotMethod(d *DynSum, m pag.MethodID) []CacheEntry {
-	var out []CacheEntry
-	for i := range d.cache.shards {
-		s := &d.cache.shards[i]
-		s.mu.RLock()
-		for k, r := range s.m {
-			if d.g.Node(k.node).Method == m {
-				out = append(out, CacheEntry{key: k, res: r})
-			}
-		}
-		s.mu.RUnlock()
-	}
-	return out
 }

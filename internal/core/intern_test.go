@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,60 +10,64 @@ import (
 	"dynsum/internal/pag"
 )
 
-// TestInternSharesEqualSlices: structurally equal slices intern to one
-// backing array (pointer-equal), unequal ones stay distinct.
+// TestInternSharesEqualSlices: structurally equal results file to one
+// record whose views share one arena range (pointer-equal), unequal ones
+// stay distinct.
 func TestInternSharesEqualSlices(t *testing.T) {
-	ti := newResultIntern()
+	st := new(resultStore)
 
 	a := []pag.NodeID{1, 2, 3}
 	b := []pag.NodeID{1, 2, 3}
 	c := []pag.NodeID{1, 2, 4}
-	if got := ti.objects(a); &got[0] != &a[0] {
-		t.Error("first intern did not keep the original array")
+	ra, _ := st.file(a, nil)
+	if got := st.view(ra).Objects; !slices.Equal(got, a) || &got[0] == &a[0] {
+		t.Errorf("first intern stored %v (aliasing the caller: %v), want an arena copy of %v", got, &got[0] == &a[0], a)
 	}
-	if got := ti.objects(b); &got[0] != &a[0] {
-		t.Error("equal object slices did not share one array")
+	if rb, _ := st.file(b, nil); rb != ra || &st.view(rb).Objects[0] != &st.view(ra).Objects[0] {
+		t.Error("equal object slices did not share one record")
 	}
-	if got := ti.objects(c); &got[0] == &a[0] {
+	if rc, _ := st.file(c, nil); rc == ra {
 		t.Error("unequal object slices were merged")
 	}
 
 	f1 := []FrontierState{{Node: 7, Fs: intstack.Empty, St: S1}}
 	f2 := []FrontierState{{Node: 7, Fs: intstack.Empty, St: S1}}
 	f3 := []FrontierState{{Node: 7, Fs: intstack.Empty, St: S2}}
-	ti.frontiers(f1)
-	if got := ti.frontiers(f2); &got[0] != &f1[0] {
-		t.Error("equal frontier slices did not share one array")
+	r1, _ := st.file(nil, f1)
+	if r2, _ := st.file(nil, f2); r2 != r1 {
+		t.Error("equal frontier slices did not share one record")
 	}
-	if got := ti.frontiers(f3); &got[0] == &f1[0] {
+	if r3, _ := st.file(nil, f3); r3 == r1 {
 		t.Error("unequal frontier slices were merged")
 	}
 
-	shared, unique := ti.stats()
-	if shared != 2 || unique != 4 {
+	if shared, unique := st.shared.Load(), st.unique.Load(); shared != 2 || unique != 4 {
 		t.Errorf("stats = (%d shared, %d unique), want (2, 4)", shared, unique)
 	}
 }
 
-// TestInternEmptySlices: nil/empty pass through without table traffic.
+// TestInternEmptySlices: nil and empty results are one record whose views
+// are nil, and they take no arena space.
 func TestInternEmptySlices(t *testing.T) {
-	ti := newResultIntern()
-	if ti.objects(nil) != nil || ti.frontiers(nil) != nil {
-		t.Error("nil slices transformed")
+	st := new(resultStore)
+	r1, _ := st.file(nil, nil)
+	r2, _ := st.file([]pag.NodeID{}, []FrontierState{})
+	if r1 != r2 {
+		t.Error("nil and empty results filed as different records")
 	}
-	if got := ti.objects([]pag.NodeID{}); len(got) != 0 {
-		t.Error("empty slice transformed")
+	if v := st.view(r1); v.Objects != nil || v.Frontier != nil {
+		t.Errorf("empty result views = %v, want nil halves", v)
 	}
-	if shared, unique := ti.stats(); shared != 0 || unique != 0 {
-		t.Error("empty slices hit the table")
+	if st.objs.n != 0 || st.frs.n != 0 {
+		t.Errorf("empty results used arena space: %d objects, %d frontier states", st.objs.n, st.frs.n)
 	}
 }
 
-// TestInternConcurrent hammers one table from many goroutines with a
-// small value universe; every returned slice must carry the right
-// contents (run with -race to check the locking).
+// TestInternConcurrent hammers one store from many goroutines with a
+// small value universe; every filed record must carry the right contents
+// (run with -race to check the locking).
 func TestInternConcurrent(t *testing.T) {
-	ti := newResultIntern()
+	st := new(resultStore)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -70,7 +75,10 @@ func TestInternConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				v := pag.NodeID(i % 17)
-				got := ti.objects([]pag.NodeID{v, v + 1})
+				r, _ := st.file([]pag.NodeID{v, v + 1}, nil)
+				st.mu.Lock()
+				got := st.view(r).Objects
+				st.mu.Unlock()
 				if len(got) != 2 || got[0] != v || got[1] != v+1 {
 					t.Errorf("corrupted intern result %v", got)
 					return
@@ -79,20 +87,15 @@ func TestInternConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if _, unique := ti.stats(); unique != 17 {
+	if unique := st.unique.Load(); unique != 17 {
 		t.Errorf("unique = %d, want 17", unique)
 	}
 }
 
-// TestInternedAnswersMatchUncached runs a random-program workload with a
-// threshold low enough that most summaries are interned, and compares
-// every answer against an engine that neither caches nor interns —
-// sharing backing arrays must be invisible to results.
+// TestInternedAnswersMatchUncached runs a random-program workload and
+// compares every answer against an engine that neither caches nor interns
+// — sharing result records must be invisible to results.
 func TestInternedAnswersMatchUncached(t *testing.T) {
-	prev := internMinSummaries
-	internMinSummaries = 4
-	t.Cleanup(func() { internMinSummaries = prev })
-
 	for seed := int64(40); seed < 44; seed++ {
 		prog := fixture.RandProgram(seed, fixture.RandConfig{
 			Methods: 5, Calls: 6, Globals: 2, GlobalAssigns: 3,
@@ -123,14 +126,8 @@ func TestInternedAnswersMatchUncached(t *testing.T) {
 
 // TestDynSumInternsCachedSummaries: a warmed engine on a program with
 // repeated structure reports interning activity, and repeated queries
-// still answer identically (sharing is invisible to results). The
-// deferred-start threshold is lowered so the small fixture exercises the
-// intern path.
+// still answer identically (sharing is invisible to results).
 func TestDynSumInternsCachedSummaries(t *testing.T) {
-	prev := internMinSummaries
-	internMinSummaries = 0
-	t.Cleanup(func() { internMinSummaries = prev })
-
 	f := fixture.BuildFigure2()
 	f.Prog.G.Freeze()
 	d := NewDynSum(f.Prog.G, Config{}, nil)

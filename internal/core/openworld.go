@@ -95,10 +95,10 @@ type owModel struct {
 	specd map[pag.MethodID]bool
 	// active maps each still-bodyless, unspec'd method to its shared
 	// blended summary (read-only once published).
-	active map[pag.MethodID]*pptaResult
+	active map[pag.MethodID]*Summary
 	// pess is the one shared pessimistic summary; nil unless the policy is
 	// PolicyPessimistic.
-	pess *pptaResult
+	pess *Summary
 }
 
 // ErrOpenWorldDisabled is returned by ApplySpecs before EnableOpenWorld.
@@ -176,7 +176,7 @@ func (d *DynSum) refreshOpenWorld() {
 	}
 	gv := graphView{g: d.g, cond: d.condensation(), ov: d.ov}
 	marked := d.g.BodylessMethods()
-	active := make(map[pag.MethodID]*pptaResult, len(marked))
+	active := make(map[pag.MethodID]*Summary, len(marked))
 	for _, m := range marked {
 		if ow.specd[m] {
 			continue
@@ -185,7 +185,7 @@ func (d *DynSum) refreshOpenWorld() {
 		if owHasBody(gv, info) {
 			continue // a delta provided a real body: exact answers resume
 		}
-		active[m] = &pptaResult{objs: []pag.NodeID{info.BlobObj}}
+		active[m] = &Summary{Objects: []pag.NodeID{info.BlobObj}}
 	}
 	// One node scan fills every active method's ⊤-frontier: each boundary
 	// node (touches a global edge) continues in the directions the driver
@@ -199,10 +199,10 @@ func (d *DynSum) refreshOpenWorld() {
 			continue
 		}
 		if gv.hasGlobalIn(id) {
-			r.frontier = append(r.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S1})
+			r.Frontier = append(r.Frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S1})
 		}
 		if gv.hasGlobalOut(id) {
-			r.frontier = append(r.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S2})
+			r.Frontier = append(r.Frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S2})
 		}
 	}
 	ow.active = active
@@ -230,12 +230,12 @@ func owHasBody(gv graphView, info pag.BodylessInfo) bool {
 // buildPessimistic unions every active blended summary and adds the
 // ⊤-frontier over all global variables (unknown code may read or write any
 // static). Deterministic: methods in ascending order, nodes in scan order.
-func buildPessimistic(gv graphView, g *pag.Graph, active map[pag.MethodID]*pptaResult) *pptaResult {
-	p := &pptaResult{}
+func buildPessimistic(gv graphView, g *pag.Graph, active map[pag.MethodID]*Summary) *Summary {
+	p := &Summary{}
 	for _, m := range g.BodylessMethods() {
 		if r, ok := active[m]; ok {
-			p.objs = append(p.objs, r.objs...)
-			p.frontier = append(p.frontier, r.frontier...)
+			p.Objects = append(p.Objects, r.Objects...)
+			p.Frontier = append(p.Frontier, r.Frontier...)
 		}
 	}
 	total := gv.numNodes()
@@ -245,10 +245,10 @@ func buildPessimistic(gv graphView, g *pag.Graph, active map[pag.MethodID]*pptaR
 			continue
 		}
 		if gv.hasGlobalIn(id) {
-			p.frontier = append(p.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S1})
+			p.Frontier = append(p.Frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S1})
 		}
 		if gv.hasGlobalOut(id) {
-			p.frontier = append(p.frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S2})
+			p.Frontier = append(p.Frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S2})
 		}
 	}
 	return p
@@ -257,12 +257,12 @@ func buildPessimistic(gv graphView, g *pag.Graph, active map[pag.MethodID]*pptaR
 // owSummarize serves the open-world summary for a state at node n, already
 // rep-mapped. handled is false when n's method is not actively bodyless —
 // the caller proceeds with the closed-world path.
-func (d *DynSum) owSummarize(gv graphView, n pag.NodeID) (r *pptaResult, handled bool, err error) {
+func (d *DynSum) owSummarize(gv graphView, n pag.NodeID) (sum Summary, handled bool, err error) {
 	ow := d.ow
 	m := gv.nodeMethod(n)
 	r, ok := ow.active[m]
 	if !ok {
-		return nil, false, nil
+		return Summary{}, false, nil
 	}
 	switch ow.policy {
 	case PolicySpecOnly:
@@ -272,9 +272,9 @@ func (d *DynSum) owSummarize(gv graphView, n pag.NodeID) (r *pptaResult, handled
 		} else if d.ov != nil {
 			name = d.ov.MethodInfo(m).Name
 		}
-		return nil, true, &NoSpecError{Method: m, Name: name}
+		return Summary{}, true, &NoSpecError{Method: m, Name: name}
 	case PolicyPessimistic:
-		return ow.pess, true, nil
+		return *ow.pess, true, nil
 	}
-	return r, true, nil
+	return *r, true, nil
 }

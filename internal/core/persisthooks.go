@@ -43,8 +43,9 @@ type SummarySnapshot struct {
 // ExportSummaries captures the engine's summary cache for a snapshot.
 // Like every mutator-adjacent operation here, quiesce the engine first:
 // the export reads the shards without a global freeze, so concurrent
-// inserts may or may not be included. Returns nil when the cache is cold
-// (nothing worth persisting).
+// inserts may or may not be included. Entry slices are read-only views of
+// the cache's arenas. Returns nil when the cache is cold (nothing worth
+// persisting).
 func (d *DynSum) ExportSummaries() *SummarySnapshot {
 	mode := d.cacheMode.Load()
 	if mode == 0 {
@@ -57,21 +58,16 @@ func (d *DynSum) ExportSummaries() *SummarySnapshot {
 		s.StackSyms = append(s.StackSyms, sym)
 	}
 	gv := graphView{g: d.g, ov: d.ov}
-	for i := range d.cache.shards {
-		sh := &d.cache.shards[i]
-		sh.mu.RLock()
-		for k, r := range sh.m {
-			s.Entries = append(s.Entries, SummaryEntry{
-				Node:     k.node,
-				Fs:       k.fs,
-				St:       uint8(k.st),
-				Method:   gv.nodeMethod(k.node),
-				Objs:     r.objs,
-				Frontier: r.frontier,
-			})
-		}
-		sh.mu.RUnlock()
-	}
+	d.cache.each(func(k pptaState, r Summary) {
+		s.Entries = append(s.Entries, SummaryEntry{
+			Node:     k.node,
+			Fs:       k.fs,
+			St:       uint8(k.st),
+			Method:   gv.nodeMethod(k.node),
+			Objs:     r.Objects,
+			Frontier: r.Frontier,
+		})
+	})
 	if len(s.Entries) == 0 {
 		return nil
 	}
@@ -146,10 +142,7 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 		}
 	}
 	for _, e := range s.Entries {
-		r := &pptaResult{objs: e.Objs, frontier: e.Frontier}
-		r.objs = d.intern.objects(r.objs)
-		r.frontier = d.intern.frontiers(r.frontier)
-		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Method, r)
+		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Method, e.Objs, e.Frontier)
 	}
 	d.cacheMode.Store(s.CacheMode)
 	return nil

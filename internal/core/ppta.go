@@ -78,20 +78,6 @@ type pptaState struct {
 	st   State
 }
 
-// pptaResult is one method summary: the cached outcome of a PPTA run.
-// Cached results are shared across queries and goroutines and must never
-// be mutated; the driver receives their slices directly (no copy).
-type pptaResult struct {
-	objs     []pag.NodeID
-	frontier []FrontierState
-}
-
-// summary adapts the result to the driver form — a pair of read-only
-// slice views, allocation-free.
-func (r *pptaResult) summary() Summary {
-	return Summary{Objects: r.objs, Frontier: r.frontier}
-}
-
 // memoState is one discovered state of the memoised traversal. Its index
 // in Scratch.mstates is its Tarjan discovery number. result is -1 while
 // the state is open (on the component stack) and the index of its SCC's
@@ -108,10 +94,11 @@ type memoState struct {
 	frontier bool // the state itself is a frontier exit point
 }
 
-// memoResult is one completed closure: either a direct reference to a
-// cached result (splice records) or ranges into the Scratch result arenas.
+// memoResult is one completed closure: either the views of a cached
+// result (splice records) or ranges into the Scratch result arenas.
 type memoResult struct {
-	cached         *pptaResult
+	cached         Summary
+	spliced        bool
 	objOff, objLen int32
 	frOff, frLen   int32
 }
@@ -123,18 +110,17 @@ type memoFrame struct {
 	pos int32
 }
 
-// dropMemoRefs zeroes the cache-result pointers the traversal parked in
-// its splice records, so the pooled Scratch cannot keep another engine's
-// (or a since-cleared cache's) summaries alive. Called at the end of every
+// dropMemoRefs zeroes the cache-arena views the traversal parked in its
+// splice records, so the pooled Scratch cannot keep another engine's (or a
+// since-cleared cache's) arena segments alive. Called at the end of every
 // memoised run — the returned Summary views the arenas, never these
 // records, so the driver's consumption window is unaffected. (Zeroing at
 // pool return instead would memset full buffer capacities on every warm
 // query; here it touches only the records this run wrote.) The pending
-// write-back pointers are dropped separately: by discardPending on abort,
-// by commitWriteBacks after a successful commit.
+// write-back queue holds no pointers at all.
 func (sc *Scratch) dropMemoRefs() {
 	for i := range sc.mres {
-		sc.mres[i].cached = nil
+		sc.mres[i].cached = Summary{}
 	}
 }
 
@@ -202,8 +188,8 @@ func fkey(f FrontierState) uint64 {
 //lint:allow scratchpin deliberate arena views; read-only, reset-bounded lifetime
 func (sc *Scratch) resultViews(r int32) ([]pag.NodeID, []FrontierState) {
 	mr := &sc.mres[r]
-	if mr.cached != nil {
-		return mr.cached.objs, mr.cached.frontier
+	if mr.spliced {
+		return mr.cached.Objects, mr.cached.Frontier
 	}
 	return sc.mResObj[mr.objOff : mr.objOff+mr.objLen],
 		sc.mResFr[mr.frOff : mr.frOff+mr.frLen]
@@ -214,7 +200,7 @@ func (sc *Scratch) resultViews(r int32) ([]pag.NodeID, []FrontierState) {
 // disabled (and serving as the executable oracle the memoised path is
 // equivalence-tested against). Visits and edge traversals are charged to
 // bud; depth overflow and budget exhaustion abort the whole query. The
-// returned result is freshly allocated at exactly the needed size.
+// returned slices are freshly allocated at exactly the needed size.
 //
 // With a condensed view (gv.cond != nil) start.node must be an SCC
 // representative and the traversal stays on representatives: condensed
@@ -224,7 +210,7 @@ func (sc *Scratch) resultViews(r int32) ([]pag.NodeID, []FrontierState) {
 // member has the identical local closure, so the result (objects and the
 // reachable frontier set) is byte-identical to the uncondensed run; only
 // the states visited and edges traversed shrink.
-func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, bud *Budget, m *Metrics, sc *Scratch) (*pptaResult, error) {
+func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, bud *Budget, m *Metrics, sc *Scratch) (Summary, error) {
 	sc.resetPPTA()
 	sc.pushPPTA(start)
 
@@ -243,7 +229,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 			}
 			for _, e := range gv.localIn(cur.node) {
 				if !bud.Step() {
-					return nil, bud.Err()
+					return Summary{}, bud.Err()
 				}
 				sc.edges++
 				switch e.Kind {
@@ -267,7 +253,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 				case pag.Load:
 					fs, err := pushField(fields, cur.fs, e.Label, cfg.MaxFieldDepth)
 					if err != nil {
-						return nil, err
+						return Summary{}, err
 					}
 					sc.pushPPTA(pptaState{node: e.Src, fs: fs, st: S1})
 				}
@@ -281,7 +267,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 			}
 			for _, e := range gv.localOut(cur.node) {
 				if !bud.Step() {
-					return nil, bud.Err()
+					return Summary{}, bud.Err()
 				}
 				sc.edges++
 				switch e.Kind {
@@ -296,7 +282,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 					// aliases of the base (alias starts with flowsTo-bar).
 					fs, err := pushField(fields, cur.fs, e.Label, cfg.MaxFieldDepth)
 					if err != nil {
-						return nil, err
+						return Summary{}, err
 					}
 					sc.pushPPTA(pptaState{node: e.Dst, fs: fs, st: S1})
 				}
@@ -306,7 +292,7 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 					continue
 				}
 				if !bud.Step() {
-					return nil, bud.Err()
+					return Summary{}, bud.Err()
 				}
 				sc.edges++
 				// cur.node aliases the base of the pending load: the
@@ -318,13 +304,13 @@ func runPPTA(gv graphView, fields *intstack.Table, start pptaState, cfg Config, 
 		}
 	}
 
-	// Materialise the immutable, exactly-sized result for the cache.
-	res := &pptaResult{}
+	// Materialise the exactly-sized result; the caller owns it.
+	var res Summary
 	if len(sc.objBuf) > 0 {
-		res.objs = append(make([]pag.NodeID, 0, len(sc.objBuf)), sc.objBuf...)
+		res.Objects = append(make([]pag.NodeID, 0, len(sc.objBuf)), sc.objBuf...)
 	}
 	if len(sc.frBuf) > 0 {
-		res.frontier = append(make([]FrontierState, 0, len(sc.frBuf)), sc.frBuf...)
+		res.Frontier = append(make([]FrontierState, 0, len(sc.frBuf)), sc.frBuf...)
 	}
 	return res, nil
 }
@@ -518,7 +504,7 @@ func (sc *Scratch) completeSCC(root int32, fields *intstack.Table, cfg Config) {
 // PPTA state graph (see the file comment): cache splice-in on the way
 // down, per-SCC write-back on the way up. cache is the engine's summary
 // cache (probed read-only here; the queued write-backs in sc.pendKeys/
-// pendRes are committed by the caller only after this returns nil). The
+// pendRIdx are committed by the caller only after this returns nil). The
 // returned Summary views the Scratch arenas and is valid until the next
 // Summarize call of the same query — the driver's documented contract.
 //
@@ -557,7 +543,7 @@ func runPPTAMemo(gv graphView, fields *intstack.Table, cache *summaryCache, star
 			// whole sub-traversal. The record is born completed.
 			if r, ok := cache.get(t); ok {
 				ridx := int32(len(sc.mres))
-				sc.mres = append(sc.mres, memoResult{cached: r})
+				sc.mres = append(sc.mres, memoResult{cached: r, spliced: true})
 				idx := int32(len(sc.mstates))
 				sc.mstates = append(sc.mstates, memoState{st: t, low: idx, result: ridx})
 				sc.mseen.put(k, idx)
@@ -593,6 +579,6 @@ func runPPTAMemo(gv graphView, fields *intstack.Table, cache *summaryCache, star
 	objs, frs := sc.resultViews(sc.mstates[rootIdx].result)
 	sc.dropMemoRefs()
 	// The views are consumed by the driver before the next PPTA run;
-	//lint:allow scratchpin summary views are copied before caching (write-back hash-conses)
+	//lint:allow scratchpin summary views are copied before caching (write-back files them in the arenas)
 	return Summary{Objects: objs, Frontier: frs}, nil
 }

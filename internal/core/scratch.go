@@ -338,15 +338,15 @@ type Scratch struct {
 	// Pending write-backs of the current PPTA run: pendKeys[i] is a state
 	// to cache, pendRIdx[i] the index of its SCC's result record (runs of
 	// equal indices are one SCC's members). Nothing is materialised until
-	// the whole traversal succeeds — commitWriteBacks then copies each
-	// distinct result once into block-allocated immutable slices and
-	// batch-inserts, filling the parallel pendMeth/pendRes arrays on the
-	// way; a budget or depth abort just truncates the queue (partial
-	// closures must never be cached).
+	// the whole traversal succeeds — commitWriteBacks then files each
+	// distinct result once in the cache's arenas and batch-inserts,
+	// filling the parallel pendMeth/pendRec arrays on the way; a budget or
+	// depth abort just truncates the queue (partial closures must never be
+	// cached).
 	pendKeys []pptaState
 	pendRIdx []int32
 	pendMeth []pag.MethodID
-	pendRes  []*pptaResult
+	pendRec  []uint32
 
 	// Batched memoisation counters, flushed with the other work counters.
 	spliced, written int64
@@ -411,9 +411,9 @@ func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 func putScratch(sc *Scratch, nodes int) {
 	// Drop the graph view: a pooled Scratch must not pin the queried
 	// graph (and its condensed overlay) until GC happens to evict the
-	// pool entry. (Result pointers the memoised PPTA parks in mres and
-	// pendRes are zeroed at the end of each traversal/commit — doing it
-	// here would memset large pooled buffers on every warm query.)
+	// pool entry. (The cache views the memoised PPTA parks in mres are
+	// zeroed at the end of each traversal — doing it here would memset
+	// large pooled buffers on every warm query.)
 	// The budget is zeroed for the same reason: an armed budget holds the
 	// query's context.
 	sc.gv = graphView{}
@@ -531,8 +531,8 @@ func (sc *Scratch) trim(limit int) {
 	if cap(sc.pendMeth) > limit {
 		sc.pendMeth = nil
 	}
-	if cap(sc.pendRes) > limit {
-		sc.pendRes = nil
+	if cap(sc.pendRec) > limit {
+		sc.pendRec = nil
 	}
 }
 
@@ -567,7 +567,7 @@ func (sc *Scratch) resetMemo() {
 	sc.pendKeys = sc.pendKeys[:0]
 	sc.pendRIdx = sc.pendRIdx[:0]
 	sc.pendMeth = sc.pendMeth[:0]
-	sc.pendRes = sc.pendRes[:0]
+	sc.pendRec = sc.pendRec[:0]
 }
 
 // flushMetrics adds the batched per-query counters into m in three atomic

@@ -12,7 +12,7 @@ import (
 // methods Identity/resultViews) are valid only until the scratch is
 // reset or regrown, so they must never be stored into a struct field or
 // returned to a caller. The sanctioned escape is a copy: the engine
-// block-allocates exactly-sized result arrays before caching, and
+// copies results into the summary cache's arenas before caching, and
 // append into a fresh slice is treated as that copy. The handful of
 // deliberate view returns (the views themselves, and the driver sites
 // that consume them before the next query) carry //lint:allow.

@@ -62,7 +62,9 @@ func TestLoadOracleFidelity(t *testing.T) {
 func TestLoadUnderOverloadStaysTyped(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ev := testEvolve(t, 2)
-	srv := newTestServer(t, ev, Config{Workers: 1, QueueDepth: 2})
+	cfg, stall := stallUntilRefused(Config{Workers: 1, QueueDepth: 2})
+	srv := newTestServer(t, ev, cfg)
+	stall(srv)
 
 	rep, err := RunLoad(context.Background(), srv, ev, LoadConfig{
 		Sessions:          24,

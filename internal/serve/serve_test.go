@@ -29,6 +29,32 @@ func testEvolve(t *testing.T, waves int) *benchgen.EvolveProgram {
 	return ev
 }
 
+// stallUntilRefused makes an overload test independent of query speed
+// and scheduling: every session engine's traversal blocks until the
+// server has shed or expired a request (or a second has passed), so the
+// lanes fill however fast the engine answers. It returns cfg with the
+// stalling Prepare hook and the function that starts the watcher once
+// the server exists.
+func stallUntilRefused(cfg Config) (Config, func(*Server)) {
+	gate := make(chan struct{})
+	cfg.Prepare = func(d *core.DynSum) error {
+		d.Tracer = func(core.TraceEvent) { <-gate }
+		return nil
+	}
+	return cfg, func(srv *Server) {
+		go func() {
+			defer close(gate)
+			for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				for _, lc := range srv.MetricsSnapshot().Lanes {
+					if lc.Shed+lc.Expired > 0 {
+						return
+					}
+				}
+			}
+		}()
+	}
+}
+
 func newTestServer(t *testing.T, ev *benchgen.EvolveProgram, cfg Config) *Server {
 	t.Helper()
 	if cfg.Engine.Budget == 0 {
@@ -139,7 +165,9 @@ func TestServedAnswersMatchOracle(t *testing.T) {
 // answers, and the run terminates (bounded queue, no deadlock).
 func TestOverloadShedsTyped(t *testing.T) {
 	ev := testEvolve(t, 1)
-	srv := newTestServer(t, ev, Config{Workers: 1, QueueDepth: 2})
+	cfg, stall := stallUntilRefused(Config{Workers: 1, QueueDepth: 2})
+	srv := newTestServer(t, ev, cfg)
+	stall(srv)
 	if _, err := srv.CreateSession("s1", "tenant-a"); err != nil {
 		t.Fatal(err)
 	}

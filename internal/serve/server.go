@@ -162,6 +162,11 @@ type Server struct {
 	watchStop chan struct{}
 	watchWG   sync.WaitGroup
 	wg        sync.WaitGroup // dispatchers + workers
+	// applies counts Apply calls admitted while running. Apply runs on the
+	// caller's goroutine, not a worker, so Drain waits for these too
+	// before persisting — otherwise an apply that raced the drain could
+	// bump a session's epoch after persistDirty had skipped it as clean.
+	applies sync.WaitGroup
 
 	// now is the clock, swappable in tests (quota refill, deadlines).
 	now func() time.Time
@@ -487,9 +492,14 @@ func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (r
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	s.admitMu.RLock()
 	if s.state.Load() != stateRunning {
+		s.admitMu.RUnlock()
 		return res, &OverloadError{Draining: true}
 	}
+	s.applies.Add(1)
+	s.admitMu.RUnlock()
+	defer s.applies.Done()
 	sess := s.Session(sessionID)
 	if sess == nil {
 		return res, &UnknownSessionError{ID: sessionID}
@@ -552,6 +562,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	close(s.watchStop)
 	s.watchWG.Wait()
+	s.applies.Wait()
 	err := s.persistDirty()
 	s.state.Store(stateClosed)
 	return err
