@@ -37,7 +37,8 @@ lint:
 	./scripts/lint.sh
 
 # fuzz smokes the native fuzz targets over the validator stack, the
-# open-world spec parser and the summary cache for FUZZ_TIME each; the
+# open-world spec parser, the summary cache and the PAG text decoder for
+# FUZZ_TIME each; the
 # committed seed corpora replay in plain `make test`.
 .PHONY: fuzz
 fuzz:
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/persist/journal -run '^$$' -fuzz FuzzJournalScan -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/openworld -run '^$$' -fuzz FuzzSpecParse -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSummaryCache -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/pag -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZ_TIME)
 
 # faultcheck runs the query-lifecycle hardening suite: deterministic
 # fault-injection crash-consistency sweeps (internal/enginetest) plus

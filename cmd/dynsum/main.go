@@ -105,17 +105,22 @@ func main() {
 	}
 }
 
-// load reads MiniJava source (with symbol info) or a serialised PAG.
+// load reads MiniJava source (with symbol info) or streams a serialised
+// PAG.
 func load(path string) (*pag.Program, *mj.Info, error) {
-	data, err := os.ReadFile(path)
+	if strings.HasSuffix(path, ".mj") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mj.Compile(path, string(data))
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if strings.HasSuffix(path, ".mj") {
-		prog, info, err := mj.Compile(path, string(data))
-		return prog, info, err
-	}
-	prog, err := pag.Decode(strings.NewReader(string(data)))
+	defer f.Close()
+	prog, err := pag.Decode(f)
 	return prog, nil, err
 }
 

@@ -102,13 +102,15 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Catch signals before serving: once /readyz answers, a SIGTERM must
+	// drain, not kill the process with the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	httpSrv := &http.Server{Addr: *addr, Handler: newHandler(srv, maxBodyBytes)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "dynsumd: serving on %s (%d nodes)\n", *addr, prog.G.NumNodes())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errCh:
 		fmt.Fprintln(os.Stderr, "dynsumd:", err)
@@ -186,17 +188,7 @@ func loadBase(bench string, scale float64, seed int64) (*pag.Program, error) {
 	if flag.NArg() != 1 {
 		return nil, errors.New("pass a program file (.mj or .pag) or -bench")
 	}
-	path := flag.Arg(0)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var prog *pag.Program
-	if strings.HasSuffix(path, ".mj") {
-		prog, _, err = mj.Compile(path, string(data))
-	} else {
-		prog, err = pag.Decode(strings.NewReader(string(data)))
-	}
+	prog, err := readProgram(flag.Arg(0))
 	if err != nil {
 		return nil, err
 	}
@@ -204,6 +196,25 @@ func loadBase(bench string, scale float64, seed int64) (*pag.Program, error) {
 		prog.G.Freeze()
 	}
 	return prog, nil
+}
+
+// readProgram compiles a .mj file, or streams any other file through
+// pag.Decode, which keeps no copy of its input.
+func readProgram(path string) (*pag.Program, error) {
+	if strings.HasSuffix(path, ".mj") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		prog, _, err := mj.Compile(path, string(data))
+		return prog, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return pag.Decode(f)
 }
 
 // newHandler routes the daemon's endpoints to srv, refusing POST bodies

@@ -319,15 +319,21 @@ func openWorldBenchStats(scale float64, seed int64) {
 	w.Flush()
 }
 
-// load reads a program from MiniJava source or the textual PAG format.
+// load reads a program from MiniJava source or streams it from the
+// textual PAG format.
 func load(path string) (*pag.Program, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	if strings.HasSuffix(path, ".mj") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
 		prog, _, err := mj.Compile(path, string(data))
 		return prog, err
 	}
-	return pag.Decode(strings.NewReader(string(data)))
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return pag.Decode(f)
 }

@@ -86,6 +86,45 @@ func (g *Graph) Freeze() {
 	g.cond = g.condense()
 }
 
+// buildCSR lays out n nodes' adjacency straight from a duplicate-free edge
+// list, without the builder form: a counting pass sizes every span, and a
+// fill pass places the edges in list order through keepPartitioned. For a
+// list in AddEdge insertion order the result equals what AddEdge followed
+// by Freeze builds, edge for edge.
+func buildCSR(n int, edges []Edge) *csr {
+	f := &csr{
+		outEdges: make([]Edge, len(edges)),
+		outStart: make([]int32, n+1),
+		outSplit: make([]int32, n),
+		inEdges:  make([]Edge, len(edges)),
+		inStart:  make([]int32, n+1),
+		inSplit:  make([]int32, n),
+	}
+	for _, e := range edges {
+		f.outStart[e.Src+1]++
+		f.inStart[e.Dst+1]++
+	}
+	for i := 0; i < n; i++ {
+		f.outStart[i+1] += f.outStart[i]
+		f.inStart[i+1] += f.inStart[i]
+	}
+	next := make([]int32, n)
+	fill := func(dst []Edge, start, split []int32, owner func(Edge) NodeID) {
+		copy(next, start[:n])
+		copy(split, start[:n])
+		for _, e := range edges {
+			v := owner(e)
+			at := next[v]
+			dst[at] = e
+			keepPartitioned(dst[:at+1], &split[v])
+			next[v]++
+		}
+	}
+	fill(f.outEdges, f.outStart, f.outSplit, func(e Edge) NodeID { return e.Src })
+	fill(f.inEdges, f.inStart, f.inSplit, func(e Edge) NodeID { return e.Dst })
+	return f
+}
+
 // Frozen reports whether the graph has been compacted to the CSR layout.
 func (g *Graph) Frozen() bool { return g.frozen != nil }
 

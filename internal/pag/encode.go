@@ -2,11 +2,15 @@ package pag
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // This file implements a line-oriented text serialisation of Programs, so
@@ -27,13 +31,32 @@ import (
 //	deref <var> <name>
 //	factory <method> <retVar> <name>
 //
-// Records must appear in dependency order (classes before methods, nodes
-// before edges and bodyless marks); Encode emits them that way. The
-// bodyless record references the blob nodes MarkBodyless minted — they are
-// ordinary node records — so decoding installs the recorded interface
-// as-is instead of minting fresh blobs (node IDs must survive the round
-// trip: the open-world soundness checker aligns stripped graphs with
-// full-body oracles by ID).
+// Fields are separated by runs of white space (unicode.IsSpace, as
+// strings.Fields splits); blank lines and lines whose first field starts
+// with '#' are skipped, and a line may hold at most 1<<24 - 1 bytes before
+// its '\n'. Every number is a decimal int32.
+//
+// Range rules (the table references follow the ones FromImage applies to
+// snapshots):
+//
+//   - an edge names nodes declared on earlier lines;
+//   - a bodyless record names a method and nodes declared on earlier
+//     lines (-1 allowed for the return and formal slots);
+//   - a node's method and class, a class's parent and a method's class
+//     are -1 or an entry of the complete table, which may be declared
+//     further down (frontends declare classes before resolving parents);
+//   - a call site's caller is -1 or any method ID, and its targets any
+//     non-negative method ID: under dynamic loading they may name methods
+//     a later delta epoch adds;
+//   - load/store labels must name fields and entry/exit labels call sites
+//     (Validate).
+//
+// Encode emits records in dependency order. The bodyless record
+// references the blob nodes MarkBodyless minted — they are ordinary node
+// records — so decoding installs the recorded interface as-is instead of
+// minting fresh blobs (node IDs must survive the round trip: the
+// open-world soundness checker aligns stripped graphs with full-body
+// oracles by ID).
 
 const magic = "pag v1"
 
@@ -90,120 +113,236 @@ func Encode(w io.Writer, p *Program) error {
 	return bw.Flush()
 }
 
-// Decode reads a Program in the textual PAG format.
+// maxLine bounds the length of one input line (its '\n' excluded).
+const maxLine = 1 << 24
+
+// Decode reads a Program in the textual PAG format and returns it frozen.
+//
+// Decoding is one streaming pass that never builds the builder form: lines
+// are split in place, node names are collected into one arena, and edges
+// into one flat duplicate-free list. The list then lays out the CSR form
+// directly (buildCSR), exactly as AddEdge followed by Freeze would lay out
+// the same records. Every reference is range-checked; an error names the
+// offending line.
 func Decode(r io.Reader) (*Program, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	g := NewGraph()
-	p := NewProgram("", g)
-	lineno := 0
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("pag: line %d: %s", lineno, fmt.Sprintf(format, args...))
-	}
-	first := true
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if first {
-			if len(fields) < 3 || fields[0]+" "+fields[1] != magic {
-				return nil, fail("bad header %q, want %q", line, magic)
-			}
-			name, err := unquote(fields[2])
-			if err != nil {
-				return nil, fail("bad program name: %v", err)
-			}
-			p.Name = name
-			first = false
-			continue
-		}
-		if err := decodeLine(g, p, fields); err != nil {
-			return nil, fail("%v", err)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	d := &decoder{br: bufio.NewReaderSize(r, 1<<16), g: NewGraph()}
+	d.p = NewProgram("", d.g)
+	d.nodeMethod = fwdRef{what: "node method", top: -1}
+	d.nodeClass = fwdRef{what: "node class", top: -1}
+	d.classParent = fwdRef{what: "class parent", top: -1}
+	d.methodClass = fwdRef{what: "method class", top: -1}
+	if err := d.read(); err != nil {
 		return nil, err
 	}
-	if first {
-		return nil, fmt.Errorf("pag: empty input")
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	// Re-intern derived identifiers present in the tables.
-	g.ResolveDerived()
-	// A decoded program is complete by definition: compact it to the CSR
-	// layout so queries start on the fast path.
-	g.Freeze()
-	return p, nil
+	return d.finish()
 }
 
-func decodeLine(g *Graph, p *Program, fields []string) error {
-	switch fields[0] {
+// decoder is the state of one Decode call.
+type decoder struct {
+	br     *bufio.Reader
+	long   []byte   // a line longer than br's buffer, reassembled
+	fields [][]byte // the current line's fields, aliasing its bytes
+	lineno int
+
+	g *Graph
+	p *Program
+
+	// nodes are the node records read so far and names their name arena;
+	// finish turns both into the graph's node table, with one string
+	// allocation for all the names.
+	nodes []nodeRec
+	names []byte
+
+	// edges holds the distinct edges in the order the input first names
+	// them; seen is an open-addressing set over it (edge index + 1 per
+	// slot, 0 = empty), dropped before the CSR is laid out.
+	edges []Edge
+	seen  []uint32
+
+	// References the input may make to table entries declared further
+	// down (a class's parent may follow it), checked at the end.
+	nodeMethod, nodeClass, classParent, methodClass fwdRef
+
+	err error // the first error reading the current record's fields
+}
+
+// nodeRec is a node record as read: Node without its name, which ends at
+// nameEnd in the name arena (and starts where the previous one ended).
+// Being pointer-free, the growing record array costs the collector nothing.
+type nodeRec struct {
+	kind    NodeKind
+	method  MethodID
+	class   ClassID
+	nameEnd int
+}
+
+// fwdRef tracks one kind of table reference: the largest ID it names and
+// the first line naming it. A reference is in range iff that ID is below
+// the complete table's length.
+type fwdRef struct {
+	what string
+	top  int32
+	line int
+}
+
+// read consumes the input: the header, then one record per line.
+func (d *decoder) read() error {
+	header := false
+	for {
+		line, ok, err := d.nextLine()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		d.split(line)
+		f := d.fields
+		if len(f) == 0 || f[0][0] == '#' {
+			continue
+		}
+		if !header {
+			if len(f) < 3 || string(f[0]) != "pag" || string(f[1]) != "v1" {
+				return d.fail("bad header %q, want %q", strings.TrimSpace(string(line)), magic)
+			}
+			name, err := unquote(string(f[2]))
+			if err != nil {
+				return d.fail("bad program name: %v", err)
+			}
+			d.p.Name = name
+			header = true
+			continue
+		}
+		if err := d.record(); err != nil {
+			return d.fail("%v", err)
+		}
+	}
+	if !header {
+		return fmt.Errorf("pag: empty input")
+	}
+	return nil
+}
+
+func (d *decoder) fail(format string, args ...any) error {
+	return fmt.Errorf("pag: line %d: %s", d.lineno, fmt.Sprintf(format, args...))
+}
+
+// nextLine returns the next line without its '\n'; ok is false at the end
+// of the input. The line aliases the reader's buffer until the next call.
+func (d *decoder) nextLine() (line []byte, ok bool, err error) {
+	line, err = d.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		d.long = append(d.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(d.long) <= maxLine {
+			line, err = d.br.ReadSlice('\n')
+			d.long = append(d.long, line...)
+		}
+		line = d.long
+	}
+	if err == io.EOF && len(line) == 0 {
+		return nil, false, nil
+	}
+	if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+		return nil, false, err
+	}
+	d.lineno++
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	}
+	if len(line) >= maxLine {
+		return nil, false, fmt.Errorf("pag: line %d: %w", d.lineno, bufio.ErrTooLong)
+	}
+	return line, true, nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// split cuts line into d.fields at runs of white space. An all-ASCII line
+// is split in place; a line holding any byte >= 0x80 goes through
+// bytes.Fields, whose unicode.IsSpace rule is strings.Fields', so the
+// format tokenises exactly as under a strings.Fields split of every line.
+func (d *decoder) split(line []byte) {
+	d.fields = d.fields[:0]
+	start := -1
+	for i, c := range line {
+		if c >= utf8.RuneSelf {
+			d.fields = append(d.fields[:0], bytes.Fields(line)...)
+			return
+		}
+		if asciiSpace[c] {
+			if start >= 0 {
+				d.fields = append(d.fields, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		d.fields = append(d.fields, line[start:])
+	}
+}
+
+// record decodes the current line's record into the program.
+func (d *decoder) record() error {
+	f, g := d.fields, d.g
+	d.err = nil
+	switch string(f[0]) {
 	case "class":
-		if len(fields) != 3 {
-			return fmt.Errorf("class wants 2 args")
+		if len(f) != 3 {
+			return errors.New("class wants 2 args")
 		}
-		name, err := unquote(fields[1])
-		if err != nil {
-			return err
+		name, parent := d.name(1), d.ref(&d.classParent, 2)
+		if d.err == nil {
+			g.AddClass(name, ClassID(parent))
 		}
-		parent, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return err
-		}
-		g.AddClass(name, ClassID(parent))
 	case "method":
-		if len(fields) != 3 {
-			return fmt.Errorf("method wants 2 args")
+		if len(f) != 3 {
+			return errors.New("method wants 2 args")
 		}
-		name, err := unquote(fields[1])
-		if err != nil {
-			return err
+		name, class := d.name(1), d.ref(&d.methodClass, 2)
+		if d.err == nil {
+			g.AddMethod(name, ClassID(class))
 		}
-		class, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return err
-		}
-		g.AddMethod(name, ClassID(class))
 	case "field":
-		if len(fields) != 2 {
-			return fmt.Errorf("field wants 1 arg")
+		if len(f) != 2 {
+			return errors.New("field wants 1 arg")
 		}
-		name, err := unquote(fields[1])
-		if err != nil {
-			return err
+		if name := d.name(1); d.err == nil {
+			g.AddField(name)
 		}
-		g.AddField(name)
 	case "callsite":
-		if len(fields) < 3 {
-			return fmt.Errorf("callsite wants >=2 args")
+		if len(f) < 3 {
+			return errors.New("callsite wants >=2 args")
 		}
-		caller, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return err
+		// Callers and targets may name methods a later delta epoch loads
+		// (the dynamic-loading model), so only negatives are out of range.
+		caller := d.int(1)
+		if d.err == nil && MethodID(caller) < NoMethod {
+			return fmt.Errorf("callsite caller %d out of range", caller)
 		}
-		name, err := unquote(fields[2])
-		if err != nil {
-			return err
+		name := d.name(2)
+		if d.err != nil {
+			return d.err
 		}
 		cs := g.AddCallSite(MethodID(caller), name)
-		for _, t := range fields[3:] {
-			m, err := strconv.Atoi(t)
-			if err != nil {
-				return err
+		for i := 3; i < len(f); i++ {
+			m := d.int(i)
+			if d.err != nil {
+				return d.err
+			}
+			if m < 0 {
+				return fmt.Errorf("callsite target %d out of range", m)
 			}
 			g.AddCallTarget(cs, MethodID(m))
 		}
 	case "node":
-		if len(fields) != 5 {
-			return fmt.Errorf("node wants 4 args")
+		if len(f) != 5 {
+			return errors.New("node wants 4 args")
 		}
 		var kind NodeKind
-		switch fields[1] {
+		switch string(f[1]) {
 		case "local":
 			kind = Local
 		case "global":
@@ -211,60 +350,44 @@ func decodeLine(g *Graph, p *Program, fields []string) error {
 		case "object":
 			kind = Object
 		default:
-			return fmt.Errorf("bad node kind %q", fields[1])
+			return fmt.Errorf("bad node kind %q", f[1])
 		}
-		method, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return err
+		method, class := d.ref(&d.nodeMethod, 2), d.ref(&d.nodeClass, 3)
+		if d.err != nil {
+			return d.err
 		}
-		class, err := strconv.Atoi(fields[3])
-		if err != nil {
-			return err
+		if d.names, d.err = appendUnquoted(d.names, f[4]); d.err == nil {
+			d.nodes = append(grow(d.nodes), nodeRec{kind, MethodID(method), ClassID(class), len(d.names)})
 		}
-		name, err := unquote(fields[4])
-		if err != nil {
-			return err
-		}
-		g.AddNode(kind, MethodID(method), ClassID(class), name)
 	case "edge":
-		if len(fields) != 4 && len(fields) != 5 {
-			return fmt.Errorf("edge wants 3 or 4 args")
+		if len(f) != 4 && len(f) != 5 {
+			return errors.New("edge wants 3 or 4 args")
 		}
-		kind, err := parseEdgeKind(fields[1])
+		kind, err := parseEdgeKind(f[1])
 		if err != nil {
 			return err
 		}
-		src, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return err
+		src, dst, label := d.int(2), d.int(3), NoLabel
+		if len(f) == 5 {
+			label = d.int(4)
 		}
-		dst, err := strconv.Atoi(fields[3])
-		if err != nil {
-			return err
+		if d.err != nil {
+			return d.err
 		}
-		label := NoLabel
-		if len(fields) == 5 {
-			l, err := strconv.Atoi(fields[4])
-			if err != nil {
-				return err
-			}
-			label = int32(l)
+		if n := len(d.nodes); src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
+			return fmt.Errorf("edge endpoint out of range: %d -> %d (have %d nodes)", src, dst, n)
 		}
-		if src < 0 || src >= g.NumNodes() || dst < 0 || dst >= g.NumNodes() {
-			return fmt.Errorf("edge endpoint out of range: %d -> %d (have %d nodes)", src, dst, g.NumNodes())
-		}
-		g.AddEdge(Edge{Src: NodeID(src), Dst: NodeID(dst), Kind: kind, Label: label})
+		d.addEdge(Edge{Src: NodeID(src), Dst: NodeID(dst), Kind: kind, Label: label})
 	case "bodyless":
-		if len(fields) < 5 {
-			return fmt.Errorf("bodyless wants >=4 args")
+		if len(f) < 5 {
+			return errors.New("bodyless wants >=4 args")
 		}
-		ids := make([]int, 0, len(fields)-1)
-		for _, f := range fields[1:] {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return err
-			}
-			ids = append(ids, v)
+		ids := make([]int32, len(f)-1)
+		for i := range ids {
+			ids[i] = d.int(i + 1)
+		}
+		if d.err != nil {
+			return d.err
 		}
 		m := MethodID(ids[0])
 		if m < 0 || int(m) >= len(g.methods) {
@@ -273,11 +396,11 @@ func decodeLine(g *Graph, p *Program, fields []string) error {
 		if _, dup := g.bodyless[m]; dup {
 			return fmt.Errorf("method %d marked bodyless twice", m)
 		}
-		node := func(v int, what string, allowNone bool) (NodeID, error) {
-			if v == int(NoNode) && allowNone {
+		node := func(v int32, what string, allowNone bool) (NodeID, error) {
+			if NodeID(v) == NoNode && allowNone {
 				return NoNode, nil
 			}
-			if v < 0 || v >= len(g.nodes) {
+			if v < 0 || int(v) >= len(d.nodes) {
 				return NoNode, fmt.Errorf("bodyless %s node %d out of range", what, v)
 			}
 			return NodeID(v), nil
@@ -310,65 +433,162 @@ func decodeLine(g *Graph, p *Program, fields []string) error {
 		}
 		g.bodyless[m] = info
 	case "cast":
-		if len(fields) != 4 {
-			return fmt.Errorf("cast wants 3 args")
+		if len(f) != 4 {
+			return errors.New("cast wants 3 args")
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return err
+		c := CastSite{Var: NodeID(d.int(1)), Target: ClassID(d.int(2)), Name: d.name(3)}
+		if d.err == nil {
+			d.p.Casts = append(d.p.Casts, c)
 		}
-		cls, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return err
-		}
-		name, err := unquote(fields[3])
-		if err != nil {
-			return err
-		}
-		p.Casts = append(p.Casts, CastSite{Var: NodeID(v), Target: ClassID(cls), Name: name})
 	case "deref":
-		if len(fields) != 3 {
-			return fmt.Errorf("deref wants 2 args")
+		if len(f) != 3 {
+			return errors.New("deref wants 2 args")
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return err
+		s := DerefSite{Var: NodeID(d.int(1)), Name: d.name(2)}
+		if d.err == nil {
+			d.p.Derefs = append(d.p.Derefs, s)
 		}
-		name, err := unquote(fields[2])
-		if err != nil {
-			return err
-		}
-		p.Derefs = append(p.Derefs, DerefSite{Var: NodeID(v), Name: name})
 	case "factory":
-		if len(fields) != 4 {
-			return fmt.Errorf("factory wants 3 args")
+		if len(f) != 4 {
+			return errors.New("factory wants 3 args")
 		}
-		m, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return err
+		s := FactorySite{Method: MethodID(d.int(1)), Ret: NodeID(d.int(2)), Name: d.name(3)}
+		if d.err == nil {
+			d.p.Factories = append(d.p.Factories, s)
 		}
-		ret, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return err
-		}
-		name, err := unquote(fields[3])
-		if err != nil {
-			return err
-		}
-		p.Factories = append(p.Factories, FactorySite{Method: MethodID(m), Ret: NodeID(ret), Name: name})
 	default:
-		return fmt.Errorf("unknown record %q", fields[0])
+		return fmt.Errorf("unknown record %q", f[0])
 	}
-	return nil
+	return d.err
 }
 
-func parseEdgeKind(s string) (EdgeKind, error) {
+// int parses field i of the current record as a decimal int32. Like name
+// and ref, it keeps the record's first error in d.err and does nothing
+// once there is one, so a record's fields can be read in one expression
+// and checked once. The string conversion does not escape ParseInt, so it
+// costs no allocation.
+func (d *decoder) int(i int) int32 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseInt(string(d.fields[i]), 10, 32)
+	d.err = err
+	return int32(v)
+}
+
+// name unquotes field i of the current record.
+func (d *decoder) name(i int) string {
+	if d.err != nil {
+		return ""
+	}
+	s, err := unquote(string(d.fields[i]))
+	d.err = err
+	return s
+}
+
+// ref parses field i of the current record as a reference of kind r.
+func (d *decoder) ref(r *fwdRef, i int) int32 {
+	id := d.int(i)
+	if d.err == nil && id < -1 {
+		d.err = fmt.Errorf("%s %d out of range", r.what, id)
+	}
+	if d.err == nil && id > r.top {
+		r.top, r.line = id, d.lineno
+	}
+	return id
+}
+
+// addEdge appends e to d.edges unless an identical edge is already there,
+// the duplicate suppression AddEdge performs through the graph's edge set.
+func (d *decoder) addEdge(e Edge) {
+	if 2*(len(d.edges)+1) > len(d.seen) {
+		d.seen = make([]uint32, max(1<<10, 2*len(d.seen)))
+		for k, have := range d.edges {
+			d.seen[d.slot(have)] = uint32(k + 1)
+		}
+	}
+	i := d.slot(e)
+	if d.seen[i] == 0 {
+		d.edges = append(grow(d.edges), e)
+		d.seen[i] = uint32(len(d.edges))
+	}
+}
+
+// slot returns the slot of seen that holds e, or the empty slot where it
+// belongs.
+func (d *decoder) slot(e Edge) uint64 {
+	h := (uint64(uint32(e.Src))<<32 | uint64(uint32(e.Dst))) * 0x9E3779B97F4A7C15
+	h ^= (uint64(uint32(e.Label))<<8 | uint64(e.Kind)) * 0xBF58476D1CE4E5B9
+	h ^= h >> 32
+	mask := uint64(len(d.seen) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if k := d.seen[i]; k == 0 || d.edges[k-1] == e {
+			return i
+		}
+	}
+}
+
+// finish checks the forward references, then builds the frozen graph from
+// the collected records.
+func (d *decoder) finish() (*Program, error) {
+	g := d.g
+	for _, c := range []struct {
+		r *fwdRef
+		n int
+	}{
+		{&d.nodeMethod, len(g.methods)},
+		{&d.nodeClass, len(g.classes)},
+		{&d.classParent, len(g.classes)},
+		{&d.methodClass, len(g.classes)},
+	} {
+		if r := c.r; int(r.top) >= c.n {
+			return nil, fmt.Errorf("pag: line %d: %s %d out of range (have %d)", r.line, r.what, r.top, c.n)
+		}
+	}
+
+	names := string(d.names)
+	if len(d.nodes) > 0 { // an empty table stays nil, as under AddNode
+		g.nodes = make([]Node, len(d.nodes))
+	}
+	start := 0
+	for i, r := range d.nodes {
+		g.nodes[i] = Node{Kind: r.kind, Method: r.method, Class: r.class, Name: names[start:r.nameEnd]}
+		start = r.nameEnd
+	}
+
+	d.seen = nil
+	g.frozen = buildCSR(len(g.nodes), d.edges)
+	g.flags = make([]nodeFlags, len(g.nodes))
+	for _, e := range d.edges {
+		g.indexEdge(e)
+	}
+	g.edgeSet = nil
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	// Re-intern derived identifiers present in the tables.
+	g.ResolveDerived()
+	g.cond = g.condense()
+	return d.p, nil
+}
+
+// grow doubles the capacity of a full slice ahead of an append. The
+// decoder's record arrays reach hundreds of thousands of entries, where
+// append's 1.25x steps would copy each entry about five times.
+func grow[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return slices.Grow(s, len(s))
+	}
+	return s
+}
+
+func parseEdgeKind(b []byte) (EdgeKind, error) {
 	for k := 0; k < NumEdgeKinds; k++ {
-		if EdgeKind(k).String() == s {
+		if EdgeKind(k).String() == string(b) {
 			return EdgeKind(k), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown edge kind %q", s)
+	return 0, fmt.Errorf("unknown edge kind %q", b)
 }
 
 // quote escapes a name so that it contains no whitespace and survives the
@@ -386,4 +606,18 @@ func unquote(s string) (string, error) {
 		return "", nil
 	}
 	return url.QueryUnescape(s)
+}
+
+// appendUnquoted appends the decoding of the quoted name b to dst. Only
+// '%' escapes and '+' change under url.QueryUnescape, so a name with
+// neither is copied as it is.
+func appendUnquoted(dst, b []byte) ([]byte, error) {
+	if string(b) == "*" {
+		return dst, nil
+	}
+	if bytes.ContainsAny(b, "%+") {
+		s, err := url.QueryUnescape(string(b))
+		return append(dst, s...), err
+	}
+	return append(dst, b...), nil
 }

@@ -1,7 +1,10 @@
 package pag
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,22 +69,64 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
+	const oneMethod = "pag v1 x\nclass A -1\nmethod A.m 0\n"
 	cases := []struct {
 		name, input string
+		line        int // the line the error must name; 0 when it names none
 	}{
-		{"empty", ""},
-		{"bad header", "nonsense here now\n"},
-		{"bad record", "pag v1 x\nbogus 1 2\n"},
-		{"bad edge kind", "pag v1 x\nedge teleport 0 1\n"},
-		{"truncated node", "pag v1 x\nnode local 0\n"},
-		{"invalid edge target", "pag v1 x\nnode local -1 -1 v\nedge assign 0 7\n"},
+		{"empty", "", 0},
+		{"bad header", "nonsense here now\n", 1},
+		{"bad record", "pag v1 x\nbogus 1 2\n", 2},
+		{"bad edge kind", "pag v1 x\nedge teleport 0 1\n", 2},
+		{"truncated node", "pag v1 x\nnode local 0\n", 2},
+		{"invalid edge target", "pag v1 x\nnode local -1 -1 v\nedge assign 0 7\n", 3},
+		{"bad integer", "pag v1 x\nclass A x\n", 2},
+		{"node method range", oneMethod + "node local 7 0 v\n", 4},
+		{"node method negative", oneMethod + "node local -2 0 v\n", 4},
+		{"node class range", oneMethod + "node local 0 1 v\n", 4},
+		{"class parent range", "pag v1 x\nclass A -1\nclass B 3\nclass C 1\n", 3},
+		{"class parent negative", "pag v1 x\nclass A -3\n", 2},
+		{"method class range", oneMethod + "method A.n 4\n", 4},
+		{"callsite caller negative", oneMethod + "callsite -2 c 0\n", 4},
+		{"callsite target negative", oneMethod + "callsite 0 c 0 -1\n", 4},
+		{"label wraps int32", oneMethod + "field A.f\nnode local 0 0 a\nnode local 0 0 b\nedge load 0 1 4294967296\n", 7},
+		{"endpoint wraps int32", oneMethod + "node local 0 0 a\nedge assign 0 4294967296\n", 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(strings.NewReader(tc.input)); err == nil {
-				t.Errorf("Decode(%q) succeeded, want error", tc.input)
+			_, err := Decode(strings.NewReader(tc.input))
+			if err == nil {
+				t.Fatalf("Decode(%.80q) succeeded, want error", tc.input)
+			}
+			if want := fmt.Sprintf("pag: line %d: ", tc.line); tc.line > 0 && !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("error %q does not start with %q", err, want)
 			}
 		})
+	}
+}
+
+// TestDecodeLineLimit pins the length bound: a line of maxLine-1 bytes
+// decodes, one of maxLine bytes does not, with or without its '\n'; a
+// '\r' before the '\n' counts towards the length.
+func TestDecodeLineLimit(t *testing.T) {
+	comment := func(n int) string { return "#" + strings.Repeat("x", n-1) }
+	for _, tc := range []struct {
+		input string
+		ok    bool
+	}{
+		{"pag v1 x\n" + comment(maxLine-1) + "\n", true},
+		{"pag v1 x\n" + comment(maxLine-1), true},
+		{"pag v1 x\n" + comment(maxLine) + "\n", false},
+		{"pag v1 x\n" + comment(maxLine), false},
+		{"pag v1 x\n" + comment(maxLine-1) + "\r\n", false},
+	} {
+		_, err := Decode(strings.NewReader(tc.input))
+		if (err == nil) != tc.ok {
+			t.Errorf("line of %d bytes: err = %v, want ok = %v", len(tc.input)-len("pag v1 x\n"), err, tc.ok)
+		}
+		if err != nil && !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("err = %v, want bufio.ErrTooLong", err)
+		}
 	}
 }
 

@@ -498,19 +498,22 @@ func (g *Graph) AddNode(kind NodeKind, method MethodID, class ClassID, name stri
 	return NodeID(len(g.nodes) - 1)
 }
 
-// insertPartitioned appends e to an adjacency slice that keeps local edges
-// in [0:*split). A local insert lands at the boundary by swapping the
-// first global edge (if any) to the end — O(1), and the local/global
-// partition each side of the boundary is preserved.
-func insertPartitioned(adj *[]Edge, split *int32, e Edge) {
-	s := append(*adj, e)
-	if e.Kind.IsLocal() {
-		if at := int(*split); at < len(s)-1 {
-			s[at], s[len(s)-1] = s[len(s)-1], s[at]
+// keepPartitioned restores the local-first partition of one node's span
+// after an edge was written to the span's next slot, s[len(s)-1]. *split
+// indexes s at the span's first global edge; the span may start anywhere
+// in s, so a CSR fill passes the flat edge array up to the new slot. A
+// local edge lands at the boundary by swapping the first global edge (if
+// any) to the end — O(1), and the local/global partition each side of the
+// boundary is preserved. AddEdge and Decode's bulk CSR fill both place
+// edges through it, so they produce the same order within every span.
+func keepPartitioned(s []Edge, split *int32) {
+	last := len(s) - 1
+	if s[last].Kind.IsLocal() {
+		if at := int(*split); at < last {
+			s[at], s[last] = s[last], s[at]
 		}
 		*split++
 	}
-	*adj = s
 }
 
 // AddEdge inserts e unless an identical edge already exists. It returns
@@ -527,8 +530,17 @@ func (g *Graph) AddEdge(e Edge) bool {
 		return false
 	}
 	g.edgeSet[e] = struct{}{}
-	insertPartitioned(&g.out[e.Src], &g.outSplit[e.Src], e)
-	insertPartitioned(&g.in[e.Dst], &g.inSplit[e.Dst], e)
+	g.out[e.Src] = append(g.out[e.Src], e)
+	keepPartitioned(g.out[e.Src], &g.outSplit[e.Src])
+	g.in[e.Dst] = append(g.in[e.Dst], e)
+	keepPartitioned(g.in[e.Dst], &g.inSplit[e.Dst])
+	g.indexEdge(e)
+	return true
+}
+
+// indexEdge records a new edge in the per-node flags, the kind counts and
+// the by-field Load/Store lists.
+func (g *Graph) indexEdge(e Edge) {
 	g.edgeCount[e.Kind]++
 	if e.Kind.IsLocal() {
 		g.flags[e.Src] |= flagLocalOut
@@ -543,7 +555,6 @@ func (g *Graph) AddEdge(e Edge) bool {
 	case Store:
 		g.storesByField[e.Field()] = append(g.storesByField[e.Field()], e)
 	}
-	return true
 }
 
 // HasEdge reports whether an identical edge exists. On a frozen graph the
