@@ -12,6 +12,7 @@
 //	dynsumd -addr :7457 prog.pag                # serve a compiled PAG
 //	dynsumd -bench soot-c -scale 0.01           # serve a synthetic benchmark
 //	dynsumd -state-dir /var/lib/dynsumd ...     # persist sessions on drain
+//	dynsumd -debug-addr localhost:6060 ...      # also serve net/http/pprof there
 //
 // Endpoints:
 //
@@ -21,6 +22,11 @@
 //	GET  /healthz      liveness (200 while the process runs)
 //	GET  /readyz       readiness (503 once draining)
 //	GET  /metrics      JSON: serve counters + engine metrics summed over sessions
+//
+// With -debug-addr, a second listener serves the net/http/pprof profiles
+// under /debug/pprof/. It is off by default and never shares the query
+// listener's mux, so profiles are reachable only where the operator
+// chose to bind them.
 package main
 
 import (
@@ -30,7 +36,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -75,6 +83,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM/SIGINT")
 		openWorld    = flag.Bool("openworld", false, "serve bodyless methods under blended blob summaries instead of silently under-approximating")
 		specFile     = flag.String("specs", "", "library points-to spec file, resolved once at startup and applied to every session (implies -openworld)")
+		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this separate listen address (off when empty)")
 	)
 	flag.Parse()
 
@@ -108,6 +117,17 @@ func main() {
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	httpSrv := &http.Server{Addr: *addr, Handler: newHandler(srv, maxBodyBytes)}
 	errCh := make(chan error, 1)
+	if *debugAddr != "" {
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dynsumd: debug listener:", err)
+			os.Exit(1)
+		}
+		debugSrv := &http.Server{Handler: newDebugHandler()}
+		defer debugSrv.Close()
+		go func() { errCh <- debugSrv.Serve(ln) }()
+		fmt.Fprintf(os.Stderr, "dynsumd: pprof on %s\n", ln.Addr())
+	}
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "dynsumd: serving on %s (%d nodes)\n", *addr, prog.G.NumNodes())
 
@@ -239,6 +259,19 @@ func newHandler(srv *serve.Server, maxBody int64) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(srv.MetricsSnapshot())
 	})
+	return mux
+}
+
+// newDebugHandler serves the net/http/pprof endpoints for the -debug-addr
+// listener. Importing net/http/pprof also registers them on
+// http.DefaultServeMux, which the daemon never serves.
+func newDebugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

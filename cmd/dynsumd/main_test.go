@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
+	"dynsum/internal/delta"
 	"dynsum/internal/pag"
 	"dynsum/internal/persist/journal"
 	"dynsum/internal/serve"
@@ -139,5 +141,117 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 	if got := reply.Results[0].Objects; !slices.Equal(got, wantObjs) {
 		t.Errorf("pts(%d) over HTTP = %v, in process %v", v, got, wantObjs)
+	}
+}
+
+func TestApplyBoundaries(t *testing.T) {
+	ts, prog := testDaemon(t, maxBodyBytes)
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	empty := delta.NewLog(prog.G.NumMethods(), prog.G.NumNodes(), prog.G.NumCallSites())
+	valid := base64.StdEncoding.EncodeToString(empty.AppendBinary(nil))
+	garbage := base64.StdEncoding.EncodeToString([]byte("not a delta log"))
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"bad base64", `{"session":"s1","delta_b64":"@@@="}`, http.StatusBadRequest},
+		{"bad delta", `{"session":"s1","delta_b64":"` + garbage + `"}`, http.StatusBadRequest},
+		{"unknown session", `{"session":"nope","delta_b64":"` + valid + `"}`, http.StatusNotFound},
+		{"valid", `{"session":"s1","delta_b64":"` + valid + `"}`, http.StatusOK},
+	} {
+		status, body := post(t, ts, "/v1/apply", c.body)
+		if status != c.status {
+			t.Errorf("%s: status %d, want %d (%s)", c.name, status, c.status, body)
+			continue
+		}
+		if c.status == http.StatusNotFound {
+			if kind := typedKind(t, body); kind != "unknown-session" {
+				t.Errorf("%s: kind %q, want unknown-session", c.name, kind)
+			}
+		}
+	}
+}
+
+func TestDuplicateSessionIs409(t *testing.T) {
+	ts, _ := testDaemon(t, maxBodyBytes)
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"other"}`)
+	if status != http.StatusConflict {
+		t.Fatalf("duplicate session: status %d, want 409 (%s)", status, body)
+	}
+	if kind := typedKind(t, body); kind != "duplicate-session" {
+		t.Errorf("kind %q, want duplicate-session", kind)
+	}
+}
+
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+func TestMetricsIsJSON(t *testing.T) {
+	ts, _ := testDaemon(t, maxBodyBytes)
+	status, body := get(t, ts.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200 (%s)", status, body)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("metrics %q do not decode: %v", body, err)
+	}
+	if len(m) == 0 {
+		t.Error("metrics decoded to an empty object")
+	}
+}
+
+func TestReadyzAfterDrainIs503(t *testing.T) {
+	prog := benchgen.Generate(benchgen.ProfileByNameMust("soot-c").Scaled(0.002), 7)
+	srv, err := serve.NewServer(prog, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newHandler(srv, maxBodyBytes))
+	defer ts.Close()
+	if status, body := get(t, ts.URL+"/readyz"); status != http.StatusOK {
+		t.Fatalf("readyz before drain: status %d (%s)", status, body)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if status, body := get(t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable {
+		t.Errorf("readyz after drain: status %d, want 503 (%s)", status, body)
+	}
+	if status, _ := get(t, ts.URL+"/healthz"); status != http.StatusOK {
+		t.Errorf("healthz after drain: status %d, want 200", status)
+	}
+}
+
+// TestPprofOnlyOnDebugMux: the query listener's mux must not expose the
+// profiles (net/http/pprof registers them on http.DefaultServeMux, which
+// newHandler does not use); the -debug-addr mux must.
+func TestPprofOnlyOnDebugMux(t *testing.T) {
+	ts, _ := testDaemon(t, maxBodyBytes)
+	if status, _ := get(t, ts.URL+"/debug/pprof/"); status != http.StatusNotFound {
+		t.Errorf("query listener serves /debug/pprof/: status %d, want 404", status)
+	}
+	dbg := httptest.NewServer(newDebugHandler())
+	defer dbg.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
+		if status, body := get(t, dbg.URL+path); status != http.StatusOK {
+			t.Errorf("debug listener %s: status %d, want 200 (%.80s)", path, status, body)
+		}
 	}
 }

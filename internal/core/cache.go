@@ -47,17 +47,19 @@ import (
 // to element order, so whichever insert lands last overwrites a
 // set-identical value.
 //
-// Lifetime. Arena space is reclaimed only wholesale: deleteMethod removes
+// Lifetime. Arena space is reclaimed only wholesale: deleteNodes removes
 // keys but leaves their records (a later identical result re-shares them),
 // and clear — ResetCache, Compact, an adjacency-mode flip — drops every
 // segment. Per-method invalidation is rare and small (an evolving program
 // invalidates a few entries per edit), so the stranded records are a
 // bounded cost until the next Compact.
 //
-// The per-method invalidation index maps each method to the packed keys
-// inserted for it (the method of a key never changes — condensed keys are
-// SCC representatives, and assign SCCs never cross methods), so
-// InvalidateMethod walks one list instead of scanning every stripe.
+// Invalidation keeps no index. A key's method is its node's method (and
+// never changes — condensed keys are SCC representatives, and assign SCCs
+// never cross methods), so InvalidateMethod and ApplyDelta turn the
+// touched methods into one node bitset and drop the matching keys in one
+// pass over the stripe tables: a bit test per slot, once per epoch,
+// instead of an index every write-back would have to extend.
 
 // summaryShardBits sets the stripe count; summaryShards is a power of two
 // so the stripe pick is a shift, sized well above any realistic worker
@@ -67,11 +69,9 @@ const (
 	summaryShards    = 1 << summaryShardBits
 )
 
-// summaryCache is the striped key table, the method-keyed invalidation
-// index, and the record store they share.
+// summaryCache is the striped key table and the record store it shares.
 type summaryCache struct {
 	stripes [summaryShards]cacheStripe
-	methods [summaryShards]methodShard
 	store   resultStore
 }
 
@@ -85,15 +85,6 @@ type cacheStripe struct {
 	keys []uint64
 	recs []uint32
 	n    int
-}
-
-// methodShard is one stripe of the invalidation index: method → packed
-// keys inserted for that method. Lists may carry duplicates (racing workers
-// inserting the same key append twice); deleteMethod counts only real
-// removals, so duplicates cost a little index memory, never correctness.
-type methodShard struct {
-	mu sync.Mutex
-	m  map[pag.MethodID][]uint64
 }
 
 func newSummaryCache() *summaryCache { return new(summaryCache) }
@@ -121,12 +112,6 @@ func (c *summaryCache) stripe(k uint64) (*cacheStripe, uint64) {
 func keyHash(k uint64) uint64 {
 	h := k * 0x9E3779B97F4A7C15
 	return h ^ h>>32
-}
-
-func (c *summaryCache) methodShard(m pag.MethodID) *methodShard {
-	h := uint32(m) * 0x9E3779B1
-	h ^= h >> 16
-	return &c.methods[h&(summaryShards-1)]
 }
 
 // find returns the slot holding stored key sk (packed key + 1), whose hash
@@ -225,78 +210,36 @@ func (c *summaryCache) get(k pptaState) (Summary, bool) {
 	return sum, ok
 }
 
-// put files one result and inserts it under k; method must be the method
-// of k's node. Imports and test hooks use it; write-backs batch through
-// putBatch directly.
-func (c *summaryCache) put(k pptaState, method pag.MethodID, objs []pag.NodeID, frs []FrontierState) {
+// put files one result and inserts it under k. Imports and test hooks use
+// it; write-backs batch through putBatch directly.
+func (c *summaryCache) put(k pptaState, objs []pag.NodeID, frs []FrontierState) {
 	rec, gen := c.store.file(objs, frs)
-	c.putBatch([]pptaState{k}, []pag.MethodID{method}, []uint32{rec}, gen)
+	c.putBatch([]pptaState{k}, []uint32{rec}, gen)
 }
 
 // putBatch inserts the write-back set of one completed PPTA run: keys[i]
-// maps to record recs[i] and lives in methods[i]; the records were filed
-// in the store at generation gen. Since a PPTA run never leaves its start
-// node's method, keys usually share one method, so the index takes one
-// lock per method segment, not per key. It returns how many keys were
-// genuinely new; overwrites of entries another worker landed first are not
-// counted, and not re-indexed.
-//
-// Ordering is the panic-safety invariant (DESIGN.md §12): within each
-// segment the method index is extended FIRST, then the entries are
-// inserted one by one. A fault at any instant in between leaves stale
-// index keys — which deleteMethod tolerates (they count as zero) — but
-// never a live cache entry the method index cannot reach, which is the
-// violation CheckIntegrity reports. Freshness is probed under read locks
-// before indexing; a racing worker inserting the same key between the
-// probe and our insert costs one duplicate index key (tolerated, see
-// methodShard) and may overcount fresh by one — the same tolerance the
-// racing-insert comment at the top of the file already grants.
+// maps to record recs[i]; the records were filed in the store at
+// generation gen. It returns how many keys were genuinely new; overwrites
+// of entries another worker landed first are not counted.
 //
 // A clear that ran after the records were filed invalidated them; the
 // generation check under each stripe lock drops such stale inserts, so a
 // key can never name a record of a dropped store.
-func (c *summaryCache) putBatch(keys []pptaState, methods []pag.MethodID, recs []uint32, gen uint64) int {
+func (c *summaryCache) putBatch(keys []pptaState, recs []uint32, gen uint64) int {
 	fresh := 0
-	var freshBuf []uint64 // cold path: one small allocation per batch
-	for i := 0; i < len(keys); {
-		m := methods[i]
-		j := i
-		freshBuf = freshBuf[:0]
-		for ; j < len(keys) && methods[j] == m; j++ {
-			pk := pkey(keys[j])
-			s, h := c.stripe(pk)
-			s.mu.RLock()
-			_, existed := s.find(pk+1, h)
-			s.mu.RUnlock()
-			if !existed {
-				freshBuf = append(freshBuf, pk)
-			}
-		}
-		if len(freshBuf) > 0 {
-			fresh += len(freshBuf)
-			ms := c.methodShard(m)
-			ms.mu.Lock()
-			if ms.m == nil {
-				ms.m = make(map[pag.MethodID][]uint64, 8)
-			}
-			ms.m[m] = append(ms.m[m], freshBuf...)
-			ms.mu.Unlock()
-		}
-		for x := i; x < j; x++ {
-			faultinject.Fire(faultinject.CachePutBatch)
-			pk := pkey(keys[x])
-			s, h := c.stripe(pk)
-			s.mu.Lock()
-			stale := c.store.gen != gen
-			if !stale {
-				s.set(pk+1, h, recs[x])
-			}
+	for i, k := range keys {
+		faultinject.Fire(faultinject.CachePutBatch)
+		pk := pkey(k)
+		s, h := c.stripe(pk)
+		s.mu.Lock()
+		if c.store.gen != gen {
 			s.mu.Unlock()
-			if stale {
-				return fresh
-			}
+			break
 		}
-		i = j
+		if s.set(pk+1, h, recs[i]) {
+			fresh++
+		}
+		s.mu.Unlock()
 	}
 	return fresh
 }
@@ -313,27 +256,20 @@ func (c *summaryCache) size() int {
 	return n
 }
 
-// clear drops every entry, the whole method index and every arena
-// segment. The key tables keep their slot arrays (zeroed), so a re-warmed
-// engine does not pay for them twice; the arenas are released, which is
-// where invalidated entries' space is reclaimed. Everything is reset under
-// every stripe lock, so no writer can index a key between the index reset
-// and the key reset, and readers stay memory-safe. It is still not an
-// exact invalidation barrier: an in-flight query that missed before the
-// clear may insert its summary afterwards (unless its records predate the
-// clear — the generation check drops those) — hence DynSum documents that
-// callers must quiesce the engine before invalidating.
+// clear drops every entry and every arena segment. The key tables keep
+// their slot arrays (zeroed), so a re-warmed engine does not pay for them
+// twice; the arenas are released, which is where invalidated entries'
+// space is reclaimed. Everything is reset under every stripe lock, so
+// readers stay memory-safe. It is still not an exact invalidation
+// barrier: an in-flight query that missed before the clear may insert its
+// summary afterwards (unless its records predate the clear — the
+// generation check drops those) — hence DynSum documents that callers
+// must quiesce the engine before invalidating.
 func (c *summaryCache) clear() {
 	for i := range c.stripes {
 		c.stripes[i].mu.Lock()
 	}
 	c.store.reset()
-	for i := range c.methods {
-		ms := &c.methods[i]
-		ms.mu.Lock()
-		clear(ms.m)
-		ms.mu.Unlock()
-	}
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		clear(s.keys)
@@ -343,25 +279,50 @@ func (c *summaryCache) clear() {
 	}
 }
 
-// deleteMethod removes every entry recorded for method m, consulting the
-// per-method index instead of scanning the stripes, and returns the number
-// of entries actually removed (index duplicates deflate to zero here).
-func (c *summaryCache) deleteMethod(m pag.MethodID) int {
-	ms := c.methodShard(m)
-	ms.mu.Lock()
-	pks := ms.m[m]
-	delete(ms.m, m)
-	ms.mu.Unlock()
+// deleteNodes removes every entry whose key node is in nodes and returns
+// how many it removed. Each stripe is scanned once under its write lock:
+// its victims are collected first and removed afterwards, because a
+// backward-shift remove moves later entries of the probe run into the
+// hole, so removing while scanning could step over one. An empty slot
+// unpacks to node 2^32-1, which nodes.has rejects like any node past the
+// set, so the loop's only branch is the rarely taken victim test.
+func (c *summaryCache) deleteNodes(nodes bitset) int {
 	dropped := 0
-	for _, pk := range pks {
-		s, h := c.stripe(pk)
+	var victims []uint64
+	for i := range c.stripes {
+		s := &c.stripes[i]
 		s.mu.Lock()
-		if s.remove(pk+1, h) {
-			dropped++
+		victims = victims[:0]
+		if s.n > 0 {
+			for _, sk := range s.keys {
+				if nodes.has((sk - 1) >> 32) {
+					victims = append(victims, sk)
+				}
+			}
+			for _, sk := range victims {
+				s.remove(sk, keyHash(sk-1))
+			}
 		}
 		s.mu.Unlock()
+		dropped += len(victims)
 	}
 	return dropped
+}
+
+// bitset is a set of non-negative integers below the size it was made
+// for. Its length is a power of two with at least one zero word past the
+// range, so has can mask the word index instead of branching on it: any
+// value past the range — an empty slot's all-ones node field among them —
+// lands on a zero word or fails the exact range test that follows a hit.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, 1<<bits.Len(uint((n+63)/64))) }
+
+func (b bitset) add(i int) { b[i>>6] |= 1 << (i & 63) }
+
+func (b bitset) has(i uint64) bool {
+	w := i >> 6
+	return b[w&uint64(len(b)-1)]&(1<<(i&63)) != 0 && w < uint64(len(b))
 }
 
 // each calls fn for every live entry, stripe by stripe under the read

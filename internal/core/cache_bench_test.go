@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -9,52 +10,78 @@ import (
 	"dynsum/internal/pag"
 )
 
-// BenchmarkInvalidateMethod is the O(method)-invalidation claim: on a warm
-// soot-c cache, InvalidateMethod consults the per-method key index and
-// walks only the edited method's entries, so its cost is flat as the cache
-// grows. Each iteration invalidates one warm method and restores its
-// entries, so the cache size is stable across iterations; run the two
-// scales to see the cost stay put while the cache doubles.
+// BenchmarkInvalidateMethod measures the invalidation scan: on a soot-c
+// cache warmed by a query for every local, InvalidateMethod builds a node
+// bitset from the method and scans every stripe, so its cost grows with
+// the cache, and the figure to read is ns/entry — call time divided by
+// the entries scanned. "drop" invalidates one warm method per iteration
+// and restores its entries untimed, so the cache size is stable; "miss"
+// repeats the call on a method with nothing left to drop, the scan alone
+// with no timer toggling. Scale 1 is the ledger's cold-sweep cache (about
+// 180k summaries); its warm-up takes a few seconds.
 func BenchmarkInvalidateMethod(b *testing.B) {
-	for _, scale := range []float64{0.01, 0.02} {
-		d, methods := warmSootCCache(b, scale)
-		b.Run(fmt.Sprintf("indexed/scale%g", scale), func(b *testing.B) {
-			runInvalidate(b, d, methods)
+	perEntry := func(b *testing.B, entries int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
+		b.ReportMetric(float64(entries), "entries")
+	}
+	for _, scale := range []float64{0.05, 1} {
+		d, methods := sweepSootC(b, scale)
+		b.Run(fmt.Sprintf("drop/scale%g", scale), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m := methods[i%len(methods)]
+				b.StopTimer()
+				saved := core.SnapshotMethod(d, m)
+				b.StartTimer()
+				if dropped := d.InvalidateMethod(m); dropped != len(saved) {
+					b.Fatalf("invalidate(%d) dropped %d entries, snapshot holds %d", m, dropped, len(saved))
+				}
+				b.StopTimer()
+				core.RestoreEntries(d, saved)
+				b.StartTimer()
+			}
+			perEntry(b, d.SummaryCount())
+		})
+		b.Run(fmt.Sprintf("miss/scale%g", scale), func(b *testing.B) {
+			m := methods[0]
+			saved := core.SnapshotMethod(d, m)
+			d.InvalidateMethod(m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dropped := d.InvalidateMethod(m); dropped != 0 {
+					b.Fatalf("invalidate(%d) dropped %d entries twice", m, dropped)
+				}
+			}
+			b.StopTimer()
+			perEntry(b, d.SummaryCount())
+			core.RestoreEntries(d, saved)
 		})
 	}
 }
 
-func runInvalidate(b *testing.B, d *core.DynSum, methods []pag.MethodID) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := methods[i%len(methods)]
-		b.StopTimer()
-		saved := core.SnapshotMethod(d, m)
-		b.StartTimer()
-		if dropped := d.InvalidateMethod(m); dropped != len(saved) {
-			b.Fatalf("invalidate(%d) dropped %d entries, snapshot holds %d", m, dropped, len(saved))
-		}
-		b.StopTimer()
-		core.RestoreMethod(d, m, saved)
-		b.StartTimer()
-	}
-}
-
-// warmSootCCache generates soot-c at the scale, answers its NullDeref
-// batch on one engine, and returns the engine plus the methods that ended
-// up with cached summaries.
-func warmSootCCache(b *testing.B, scale float64) (*core.DynSum, []pag.MethodID) {
+// sweepSootC generates soot-c at the scale, queries every local on one
+// engine, and returns the engine plus up to 16 methods that ended up
+// with cached summaries.
+func sweepSootC(b *testing.B, scale float64) (*core.DynSum, []pag.MethodID) {
 	b.Helper()
 	prog := benchgen.Generate(benchgen.ProfileByNameMust("soot-c").Scaled(scale), 1)
 	d := core.NewDynSum(prog.G, core.Config{}, nil)
+	dst := core.NewPointsToSet()
+	for n := range prog.G.NumNodes() {
+		if prog.G.Node(pag.NodeID(n)).Kind != pag.Local {
+			continue
+		}
+		err := d.PointsToInto(dst, pag.NodeID(n))
+		if err != nil && !errors.Is(err, core.ErrBudget) && !errors.Is(err, core.ErrDepth) {
+			b.Fatal(err)
+		}
+	}
 	seen := map[pag.MethodID]bool{}
 	var methods []pag.MethodID
 	for _, dr := range prog.Derefs {
-		if _, err := d.PointsTo(dr.Var); err != nil {
-			b.Fatal(err)
+		if len(methods) == 16 {
+			break
 		}
-		m := prog.G.Node(dr.Var).Method
-		if !seen[m] {
+		if m := prog.G.Node(dr.Var).Method; !seen[m] && len(core.SnapshotMethod(d, m)) > 0 {
 			seen[m] = true
 			methods = append(methods, m)
 		}

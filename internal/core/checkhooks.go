@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"dynsum/internal/pag"
 )
 
 // This file exposes the summary-cache and intern-table integrity checks
@@ -20,13 +18,10 @@ const checkMaxViolations = 20
 
 // CheckIntegrity verifies the engine's cache-layer invariants:
 //
-//   - every live summary-cache entry is reachable from the per-method key
-//     index under the method of its key's node — the property
-//     InvalidateMethod's O(method) walk depends on (the reverse — stale
-//     or duplicate index keys without a live entry — is documented as
-//     tolerated and not reported)
-//   - cache keys name nodes inside the current view's ID space, sit in
-//     the stripe their hash picks, and name a filed record
+//   - cache keys name nodes inside the current view's ID space (so the
+//     node bitset InvalidateMethod scans with covers every key), sit in
+//     the stripe their hash picks, and name a filed record; each stripe's
+//     count matches the keys it holds
 //   - every record's object and frontier ranges lie inside one allocated
 //     segment of their arena
 //   - every hash-consing entry names a filed record whose contents still
@@ -45,37 +40,6 @@ func (d *DynSum) CheckIntegrity() error {
 	if d.ov != nil {
 		numNodes = d.ov.NumNodes()
 	}
-	nodeMethod := func(n pag.NodeID) pag.MethodID {
-		if d.ov != nil {
-			return d.ov.Node(n).Method
-		}
-		return d.g.Node(n).Method
-	}
-	nodeString := func(n pag.NodeID) string {
-		if d.ov != nil {
-			return d.ov.NodeString(n)
-		}
-		return d.g.NodeString(n)
-	}
-
-	// Index the per-method key lists: method -> packed key set.
-	indexed := make(map[pag.MethodID]map[uint64]bool)
-	for i := range d.cache.methods {
-		ms := &d.cache.methods[i]
-		ms.mu.Lock()
-		for m, pks := range ms.m {
-			set := indexed[m]
-			if set == nil {
-				set = make(map[uint64]bool, len(pks))
-				indexed[m] = set
-			}
-			for _, pk := range pks {
-				set[pk] = true
-			}
-		}
-		ms.mu.Unlock()
-	}
-
 	st := &d.cache.store
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -100,12 +64,6 @@ func (d *DynSum) CheckIntegrity() error {
 			}
 			if int(k.node) < 0 || int(k.node) >= numNodes {
 				report("cache: entry key node %d outside the view's %d nodes", k.node, numNodes)
-				continue
-			}
-			m := nodeMethod(k.node)
-			if !indexed[m][pk] {
-				report("cache: entry for %s (method %d, fs %d, st %v) not reachable from the method index — InvalidateMethod would miss it",
-					nodeString(k.node), m, k.fs, k.st)
 			}
 		}
 		if live != s.n {

@@ -27,8 +27,8 @@ func warmEngine(t *testing.T) *DynSum {
 	return d
 }
 
-// plantKey inserts k → record 0 straight into its stripe, bypassing the
-// method index.
+// plantKey inserts k → record 0 straight into its stripe, bypassing
+// putBatch.
 func plantKey(d *DynSum, k pptaState) {
 	pk := pkey(k)
 	s, h := d.cache.stripe(pk)
@@ -44,14 +44,42 @@ func TestCheckIntegrityHealthy(t *testing.T) {
 	}
 }
 
-func TestCheckIntegrityUnindexedEntry(t *testing.T) {
+// TestInvalidateMethodDropsPlantedEntry: an entry planted straight into
+// its stripe, bypassing putBatch, is still found by the invalidation scan
+// — it drops exactly the method's entries, the planted one included, and
+// a second call drops nothing.
+func TestInvalidateMethodDropsPlantedEntry(t *testing.T) {
 	d := warmEngine(t)
-	// Plant an entry directly in its stripe, bypassing the method index —
-	// exactly the corruption InvalidateMethod could never clean up.
-	plantKey(d, pptaState{node: 0, fs: 0, st: S1})
-	err := d.CheckIntegrity()
-	if err == nil || !strings.Contains(err.Error(), "not reachable from the method index") {
-		t.Fatalf("unindexed entry not detected: %v", err)
+	k := pptaState{node: 0, fs: 7, st: S2}
+	if _, ok := d.cache.get(k); ok {
+		t.Fatalf("fixture already caches %+v", k)
+	}
+	plantKey(d, k)
+	if err := d.CheckIntegrity(); err != nil {
+		t.Fatalf("planted entry flagged: %v", err)
+	}
+	m := d.g.Node(k.node).Method
+	want := 0
+	d.cache.each(func(e pptaState, _ Summary) {
+		if d.g.Node(e.node).Method == m {
+			want++
+		}
+	})
+	total := d.SummaryCount()
+	if got := d.InvalidateMethod(m); got != want {
+		t.Fatalf("InvalidateMethod(%d) dropped %d entries, %d lie in the method", m, got, want)
+	}
+	if _, ok := d.cache.get(k); ok {
+		t.Fatal("planted entry survived its method's invalidation")
+	}
+	if got := d.SummaryCount(); got != total-want {
+		t.Errorf("SummaryCount = %d, want %d", got, total-want)
+	}
+	if got := d.InvalidateMethod(m); got != 0 {
+		t.Errorf("second invalidation dropped %d entries", got)
+	}
+	if err := d.CheckIntegrity(); err != nil {
+		t.Errorf("after invalidation: %v", err)
 	}
 }
 

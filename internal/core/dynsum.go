@@ -155,14 +155,44 @@ func (d *DynSum) ResetCache() { d.cache.clear() }
 // InvalidateMethod drops the summaries whose start node lies in method m —
 // the incremental invalidation an IDE performs after editing one method
 // (the paper motivates DYNSUM with exactly this "program undergoing many
-// edits" scenario, §1 and §7). Summary keys are SCC representatives on
-// condensed graphs, but assign SCCs never cross methods, so the
-// representative's method is the summary's method. The cache keeps a
-// per-method key index filled at insert time, so this walks only the
-// edited method's entries — O(method), not O(cache) — which matters now
-// that write-backs grow the cache to many entries per method.
+// edits" scenario, §1 and §7) — and returns how many it dropped. Summary
+// keys are SCC representatives on condensed graphs, but assign SCCs never
+// cross methods, so the representative's method is the summary's method.
+// The cache keeps no per-method index: this is one pass over the node
+// table and one over the cache's key slots (see invalidateMethods).
 func (d *DynSum) InvalidateMethod(m pag.MethodID) int {
-	return d.cache.deleteMethod(m)
+	return d.invalidateMethods([]pag.MethodID{m})
+}
+
+// invalidateMethods drops every summary whose key node lies in one of ms
+// (pag.NoMethod selects the global nodes). The methods become a node
+// bitset in one pass over the view's node table, delta-added nodes
+// included, so the cache scan that follows tests one bit per slot.
+func (d *DynSum) invalidateMethods(ms []pag.MethodID) int {
+	if len(ms) == 0 || d.cache.size() == 0 {
+		return 0
+	}
+	numMethods := d.g.NumMethods()
+	if d.ov != nil {
+		numMethods = d.ov.NumMethods()
+	}
+	// Methods are offset by one so NoMethod (-1) is member 0; IDs outside
+	// the program name no node and are skipped.
+	methods := newBitset(numMethods + 1)
+	for _, m := range ms {
+		if m >= pag.NoMethod && int(m) < numMethods {
+			methods.add(int(m) + 1)
+		}
+	}
+	gv := graphView{g: d.g, ov: d.ov}
+	numNodes := gv.numNodes()
+	nodes := newBitset(numNodes)
+	for n := range numNodes {
+		if methods.has(uint64(gv.nodeMethod(pag.NodeID(n)) + 1)) {
+			nodes.add(n)
+		}
+	}
+	return d.cache.deleteNodes(nodes)
 }
 
 // SummaryCached reports whether the start-state PPTA summary of a
@@ -377,13 +407,8 @@ func (d *DynSum) commitWriteBacks(sc *Scratch) {
 	// leave the cache byte-identical (the crash-consistency sweep checks).
 	faultinject.Fire(faultinject.WriteBackCommit)
 	gen := d.cache.store.internPending(sc)
-	sc.pendMeth = sc.pendMeth[:0]
-	for _, k := range sc.pendKeys {
-		sc.pendMeth = append(sc.pendMeth, sc.gv.nodeMethod(k.node))
-	}
-	sc.written += int64(d.cache.putBatch(sc.pendKeys, sc.pendMeth, sc.pendRec, gen))
+	sc.written += int64(d.cache.putBatch(sc.pendKeys, sc.pendRec, gen))
 	sc.pendKeys = sc.pendKeys[:0]
 	sc.pendRIdx = sc.pendRIdx[:0]
-	sc.pendMeth = sc.pendMeth[:0]
 	sc.pendRec = sc.pendRec[:0]
 }

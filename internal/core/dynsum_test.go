@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dynsum/internal/core"
@@ -415,35 +416,64 @@ func TestAbortLeavesCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// TestInvalidateMethodUsesIndex pins the index bookkeeping: invalidating a
-// method drops exactly its entries (write-backs included), leaves other
-// methods' summaries untouched, and shrinks the index accordingly, so
-// repeated edit/invalidate cycles cannot leak index memory.
-func TestInvalidateMethodUsesIndex(t *testing.T) {
+// TestInvalidateMethodExact: after a sweep of every local, invalidating
+// each method in turn drops exactly the entries whose key node lies in it
+// — no more (every other entry survives unchanged), no fewer (none of the
+// method's entries is left) — and a second call drops nothing.
+func TestInvalidateMethodExact(t *testing.T) {
+	p := fixture.RandProgram(5, fixture.RandConfig{Methods: 10, Globals: 2, GlobalAssigns: 4}.Defaults())
+	p.G.Freeze()
+	d := core.NewDynSum(p.G, core.Config{}, nil)
+	for _, v := range fixture.AllLocals(p) {
+		if _, err := d.PointsTo(v); err != nil && !errors.Is(err, core.ErrDepth) && !errors.Is(err, core.ErrBudget) {
+			t.Fatalf("PointsTo(%d): %v", v, err)
+		}
+	}
+	if d.SummaryCount() == 0 {
+		t.Fatal("sweep cached nothing")
+	}
+	hit := 0
+	for m := pag.NoMethod; int(m) < p.G.NumMethods(); m++ {
+		before := core.CacheDump(d)
+		want := len(core.SnapshotMethod(d, m))
+		if dropped := d.InvalidateMethod(m); dropped != want {
+			t.Fatalf("InvalidateMethod(%d) dropped %d entries, %d lie in the method", m, dropped, want)
+		}
+		if left := core.SnapshotMethod(d, m); len(left) != 0 {
+			t.Fatalf("InvalidateMethod(%d) left %d of its entries", m, len(left))
+		}
+		after := core.CacheDump(d)
+		if len(after) != len(before)-want {
+			t.Fatalf("InvalidateMethod(%d): cache went %d -> %d entries, dropping %d", m, len(before), len(after), want)
+		}
+		for _, e := range after {
+			if _, ok := slices.BinarySearch(before, e); !ok {
+				t.Fatalf("InvalidateMethod(%d) changed an entry of another method: %s", m, e)
+			}
+		}
+		if d.InvalidateMethod(m) != 0 {
+			t.Fatalf("second InvalidateMethod(%d) dropped entries", m)
+		}
+		if want > 0 {
+			hit++
+		}
+	}
+	if hit < 2 || d.SummaryCount() != 0 {
+		t.Fatalf("%d methods held entries, %d entries left after invalidating every method", hit, d.SummaryCount())
+	}
+
+	// Re-warming repopulates the cache; answers stay correct.
 	f := fixture.BuildFigure2()
 	f.Prog.G.Freeze()
-	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
+	d = core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	for _, q := range []pag.NodeID{f.S1, f.S2} {
 		if _, err := d.PointsTo(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	total := d.SummaryCount()
-	if got := core.MethodIndexSize(d); got < total {
-		t.Fatalf("method index holds %d keys, cache %d entries", got, total)
-	}
-	m := f.Prog.G.Node(f.TAdd).Method
-	dropped := d.InvalidateMethod(m)
-	if dropped == 0 {
+	if d.InvalidateMethod(f.Prog.G.Node(f.TAdd).Method) == 0 {
 		t.Fatal("invalidation dropped nothing")
 	}
-	if got := d.SummaryCount(); got != total-dropped {
-		t.Errorf("SummaryCount = %d, want %d", got, total-dropped)
-	}
-	if d.InvalidateMethod(m) != 0 {
-		t.Error("second invalidation of the same method dropped entries")
-	}
-	// Re-warming repopulates both cache and index; answers stay correct.
 	pts, err := d.PointsTo(f.S1)
 	if err != nil {
 		t.Fatal(err)

@@ -9,11 +9,11 @@ import (
 
 // This file wires the delta subsystem (internal/delta) into the DYNSUM
 // engine: applying an epoch patches the engine's view of the frozen graph
-// and drives targeted summary invalidation through the per-method cache
-// index, so a program that keeps arriving (class loading, JIT
-// recompilation, an IDE session) is absorbed at frozen-graph speed — the
-// query path keeps its condensation, memoisation and zero-alloc warm
-// behaviour, only the summaries the epoch actually touched are recomputed.
+// and drops the touched methods' summaries in one scan of the cache, so a
+// program that keeps arriving (class loading, JIT recompilation, an IDE
+// session) is absorbed at frozen-graph speed — the query path keeps its
+// condensation, memoisation and zero-alloc warm behaviour, only the
+// summaries the epoch actually touched are recomputed.
 //
 // All three operations here are engine mutators: like ResetCache and
 // InvalidateMethod they must not race in-flight queries — quiesce the
@@ -23,14 +23,13 @@ import (
 var ErrNotEvolved = errors.New("core: engine has no delta overlay to compact")
 
 // DeltaResult reports what one applied epoch did: the overlay-level
-// ApplyStats plus the engine-level consequences (summaries invalidated
-// through the per-method index, whether auto-compaction ran).
+// ApplyStats plus the engine-level consequences (summaries invalidated for
+// the touched methods, whether auto-compaction ran).
 type DeltaResult struct {
 	delta.ApplyStats
 
 	// InvalidatedSummaries counts the cached summaries dropped for the
-	// epoch's touched methods — each an O(method) deleteMethod, never a
-	// cache scan.
+	// epoch's touched methods, all in one scan of the cache.
 	InvalidatedSummaries int
 
 	// Compacted reports that the overlay crossed Config.CompactFraction
@@ -66,7 +65,7 @@ func (d *DynSum) ensureOverlay() error {
 // touching the frozen CSR arrays, the condensation is repaired locally
 // (patched methods fall back to singleton representatives; untouched SCCs
 // keep their shared summaries), and exactly the touched methods' cached
-// summaries are invalidated via the per-method key index. When the
+// summaries are invalidated in one scan of the cache. When the
 // overlay's size crosses Config.CompactFraction of the base graph, the
 // epoch finishes with an automatic Compact.
 func (d *DynSum) ApplyDelta(l *delta.Log) (res DeltaResult, err error) {
@@ -93,9 +92,7 @@ func (d *DynSum) ApplyDelta(l *delta.Log) (res DeltaResult, err error) {
 		return DeltaResult{}, err
 	}
 	res = DeltaResult{ApplyStats: st}
-	for _, m := range st.TouchedMethods {
-		res.InvalidatedSummaries += d.cache.deleteMethod(m)
-	}
+	res.InvalidatedSummaries = d.invalidateMethods(st.TouchedMethods)
 	if frac := d.cfg.CompactFraction; frac > 0 && st.OverlayFraction > frac {
 		if err := d.Compact(); err != nil {
 			return res, err

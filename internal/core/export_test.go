@@ -21,60 +21,31 @@ func CacheDump(d *DynSum) []string {
 	return out
 }
 
-// MethodIndexSize returns the number of keys recorded in the per-method
-// invalidation index (duplicates included), for index-hygiene assertions.
-func MethodIndexSize(d *DynSum) int {
-	n := 0
-	for i := range d.cache.methods {
-		ms := &d.cache.methods[i]
-		ms.mu.Lock()
-		for _, pks := range ms.m {
-			n += len(pks)
-		}
-		ms.mu.Unlock()
-	}
-	return n
-}
-
 // CacheEntry is an opaque captured cache entry (see SnapshotMethod).
 type CacheEntry struct {
 	key pptaState
 	sum Summary
 }
 
-// SnapshotMethod captures every cache entry belonging to method m, walking
-// the method's index list (duplicate and stale index keys are skipped).
+// SnapshotMethod captures every cache entry whose key node lies in method
+// m, walking the whole cache (node methods come from the engine's current
+// view, delta-added nodes included).
 func SnapshotMethod(d *DynSum, m pag.MethodID) []CacheEntry {
-	ms := d.cache.methodShard(m)
-	ms.mu.Lock()
-	pks := append([]uint64(nil), ms.m[m]...)
-	ms.mu.Unlock()
+	gv := graphView{g: d.g, ov: d.ov}
 	var out []CacheEntry
-	seen := make(map[uint64]bool, len(pks))
-	for _, pk := range pks {
-		if seen[pk] {
-			continue
-		}
-		seen[pk] = true
-		k := unpackKey(pk)
-		if sum, ok := d.cache.get(k); ok {
+	d.cache.each(func(k pptaState, sum Summary) {
+		if gv.nodeMethod(k.node) == m {
 			out = append(out, CacheEntry{key: k, sum: sum})
 		}
-	}
+	})
 	return out
 }
 
-// RestoreMethod re-inserts entries captured by SnapshotMethod, for
+// RestoreEntries re-inserts entries captured by SnapshotMethod, for
 // benchmarks that must leave the cache as they found it between
-// iterations. The method's index list is dropped first, so restoring over
-// a method that was not invalidated does not grow it by a duplicate set.
-// The restored results re-share their original records.
-func RestoreMethod(d *DynSum, m pag.MethodID, entries []CacheEntry) {
-	ms := d.cache.methodShard(m)
-	ms.mu.Lock()
-	delete(ms.m, m)
-	ms.mu.Unlock()
+// iterations. The restored results re-share their original records.
+func RestoreEntries(d *DynSum, entries []CacheEntry) {
 	for _, e := range entries {
-		d.cache.put(e.key, m, e.sum.Objects, e.sum.Frontier)
+		d.cache.put(e.key, e.sum.Objects, e.sum.Frontier)
 	}
 }

@@ -142,7 +142,7 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 		}
 	}
 	for _, e := range s.Entries {
-		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Method, e.Objs, e.Frontier)
+		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Objs, e.Frontier)
 	}
 	d.cacheMode.Store(s.CacheMode)
 	return nil

@@ -46,18 +46,23 @@ func (v *visitSet) grow(n int) {
 	v.gen = 1
 }
 
-// reset starts a new generation, invalidating every entry in O(1). When
-// stale entries have filled most slots the table is rebuilt, keeping its
-// size: recurring keys re-arm their old slots, so growth only happens
-// through genuinely new keys.
+// reset starts a new generation, invalidating every entry in O(1).
+// Recurring keys re-arm their old slots, but keys of earlier generations
+// that do not recur still occupy slots and count towards the load that
+// makes visit grow the table. Once they fill half the table it is wiped in
+// place — no new arrays — so a generation starts below half load and only
+// its own genuinely new keys can push the table to a doubling. The wipe
+// costs one pass over the table per half-table of new slots filled.
 func (v *visitSet) reset() {
 	if v.keys == nil {
 		v.grow(256)
 		return
 	}
 	v.gen++
-	if v.gen == 0 || v.used > len(v.keys)*3/4 {
-		v.grow(len(v.keys))
+	if v.gen == 0 || v.used > len(v.keys)/2 {
+		clear(v.keys)
+		clear(v.gens)
+		v.used, v.gen = 0, 1
 	}
 }
 
@@ -133,14 +138,18 @@ func (v *visitMap) grow(n int) {
 	v.gen = 1
 }
 
+// reset starts a new generation, wiping the table in place once stale
+// keys fill half of it (see visitSet.reset).
 func (v *visitMap) reset() {
 	if v.keys == nil {
 		v.grow(256)
 		return
 	}
 	v.gen++
-	if v.gen == 0 || v.used > len(v.keys)*3/4 {
-		v.grow(len(v.keys))
+	if v.gen == 0 || v.used > len(v.keys)/2 {
+		clear(v.keys)
+		clear(v.gens)
+		v.used, v.gen = 0, 1
 	}
 }
 
@@ -227,14 +236,18 @@ func (v *visitSet2) grow(n int) {
 	v.gen = 1
 }
 
+// reset starts a new generation, wiping the table in place once stale
+// keys fill half of it (see visitSet.reset).
 func (v *visitSet2) reset() {
 	if v.lo == nil {
 		v.grow(256)
 		return
 	}
 	v.gen++
-	if v.gen == 0 || v.used > len(v.lo)*3/4 {
-		v.grow(len(v.lo))
+	if v.gen == 0 || v.used > len(v.lo)/2 {
+		clear(v.lo) // an empty lo marks the slot empty; hi is not read
+		clear(v.gens)
+		v.used, v.gen = 0, 1
 	}
 }
 
@@ -340,12 +353,11 @@ type Scratch struct {
 	// equal indices are one SCC's members). Nothing is materialised until
 	// the whole traversal succeeds — commitWriteBacks then files each
 	// distinct result once in the cache's arenas and batch-inserts,
-	// filling the parallel pendMeth/pendRec arrays on the way; a budget or
+	// filling the parallel pendRec array on the way; a budget or
 	// depth abort just truncates the queue (partial closures must never be
 	// cached).
 	pendKeys []pptaState
 	pendRIdx []int32
-	pendMeth []pag.MethodID
 	pendRec  []uint32
 
 	// Batched memoisation counters, flushed with the other work counters.
@@ -528,9 +540,6 @@ func (sc *Scratch) trim(limit int) {
 	if cap(sc.pendRIdx) > limit {
 		sc.pendRIdx = nil
 	}
-	if cap(sc.pendMeth) > limit {
-		sc.pendMeth = nil
-	}
 	if cap(sc.pendRec) > limit {
 		sc.pendRec = nil
 	}
@@ -566,7 +575,6 @@ func (sc *Scratch) resetMemo() {
 	sc.mResFr = sc.mResFr[:0]
 	sc.pendKeys = sc.pendKeys[:0]
 	sc.pendRIdx = sc.pendRIdx[:0]
-	sc.pendMeth = sc.pendMeth[:0]
 	sc.pendRec = sc.pendRec[:0]
 }
 

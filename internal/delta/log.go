@@ -24,8 +24,8 @@
 // repaired locally (SCCs of patched methods dissolve into singletons,
 // untouched SCCs keep their representatives and therefore their shared
 // summaries), and the apply result names exactly the methods whose cached
-// PPTA summaries must be invalidated — the engine does that through its
-// O(method) per-method cache index.
+// PPTA summaries must be invalidated — the engine drops them in one scan
+// of its summary cache.
 //
 // The overlay view preserves the local-first/global-last adjacency
 // partition, so the query engines resolve it exactly like the condensation

@@ -42,8 +42,8 @@ const (
 	// last instant where an abort must leave the cache byte-identical.
 	WriteBackCommit
 	// CachePutBatch fires before each individual entry insert inside
-	// summaryCache.putBatch — mid-batch, after the method index for the
-	// segment was extended.
+	// summaryCache.putBatch — mid-batch, some of the run's keys published
+	// and the rest not.
 	CachePutBatch
 	// OverlayApply fires at the Overlay.Apply stage→commit boundary:
 	// every change has been computed read-only, nothing installed.

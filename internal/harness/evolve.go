@@ -119,7 +119,7 @@ func WriteEvolve(w io.Writer, opts Options) {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "overlay-total = ApplyDelta + cumulative batch on the live engine;")
 	fmt.Fprintln(w, "rebuild-total = build+freeze+condense the prefix + the same batch on a cold engine.")
-	fmt.Fprintln(w, "invalidated = summaries dropped via the O(method) index; dependent = the")
+	fmt.Fprintln(w, "invalidated = summaries dropped by the per-epoch cache scan; dependent = the")
 	fmt.Fprintln(w, "reverse-dependency sketch's bound on methods a cascading invalidator would drop.")
 }
 
