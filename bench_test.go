@@ -17,6 +17,7 @@ import (
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
 	"dynsum/internal/harness"
+	"dynsum/internal/intstack"
 	"dynsum/internal/refine"
 	"dynsum/internal/stasum"
 )
@@ -67,7 +68,7 @@ func BenchmarkTable4(b *testing.B) {
 					var edges int64
 					for i := 0; i < b.N; i++ {
 						a := newEngineByName(eng, prog)
-						if _, err := clients.Run(client, prog, a); err != nil {
+						if _, err := clients.Run(client, prog, a, 1); err != nil {
 							b.Fatal(err)
 						}
 						edges = a.Metrics().EdgesTraversed
@@ -193,7 +194,7 @@ func BenchmarkBatchPointsTo(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := core.NewDynSum(prog.G, core.Config{}, nil)
 			for _, q := range queries {
-				d.PointsToCtx(q.Var, q.Ctx) //nolint:errcheck
+				d.Query(nil, core.NewPointsToSet(), q.Var, q.Ctx) //nolint:errcheck
 			}
 		}
 	})
@@ -201,7 +202,7 @@ func BenchmarkBatchPointsTo(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := core.NewDynSum(prog.G, core.Config{}, nil)
-				d.BatchPointsTo(queries, workers)
+				d.BatchPointsToCtx(nil, queries, workers)
 			}
 		})
 	}
@@ -233,16 +234,16 @@ func BenchmarkPPTAQueryInto(b *testing.B) {
 	f.Prog.G.Freeze()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	dst := core.NewPointsToSet()
-	if err := d.PointsToInto(dst, f.S1); err != nil {
+	if err := d.Query(nil, dst, f.S1, intstack.Empty); err != nil {
 		b.Fatal(err)
 	}
-	if err := d.PointsToInto(dst, f.S2); err != nil {
+	if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.PointsToInto(dst, f.S2); err != nil {
+		if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,9 +313,28 @@ func TestFacade(t *testing.T) {
 	if len(pts.Objects()) != 1 {
 		t.Errorf("pts(s1) = %s", pts.FormatObjects(prog.G))
 	}
+	dst := dynsum.NewPointsToSet()
+	if err := engine.Query(nil, dst, info.Var("Main.main.s1"), dynsum.EmptyContext); err != nil || !dst.Equal(pts) {
+		t.Errorf("Query(s1) = %s (err %v), PointsTo %s", dst.FormatObjects(prog.G), err, pts.FormatObjects(prog.G))
+	}
+	vars := []dynsum.NodeID{info.Var("Main.main.s1"), info.Var("Main.main.s2")}
+	for i, r := range dynsum.BatchPointsTo(nil, engine, vars, 2) {
+		want, err := engine.PointsTo(vars[i])
+		if r.Err != nil || err != nil || !r.Pts.Equal(want) {
+			t.Errorf("BatchPointsTo[%d] = %v (err %v), PointsTo %v (err %v)", i, r.Pts, r.Err, want, err)
+		}
+	}
 	for _, c := range dynsum.Clients() {
-		if _, err := dynsum.RunClient(c, prog, engine); err != nil {
+		serial, err := dynsum.RunClient(c, prog, engine, 1)
+		if err != nil {
 			t.Fatal(err)
+		}
+		par, err := dynsum.RunClient(c, prog, engine, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.String() != par.String() {
+			t.Errorf("RunClient(%s): serial %s, parallel %s", c, serial, par)
 		}
 	}
 	bprog, err := dynsum.GenerateBenchmark("xalan", 0.01, 1)

@@ -86,7 +86,7 @@ func main() {
 			names = []string{*client}
 		}
 		for _, name := range names {
-			rep, err := clients.Run(name, prog, a)
+			rep, err := clients.Run(name, prog, a, 1)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dynsum:", err)
 				os.Exit(1)

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -339,6 +340,11 @@ func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	queries := make([]core.Query, len(req.Vars))
 	for i, v := range req.Vars {
+		// Node IDs are int32: refuse what would truncate to another node.
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			writeTypedError(w, &serve.BadQueryError{Var: v, Limit: math.MaxInt32 + 1})
+			return
+		}
 		queries[i] = core.Query{Var: pag.NodeID(v)}
 	}
 	resp, err := d.srv.Do(r.Context(), serve.Request{
@@ -402,7 +408,8 @@ func (d *daemon) handleApply(w http.ResponseWriter, r *http.Request) {
 
 // writeTypedError maps the serve error taxonomy onto HTTP statuses, so
 // clients can tell shed (retry elsewhere) from quota (back off) from
-// expiry (tighten deadlines) without parsing strings. An oversized body
+// expiry (tighten deadlines) from a variable the session does not have
+// (fix the request) without parsing strings. An oversized body
 // (*http.MaxBytesError) answers 413 in the same shape.
 func writeTypedError(w http.ResponseWriter, err error) {
 	var (
@@ -411,6 +418,7 @@ func writeTypedError(w http.ResponseWriter, err error) {
 		qe  *serve.QuotaError
 		ee  *serve.ExpiredError
 		ue  *serve.UnknownSessionError
+		bq  *serve.BadQueryError
 		de  *serve.DuplicateSessionError
 		pe  *serve.PanicError
 	)
@@ -428,6 +436,8 @@ func writeTypedError(w http.ResponseWriter, err error) {
 		status, kind = http.StatusGatewayTimeout, "expired"
 	case errors.As(err, &ue):
 		status, kind = http.StatusNotFound, "unknown-session"
+	case errors.As(err, &bq):
+		status, kind = http.StatusBadRequest, "bad-query"
 	case errors.As(err, &de):
 		status, kind = http.StatusConflict, "duplicate-session"
 	case errors.As(err, &pe):

@@ -24,8 +24,14 @@ import (
 // handler, with a body limit small enough to exceed cheaply.
 func testDaemon(t *testing.T, maxBody int64) (*httptest.Server, *pag.Program) {
 	t.Helper()
+	return testDaemonCfg(t, maxBody, serve.Config{})
+}
+
+// testDaemonCfg is testDaemon over a server configured by cfg.
+func testDaemonCfg(t *testing.T, maxBody int64, cfg serve.Config) (*httptest.Server, *pag.Program) {
+	t.Helper()
 	prog := benchgen.Generate(benchgen.ProfileByNameMust("soot-c").Scaled(0.002), 7)
-	srv, err := serve.NewServer(prog, serve.Config{})
+	srv, err := serve.NewServer(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +147,61 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 	if got := reply.Results[0].Objects; !slices.Equal(got, wantObjs) {
 		t.Errorf("pts(%d) over HTTP = %v, in process %v", v, got, wantObjs)
+	}
+}
+
+// TestOutOfRangeVarIs400: a variable the session's program does not have
+// is a typed 400, never a panic (500) and never the answer for another
+// node — including an ID that int32 truncation would map onto node 1.
+func TestOutOfRangeVarIs400(t *testing.T) {
+	ts, prog := testDaemon(t, maxBodyBytes)
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	if prog.G.NumNodes() > 999999999 {
+		t.Fatalf("fixture has %d nodes", prog.G.NumNodes())
+	}
+	for _, v := range []string{"999999999", "-1", "4294967297"} {
+		status, body := post(t, ts, "/v1/query", `{"session":"s1","vars":[`+v+`]}`)
+		if status != http.StatusBadRequest {
+			t.Errorf("var %s: status %d, want 400 (%s)", v, status, body)
+			continue
+		}
+		if kind := typedKind(t, body); kind != "bad-query" {
+			t.Errorf("var %s: kind %q, want bad-query", v, kind)
+		}
+	}
+}
+
+// TestOverQuotaIs429: a tenant past its token bucket is refused with 429
+// and a Retry-After header, and the refusal is typed "quota".
+func TestOverQuotaIs429(t *testing.T) {
+	ts, prog := testDaemonCfg(t, maxBodyBytes, serve.Config{Quota: serve.QuotaConfig{Rate: 0.001, Burst: 1}})
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	query := `{"session":"s1","vars":[` + strconv.Itoa(int(prog.Derefs[0].Var)) + `]}`
+	if status, body := post(t, ts, "/v1/query", query); status != http.StatusOK {
+		t.Fatalf("first query: status %d, want 200 (%s)", status, body)
+	}
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second query: status %d, want 429 (%s)", resp.StatusCode, body)
+	}
+	if kind := typedKind(t, body); kind != "quota" {
+		t.Errorf("kind %q, want quota", kind)
+	}
+	retry, err := strconv.ParseFloat(resp.Header.Get("Retry-After"), 64)
+	if err != nil || retry <= 0 {
+		t.Errorf("Retry-After %q, want a positive number of seconds", resp.Header.Get("Retry-After"))
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"dynsum/internal/core"
 	"dynsum/internal/delta"
 	"dynsum/internal/harness"
+	"dynsum/internal/intstack"
 	"dynsum/internal/mj"
 	"dynsum/internal/openworld"
 	"dynsum/internal/pag"
@@ -168,7 +169,7 @@ func benchStats(scale float64, seed int64) {
 		prog := benchgen.Generate(p.Scaled(scale), seed)
 		s := prog.G.CondenseStats()
 		d := core.NewDynSum(prog.G, core.Config{}, nil)
-		if _, err := clients.Run("NullDeref", prog, d); err != nil {
+		if _, err := clients.Run("NullDeref", prog, d, 1); err != nil {
 			fmt.Fprintln(os.Stderr, "pagstat:", err)
 			os.Exit(1)
 		}
@@ -209,7 +210,7 @@ func evolveStats(scale float64, seed int64) {
 				invalidated += res.InvalidatedSummaries
 			}
 			for _, q := range ev.DerefsThrough(k) {
-				d.PointsToInto(dst, q.Var)
+				d.Query(nil, dst, q.Var, intstack.Empty)
 			}
 		}
 		var s delta.Stats
@@ -300,7 +301,7 @@ func openWorldBenchStats(scale float64, seed int64) {
 
 		d := core.NewDynSum(g, core.Config{}, nil)
 		d.EnableOpenWorld(core.PolicyBlended)
-		if _, err := clients.Run("NullDeref", bench.Stripped, d); err != nil {
+		if _, err := clients.Run("NullDeref", bench.Stripped, d, 1); err != nil {
 			fmt.Fprintln(os.Stderr, "pagstat:", err)
 			os.Exit(1)
 		}

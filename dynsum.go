@@ -17,15 +17,16 @@
 //	pts, err := engine.PointsTo(info.Var("Main.main.x"))
 //	fmt.Println(pts.FormatObjects(prog.G))
 //
-// The DYNSUM engine is safe for concurrent queries; BatchPointsTo fans a
-// query batch out over a worker pool sharing one summary cache:
+// engine.Query asks one variable in one calling context into a reusable
+// set (a warm query allocates nothing); BatchPointsTo fans a batch out
+// over a worker pool sharing one summary cache. Either takes a
+// context.Context, which may be nil:
 //
-//	results := dynsum.BatchPointsTo(engine, vars, 4)
+//	err = engine.Query(ctx, dst, v, dynsum.EmptyContext)
+//	results := dynsum.BatchPointsTo(ctx, engine, vars, 4)
 //
-// Graphs produced by the frontend, the benchmark generator and the PAG
-// decoder are frozen into an immutable CSR layout; on that layout a
-// warm-cache query through engine.PointsToInto (reusing a caller-owned
-// result set) performs zero heap allocations.
+// Program changes reach a live engine as delta epochs:
+// engine.NewDeltaLog, then engine.ApplyDelta.
 package dynsum
 
 import (
@@ -47,6 +48,9 @@ import (
 
 // Re-exported core types.
 type (
+	// DynSum is the paper's engine (see NewDynSum); its methods are the
+	// engine API.
+	DynSum = core.DynSum
 	// Config carries engine tunables (budget, stack-depth caps).
 	Config = core.Config
 	// Analysis is the common engine interface.
@@ -72,7 +76,8 @@ type (
 	// FrontendInfo exposes the MiniJava symbol tables.
 	FrontendInfo = mj.Info
 	// DeltaLog records method-granular program changes (added methods,
-	// nodes, edges, redefinitions) for ApplyDelta.
+	// nodes, edges, redefinitions): start one with engine.NewDeltaLog and
+	// apply it with engine.ApplyDelta.
 	DeltaLog = delta.Log
 	// DeltaResult reports what one applied epoch did: overlay statistics
 	// plus the summaries invalidated and whether auto-compaction ran.
@@ -202,16 +207,20 @@ func IsPartial(err error) bool { return core.IsPartial(err) }
 // DefaultBudget is the paper's 75,000-edge per-query budget.
 const DefaultBudget = core.DefaultBudget
 
+// EmptyContext is the empty initial calling context: engine.Query with it
+// asks the usual whole-program question, the one PointsTo answers.
+const EmptyContext = intstack.Empty
+
 // NewBuilder returns a PAG builder over a fresh graph.
 func NewBuilder() *Builder { return pag.NewBuilder() }
 
 // NewPointsToSet returns an empty points-to set, for reuse across queries
-// through the engine's allocation-free PointsToInto path.
+// through the engine's allocation-free Query path.
 func NewPointsToSet() *PointsToSet { return core.NewPointsToSet() }
 
 // NewDynSum builds the paper's engine: demand-driven points-to analysis
 // with dynamic, context-independent PPTA summaries (Algorithms 3 and 4).
-func NewDynSum(g *Graph, cfg Config) *core.DynSum { return core.NewDynSum(g, cfg, nil) }
+func NewDynSum(g *Graph, cfg Config) *DynSum { return core.NewDynSum(g, cfg, nil) }
 
 // NewNoRefine builds the NOREFINE baseline: fully field-sensitive
 // demand-driven analysis without refinement or caching.
@@ -236,30 +245,6 @@ func LoadPAG(r io.Reader) (*Program, error) { return pag.Decode(r) }
 
 // SavePAG writes a Program in the textual PAG format.
 func SavePAG(w io.Writer, p *Program) error { return pag.Encode(w, p) }
-
-// NewDeltaLog starts a change log positioned at the engine's current
-// program, for the dynamic scenario the paper is named for: code arriving
-// while the analysis is live (class loading, JIT recompilation, an IDE
-// session). Fill the log with its AddMethod/AddNode/AddEdge/RedefineMethod
-// methods and hand it to ApplyDelta. The engine's graph must be frozen.
-func NewDeltaLog(engine *core.DynSum) (*DeltaLog, error) { return engine.NewDeltaLog() }
-
-// ApplyDelta applies one epoch of recorded program changes to a quiesced
-// engine: the frozen graph absorbs the change through a per-node overlay
-// (no re-freeze), the SCC condensation is repaired locally, and only the
-// summaries of the touched methods are invalidated — everything else stays
-// warm. Once the overlay outgrows Config.CompactFraction of the base, the
-// epoch finishes with an automatic Compact.
-func ApplyDelta(engine *core.DynSum, log *DeltaLog) (DeltaResult, error) {
-	return engine.ApplyDelta(log)
-}
-
-// Compact merges an evolved engine's overlay into a fresh frozen,
-// re-condensed graph with identical IDs (and clears the summary cache,
-// which the fresh condensation re-keys). ApplyDelta triggers this
-// automatically past Config.CompactFraction; call it directly to force the
-// merge at a quiet moment.
-func Compact(engine *core.DynSum) error { return engine.Compact() }
 
 // Save persists prog (which must be frozen) as a fresh store in dir — a
 // durable epoch-0 snapshot plus an empty journal — and closes it. Use
@@ -289,27 +274,15 @@ func OpenStore(dir string, opts StoreOptions) (*PersistentStore, error) {
 	return persist.Open(dir, opts)
 }
 
-// BatchPointsTo answers a batch of whole-program points-to queries (empty
-// initial context) on engine, fanned out across workers goroutines sharing
-// the engine's summary cache. workers <= 0 selects GOMAXPROCS. Results are
-// positionally aligned with vars; every query that completes returns the
-// serial PointsTo answer, while conservative budget failures may differ
-// from a serial run near the budget boundary (cache warming is
-// schedule-dependent). For per-query calling contexts, build []Query
-// directly and call engine.BatchPointsTo.
-func BatchPointsTo(engine *core.DynSum, vars []NodeID, workers int) []Result {
-	queries := make([]Query, len(vars))
-	for i, v := range vars {
-		queries[i] = Query{Var: v, Ctx: intstack.Empty}
-	}
-	return engine.BatchPointsTo(queries, workers)
-}
-
-// BatchPointsToCtx is BatchPointsTo governed by a context: once ctx is
-// done, in-flight queries abort cooperatively with ErrCanceled and the
-// remaining slots are filled without traversal, so the call returns
-// promptly, positionally aligned and with no goroutine leaked.
-func BatchPointsToCtx(ctx context.Context, engine *core.DynSum, vars []NodeID, workers int) []Result {
+// BatchPointsTo answers whole-program points-to queries for vars on
+// engine, fanned out across workers goroutines sharing its summary cache
+// (workers <= 0 selects GOMAXPROCS), positionally aligned with vars. ctx
+// may be nil; once it is done, the remaining queries end with
+// ErrCanceled and the call returns promptly. Completed queries match
+// PointsTo; near the budget boundary, which queries fail can differ from
+// a serial run. For per-query calling contexts, call
+// engine.BatchPointsToCtx.
+func BatchPointsTo(ctx context.Context, engine *DynSum, vars []NodeID, workers int) []Result {
 	queries := make([]Query, len(vars))
 	for i, v := range vars {
 		queries[i] = Query{Var: v, Ctx: intstack.Empty}
@@ -318,16 +291,11 @@ func BatchPointsToCtx(ctx context.Context, engine *core.DynSum, vars []NodeID, w
 }
 
 // RunClient runs one of the paper's clients ("SafeCast", "NullDeref",
-// "FactoryM") over prog with engine a.
-func RunClient(client string, prog *Program, a Analysis) (*Report, error) {
-	return clients.Run(client, prog, a)
-}
-
-// RunClientParallel is RunClient with the client's query sites fanned out
-// across workers goroutines when the engine supports batch execution
-// (DYNSUM does); other engines fall back to the serial path.
-func RunClientParallel(client string, prog *Program, a Analysis, workers int) (*Report, error) {
-	return clients.RunParallel(client, prog, a, workers)
+// "FactoryM") over prog with engine a. workers == 1 asks one query at a
+// time; otherwise DYNSUM fans the queries out across workers goroutines
+// (<= 0: GOMAXPROCS), and the other engines still run serially.
+func RunClient(client string, prog *Program, a Analysis, workers int) (*Report, error) {
+	return clients.Run(client, prog, a, workers)
 }
 
 // Clients lists the three client names in paper order.
@@ -392,7 +360,8 @@ const (
 	PolicySpecOnly    = core.PolicySpecOnly
 )
 
-// ErrOpenWorldDisabled is returned by ApplySpecs before EnableOpenWorld.
+// ErrOpenWorldDisabled is returned by ApplySpecs before
+// engine.EnableOpenWorld.
 var ErrOpenWorldDisabled = core.ErrOpenWorldDisabled
 
 // ParseSpecs parses library points-to spec text. The format is one method
@@ -415,18 +384,10 @@ func ParseSpecs(text string) (*SpecFile, error) { return openworld.Parse(text) }
 // method's recorded boundary interface. Hand the result to ApplySpecs.
 func ResolveSpecs(g *Graph, f *SpecFile) (*ResolvedSpecs, error) { return openworld.Resolve(g, f) }
 
-// EnableOpenWorld switches engine into open-world mode under policy:
-// traversals that reach a bodyless method are answered soundly (or
-// refused, under PolicySpecOnly) instead of silently dropping the missing
-// code's effects.
-func EnableOpenWorld(engine *core.DynSum, policy OpenWorldPolicy) {
-	engine.EnableOpenWorld(policy)
-}
-
 // ApplySpecs installs resolved specs on an open-world engine through its
 // delta machinery: the lowered edges arrive as one epoch and the exactly
 // spec'd methods leave blended treatment. Queries keep exact answers for
 // spec'd methods and blob-conservative ones for the rest.
-func ApplySpecs(engine *core.DynSum, specs *ResolvedSpecs) (DeltaResult, error) {
+func ApplySpecs(engine *DynSum, specs *ResolvedSpecs) (DeltaResult, error) {
 	return engine.ApplySpecs(specs.Edges, specs.Exact)
 }

@@ -1,8 +1,9 @@
 // Idesession: DYNSUM in the environment the paper targets (§1, §7): an IDE
 // issuing many queries against a program that keeps changing. The engine
-// persists its summary cache across queries; when a method is edited, only
-// that method's summaries are invalidated and the next queries rebuild
-// just the lost part.
+// persists its summary cache across queries; when a method is edited, the
+// edit arrives as a delta epoch (engine.NewDeltaLog, RedefineMethod,
+// engine.ApplyDelta), only that method's summaries are invalidated, and
+// the next queries rebuild just the lost part.
 //
 //	go run ./examples/idesession
 package main
@@ -50,19 +51,49 @@ func main() {
 	session("cold cache:")
 	session("warm cache:")
 
-	// The user edits one library method: its summaries are stale.
+	// The user edits one library method and saves. The recompiled method
+	// reaches the live engine as one delta epoch over the frozen graph
+	// (redefine it, re-add its body, apply); only its summaries go stale.
 	var victim pag.MethodID
 	for m := 0; m < g.NumMethods(); m++ {
 		if g.MethodInfo(pag.MethodID(m)).Name == "lib.set1" {
 			victim = pag.MethodID(m)
 		}
 	}
-	dropped := engine.InvalidateMethod(victim)
-	fmt.Printf("\nedit %s: %d summaries invalidated\n\n", g.MethodInfo(victim).Name, dropped)
+	log, err := engine.NewDeltaLog()
+	if err != nil {
+		panic(err)
+	}
+	log.RedefineMethod(victim)
+	for _, e := range methodBody(g, victim) {
+		log.AddEdge(e)
+	}
+	res, err := engine.ApplyDelta(log)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("\nedit %s: %d summaries invalidated\n\n", g.MethodInfo(victim).Name, res.InvalidatedSummaries)
 
 	session("after edit:")
 	session("warm again:")
 
 	fmt.Println("\nThe after-edit pass redoes only the invalidated method's work —")
 	fmt.Println("the incremental behaviour that makes dynamic summaries suit IDEs.")
+}
+
+// methodBody lists the edges RedefineMethod drops for m: every edge
+// leaving one of m's nodes, plus the exit and global-load edges entering
+// them (those belong to m's call sites and statements too).
+func methodBody(g *pag.Graph, m pag.MethodID) (body []pag.Edge) {
+	for n := range pag.NodeID(g.NumNodes()) {
+		if g.Node(n).Method == m {
+			body = append(body, g.Out(n)...)
+			for _, e := range g.In(n) {
+				if e.Kind == pag.Exit || (e.Kind == pag.AssignGlobal && g.Node(e.Src).Method == pag.NoMethod) {
+					body = append(body, e)
+				}
+			}
+		}
+	}
+	return body
 }

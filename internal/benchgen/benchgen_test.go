@@ -106,7 +106,7 @@ func TestClientsOnGenerated(t *testing.T) {
 	d := core.NewDynSum(prog.G, core.Config{}, nil)
 
 	for _, name := range clients.Names() {
-		rep, err := clients.Run(name, prog, d)
+		rep, err := clients.Run(name, prog, d, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,12 +20,13 @@
 // termination the paper credits for REFINEPTS's good SafeCast results.
 //
 // Engines implementing BatchAnalysis (DYNSUM) can answer a client's whole
-// site list through a worker pool instead: RunParallel fans the queries
-// out across goroutines sharing one summary cache and classifies the
-// results in site order, producing the same Report as the serial path.
+// site list through a worker pool instead: Run with workers != 1 fans the
+// queries out across goroutines sharing one summary cache and classifies
+// the results in site order, producing the same Report as the serial path.
 package clients
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -223,7 +224,7 @@ func queriesOf(sites []querySite) []core.Query {
 }
 
 // Queries returns the points-to queries client would issue on p, in site
-// order — the batch workload handed to core.DynSum.BatchPointsTo by the
+// order — the batch workload handed to core.DynSum.BatchPointsToCtx by the
 // parallel-speedup experiment and benchmarks.
 func Queries(client string, p *pag.Program) ([]core.Query, error) {
 	sites, err := sitesFor(client, p)
@@ -279,9 +280,9 @@ func classify(s querySite, r core.Result) (Verdict, int) {
 	return Violation, r.Pts.Len()
 }
 
-// runBatch classifies every site from one BatchPointsTo fan-out.
+// runBatch classifies every site from one BatchPointsToCtx fan-out.
 func runBatch(client string, sites []querySite, a BatchAnalysis, workers int) *Report {
-	results := a.BatchPointsTo(queriesOf(sites), workers)
+	results := a.BatchPointsToCtx(nil, queriesOf(sites), workers)
 	rep := &Report{Client: client, Analysis: a.Name()}
 	for i, s := range sites {
 		v, n := classify(s, results[i])
@@ -307,34 +308,23 @@ func FactoryM(p *pag.Program, a core.Analysis) *Report {
 	return runSerial("FactoryM", factoryMSites(p), a)
 }
 
-// Run dispatches a client by name ("SafeCast", "NullDeref", "FactoryM").
-func Run(client string, p *pag.Program, a core.Analysis) (*Report, error) {
-	sites, err := sitesFor(client, p)
-	if err != nil {
-		return nil, err
-	}
-	return runSerial(client, sites, a), nil
-}
-
 // BatchAnalysis is an Analysis whose queries may execute concurrently
 // through a worker pool; core.DynSum implements it.
 type BatchAnalysis interface {
 	core.Analysis
-	BatchPointsTo(queries []core.Query, workers int) []core.Result
+	BatchPointsToCtx(ctx context.Context, queries []core.Query, workers int) []core.Result
 }
 
-// RunParallel is Run with the client's queries fanned out across workers
-// goroutines when the engine supports batching (workers <= 0 selects
-// GOMAXPROCS). Engines without BatchPointsTo, Refinable engines (whose
-// serial path interleaves client predicates with refinement — batching
-// would lose the early-termination precision), and single-worker runs
-// all fall back to the serial path, so RunParallel is always safe to
-// call. The Report lists sites in the same order as Run with identical
-// verdicts for every site whose query completes; sites near the query
-// budget boundary may flip between a definite verdict and Unknown
-// relative to a serial run, because cache warming — and so budget
-// consumption — is schedule-dependent (see core.DynSum.BatchPointsTo).
-func RunParallel(client string, p *pag.Program, a core.Analysis, workers int) (*Report, error) {
+// Run dispatches a client by name ("SafeCast", "NullDeref", "FactoryM")
+// over p with analysis a. workers == 1 asks one query at a time; otherwise
+// a BatchAnalysis fans the queries out across workers goroutines
+// (workers <= 0 selects GOMAXPROCS). Refinable engines always run
+// serially: their loop interleaves client predicates with refinement,
+// which batching would lose. Sites keep their order and every completed
+// query its verdict; near the budget boundary a site may flip to Unknown
+// or back, because cache warming is schedule-dependent (see
+// core.DynSum.BatchPointsToCtx).
+func Run(client string, p *pag.Program, a core.Analysis, workers int) (*Report, error) {
 	sites, err := sitesFor(client, p)
 	if err != nil {
 		return nil, err

@@ -159,7 +159,7 @@ func TestRunDispatch(t *testing.T) {
 	f := fixture.BuildFigure2()
 	a := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	for _, name := range clients.Names() {
-		rep, err := clients.Run(name, f.Prog, a)
+		rep, err := clients.Run(name, f.Prog, a, 1)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", name, err)
 		}
@@ -167,23 +167,24 @@ func TestRunDispatch(t *testing.T) {
 			t.Errorf("report client = %s, want %s", rep.Client, name)
 		}
 	}
-	if _, err := clients.Run("Bogus", f.Prog, a); err == nil {
+	if _, err := clients.Run("Bogus", f.Prog, a, 1); err == nil {
 		t.Error("Run with unknown client succeeded")
 	}
 }
 
-// TestRunParallelMatchesSerial: for every client, the batched worker-pool
-// path must produce site-for-site the same Report a serial run does, at
-// several worker counts; engines without BatchPointsTo fall back serially.
+// TestRunParallelMatchesSerial: for every client, Run's batched
+// worker-pool path must produce site-for-site the same Report its serial
+// path (workers == 1) does, at several worker counts; engines without
+// BatchPointsToCtx fall back serially.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	f := fixture.BuildFigure2()
 	for _, name := range clients.Names() {
-		serial, err := clients.Run(name, f.Prog, core.NewDynSum(f.Prog.G, core.Config{}, nil))
+		serial, err := clients.Run(name, f.Prog, core.NewDynSum(f.Prog.G, core.Config{}, nil), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 4} {
-			par, err := clients.RunParallel(name, f.Prog,
+			par, err := clients.Run(name, f.Prog,
 				core.NewDynSum(f.Prog.G, core.Config{}, nil), workers)
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +201,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		// Non-batch engine: must fall back to the serial path untouched.
-		par, err := clients.RunParallel(name, f.Prog,
+		par, err := clients.Run(name, f.Prog,
 			refine.NewRefinePts(f.Prog.G, core.Config{}, nil), 4)
 		if err != nil {
 			t.Fatal(err)

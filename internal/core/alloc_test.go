@@ -6,6 +6,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"dynsum/internal/core"
@@ -21,10 +22,10 @@ func warmFigure2(t *testing.T) (*core.DynSum, *fixture.Figure2) {
 	f.Prog.G.Freeze()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	dst := core.NewPointsToSet()
-	if err := d.PointsToInto(dst, f.S1); err != nil {
+	if err := d.Query(nil, dst, f.S1, intstack.Empty); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PointsToInto(dst, f.S2); err != nil {
+	if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 		t.Fatal(err)
 	}
 	return d, f
@@ -32,28 +33,38 @@ func warmFigure2(t *testing.T) (*core.DynSum, *fixture.Figure2) {
 
 // TestWarmQueryAllocatesNothing is the allocation-regression guard for the
 // zero-allocation query path: a warm-cache DYNSUM points-to query on the
-// Figure 2 motivating example, asked through the reuse API
-// (PointsToInto with a caller-owned result set), must perform zero heap
-// allocations. Per-query state lives in the pooled Scratch, cached PPTA
-// summaries are handed to the driver as read-only views, and the result
-// set's buckets are retained across Reset — so the steady state of a
-// batch touches the allocator not at all.
+// Figure 2 motivating example, asked through Query with a caller-owned
+// result set, must perform zero heap allocations — both with no governing
+// context and with one that cannot be canceled. Per-query state lives in
+// the pooled Scratch, cached PPTA summaries are handed to the driver as
+// read-only views, and the result set's buckets are retained across
+// Reset — so the steady state of a batch touches the allocator not at all.
 func TestWarmQueryAllocatesNothing(t *testing.T) {
 	d, f := warmFigure2(t)
-	dst := core.NewPointsToSet()
-	if err := d.PointsToInto(dst, f.S2); err != nil { // size dst's buckets
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := d.PointsToInto(dst, f.S2); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm-cache PointsToInto allocated %.1f times per run, want 0", allocs)
-	}
-	if dst.Len() == 0 {
-		t.Error("warm query returned an empty set")
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"nil-ctx", nil},
+		{"background-ctx", context.Background()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dst := core.NewPointsToSet()
+			if err := d.Query(c.ctx, dst, f.S2, intstack.Empty); err != nil { // size dst's buckets
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := d.Query(c.ctx, dst, f.S2, intstack.Empty); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm-cache Query allocated %.1f times per run, want 0", allocs)
+			}
+			if dst.Len() == 0 {
+				t.Error("warm query returned an empty set")
+			}
+		})
 	}
 }
 
@@ -90,12 +101,12 @@ func TestColdQueryAllocationBound(t *testing.T) {
 	dst := core.NewPointsToSet()
 	const coldAllocBound = 40
 	allocs := testing.AllocsPerRun(100, func() {
-		d.ResetCache()
-		if err := d.PointsToCtxInto(dst, f.S2, intstack.Empty); err != nil {
+		core.ClearCache(d)
+		if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > coldAllocBound {
-		t.Errorf("cold PointsToCtxInto allocated %.1f times per run, want <= %d", allocs, coldAllocBound)
+		t.Errorf("cold Query allocated %.1f times per run, want <= %d", allocs, coldAllocBound)
 	}
 }

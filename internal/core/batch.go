@@ -60,26 +60,23 @@ type Result struct {
 	Partial bool
 }
 
-// BatchPointsTo answers every query, fanning the batch out across workers
-// goroutines sharing this engine's summary cache. workers <= 0 selects
-// GOMAXPROCS; a single worker (or a single query) runs inline without
-// spawning. Results are positionally aligned with queries.
+// BatchPointsToCtx answers every query, fanning the batch out across
+// workers goroutines sharing this engine's summary cache. workers <= 0
+// selects GOMAXPROCS; a single worker (or a single query) runs inline
+// without spawning. Results are positionally aligned with queries.
 //
 // Each query carries its own traversal budget, as in the serial engine;
 // sharing summaries never changes the answer of a query that completes
 // (see internal/enginetest for the equivalence suite), though which
 // queries exhaust their budget can differ from a serial run near the
 // budget boundary (see the file comment above).
-func (d *DynSum) BatchPointsTo(queries []Query, workers int) []Result {
-	return d.BatchPointsToCtx(nil, queries, workers)
-}
-
-// BatchPointsToCtx is BatchPointsTo governed by a context: once ctx is
-// done, in-flight queries abort cooperatively with ErrCanceled (within
-// one cancelCheckInterval of budget steps) and the remaining queries are
-// drained — their slots are filled with ErrCanceled results without any
-// traversal — so the call returns promptly with every result slot
-// populated and the worker pool fully drained. ctx may be nil.
+//
+// ctx may be nil. Once ctx is done, in-flight queries abort cooperatively
+// with ErrCanceled (within one cancelCheckInterval of budget steps) and
+// the remaining queries are drained — their slots are filled with
+// ErrCanceled results without any traversal — so the call returns
+// promptly with every result slot populated and the worker pool fully
+// drained.
 func (d *DynSum) BatchPointsToCtx(ctx context.Context, queries []Query, workers int) []Result {
 	results := make([]Result, len(queries))
 	if workers <= 0 {

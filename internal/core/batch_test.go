@@ -26,8 +26,16 @@ func figure2Queries(f *fixture.Figure2) []core.Query {
 	return qs
 }
 
-// TestBatchMatchesSerial: BatchPointsTo must return, position by position,
-// exactly what serial PointsToCtx returns, at every worker count.
+// queryOne answers q through Query into a fresh set, with no governing
+// context: the serial reference the batch tests compare against.
+func queryOne(d *core.DynSum, q core.Query) (*core.PointsToSet, error) {
+	pts := core.NewPointsToSet()
+	err := d.Query(nil, pts, q.Var, q.Ctx)
+	return pts, err
+}
+
+// TestBatchMatchesSerial: BatchPointsToCtx must return, position by
+// position, exactly what serial Query returns, at every worker count.
 func TestBatchMatchesSerial(t *testing.T) {
 	f := fixture.BuildFigure2()
 	queries := figure2Queries(f)
@@ -35,7 +43,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	serial := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	want := make([]*core.PointsToSet, len(queries))
 	for i, q := range queries {
-		pts, err := serial.PointsToCtx(q.Var, q.Ctx)
+		pts, err := queryOne(serial, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +52,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 4, 17} {
 		d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-		results := d.BatchPointsTo(queries, workers)
+		results := d.BatchPointsToCtx(nil, queries, workers)
 		if len(results) != len(queries) {
 			t.Fatalf("workers=%d: %d results for %d queries", workers, len(results), len(queries))
 		}
@@ -68,8 +76,8 @@ func TestBatchMatchesSerial(t *testing.T) {
 func TestBatchEmpty(t *testing.T) {
 	f := fixture.BuildFigure2()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-	if got := d.BatchPointsTo(nil, 4); len(got) != 0 {
-		t.Errorf("BatchPointsTo(nil) = %v", got)
+	if got := d.BatchPointsToCtx(nil, nil, 4); len(got) != 0 {
+		t.Errorf("BatchPointsToCtx(nil, nil) = %v", got)
 	}
 }
 
@@ -79,7 +87,7 @@ func TestBatchPropagatesErrors(t *testing.T) {
 	m := fixture.AssignChain(50)
 	d := core.NewDynSum(m.Prog.G, core.Config{Budget: 10}, nil)
 	queries := []core.Query{{Var: m.Query, Ctx: intstack.Empty}, {Var: m.Query, Ctx: intstack.Empty}}
-	results := d.BatchPointsTo(queries, 2)
+	results := d.BatchPointsToCtx(nil, queries, 2)
 	for i, r := range results {
 		if !errors.Is(r.Err, core.ErrBudget) {
 			t.Errorf("result %d: err = %v, want ErrBudget", i, r.Err)
@@ -93,12 +101,12 @@ func TestBatchSharesSummaries(t *testing.T) {
 	f := fixture.BuildFigure2()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	queries := figure2Queries(f)
-	d.BatchPointsTo(queries, 4)
+	d.BatchPointsToCtx(nil, queries, 4)
 	if d.SummaryCount() == 0 {
 		t.Fatal("no summaries cached after batch")
 	}
 	before := d.Metrics().Snapshot()
-	d.BatchPointsTo(queries, 4)
+	d.BatchPointsToCtx(nil, queries, 4)
 	after := d.Metrics().Snapshot()
 	if after.CacheHits <= before.CacheHits {
 		t.Errorf("repeat batch reused no summaries: hits %d -> %d", before.CacheHits, after.CacheHits)
@@ -109,7 +117,7 @@ func TestBatchSharesSummaries(t *testing.T) {
 }
 
 // TestBatchConcurrentWithPointForQueries: overlapping batches and direct
-// PointsToCtx calls on one engine must all give serial answers; run under
+// Query calls on one engine must all give serial answers; run under
 // -race this exercises the sharded cache, atomic metrics, and concurrent
 // stack interning.
 func TestBatchConcurrentWithPointForQueries(t *testing.T) {
@@ -119,7 +127,7 @@ func TestBatchConcurrentWithPointForQueries(t *testing.T) {
 	serial := core.NewDynSum(f.Prog.G, core.Config{}, nil)
 	want := make([]*core.PointsToSet, len(queries))
 	for i, q := range queries {
-		pts, err := serial.PointsToCtx(q.Var, q.Ctx)
+		pts, err := queryOne(serial, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +142,7 @@ func TestBatchConcurrentWithPointForQueries(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			batchResults[r] = shared.BatchPointsTo(queries, 3)
+			batchResults[r] = shared.BatchPointsToCtx(nil, queries, 3)
 		}(r)
 	}
 	directErrs := make([]error, len(queries))
@@ -143,7 +151,7 @@ func TestBatchConcurrentWithPointForQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			directPts[i], directErrs[i] = shared.PointsToCtx(queries[i].Var, queries[i].Ctx)
+			directPts[i], directErrs[i] = queryOne(shared, queries[i])
 		}(i)
 	}
 	wg.Wait()
@@ -194,7 +202,7 @@ func TestBatchNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{2, 4, 16} {
 		d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-		d.BatchPointsTo(queries, workers)
+		d.BatchPointsToCtx(nil, queries, workers)
 	}
 	goroutineStable(t, base)
 }
@@ -290,7 +298,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 	faultinject.Activate(s)
 	defer faultinject.Deactivate()
 
-	results := d.BatchPointsTo(queries, 4)
+	results := d.BatchPointsToCtx(nil, queries, 4)
 	faultinject.Deactivate()
 
 	panicked := 0
@@ -316,7 +324,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 		t.Errorf("CheckIntegrity after batch panic: %v", err)
 	}
 	// The engine keeps answering: rerun the batch cleanly.
-	for i, r := range d.BatchPointsTo(queries, 4) {
+	for i, r := range d.BatchPointsToCtx(nil, queries, 4) {
 		if r.Err != nil {
 			t.Errorf("rerun result %d: %v", i, r.Err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
+	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
 )
 
@@ -70,7 +71,7 @@ func sweepSootC(b *testing.B, scale float64) (*core.DynSum, []pag.MethodID) {
 		if prog.G.Node(pag.NodeID(n)).Kind != pag.Local {
 			continue
 		}
-		err := d.PointsToInto(dst, pag.NodeID(n))
+		err := d.Query(nil, dst, pag.NodeID(n), intstack.Empty)
 		if err != nil && !errors.Is(err, core.ErrBudget) && !errors.Is(err, core.ErrDepth) {
 			b.Fatal(err)
 		}

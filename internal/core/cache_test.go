@@ -424,7 +424,7 @@ func TestSummaryCacheBytesPerEntry(t *testing.T) {
 		if prog.G.Node(pag.NodeID(n)).Kind != pag.Local {
 			continue
 		}
-		if err := d.PointsToInto(dst, pag.NodeID(n)); err != nil && !errors.Is(err, ErrBudget) && !errors.Is(err, ErrDepth) {
+		if err := d.Query(nil, dst, pag.NodeID(n), intstack.Empty); err != nil && !errors.Is(err, ErrBudget) && !errors.Is(err, ErrDepth) {
 			t.Fatal(err)
 		}
 	}

@@ -53,7 +53,8 @@ func TestCancelBeforeQuery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	pts, err := d.PointsToCtx2(ctx, f.S1, intstack.Empty)
+	pts := core.NewPointsToSet()
+	err := d.Query(ctx, pts, f.S1, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -72,6 +73,72 @@ func TestCancelBeforeQuery(t *testing.T) {
 	}
 }
 
+// TestCancelQueryForms: Query's contract in each governing-context form —
+// nil, a context that cannot be canceled, and one already canceled —
+// with both a fresh dst and one still holding an earlier answer. Every
+// form empties dst first; the live forms answer exactly PointsTo's set,
+// and the canceled form answers ErrCanceled with nothing traversed.
+func TestCancelQueryForms(t *testing.T) {
+	f := fixture.BuildFigure2()
+	oracle := core.NewDynSum(f.Prog.G, core.Config{}, nil)
+	want, err := oracle.PointsTo(f.S1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"nil", nil},
+		{"background", context.Background()},
+		{"pre-canceled", canceled},
+	} {
+		for _, reused := range []bool{false, true} {
+			name := c.name + "/fresh-dst"
+			if reused {
+				name = c.name + "/reused-dst"
+			}
+			t.Run(name, func(t *testing.T) {
+				d := core.NewDynSum(f.Prog.G, core.Config{}, oracle.Ctxs())
+				dst := core.NewPointsToSet()
+				if reused {
+					// s2's answer (String) is disjoint from s1's (Integer).
+					if err := d.Query(nil, dst, f.S2, intstack.Empty); err != nil || dst.Len() == 0 {
+						t.Fatalf("setup: %d objects, err %v", dst.Len(), err)
+					}
+				}
+				before := d.Metrics().Snapshot()
+				err := d.Query(c.ctx, dst, f.S1, intstack.Empty)
+				after := d.Metrics().Snapshot()
+				if after.Queries-before.Queries != 1 {
+					t.Errorf("Queries grew by %d, want 1", after.Queries-before.Queries)
+				}
+				if c.ctx != nil && c.ctx.Err() != nil {
+					if !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want ErrCanceled matching context.Canceled", err)
+					}
+					if dst.Len() != 0 {
+						t.Errorf("canceled query left %d objects in dst, want 0", dst.Len())
+					}
+					if after.EdgesTraversed != before.EdgesTraversed || after.Failed-before.Failed != 1 {
+						t.Errorf("canceled query traversed %d edges, failed +%d; want 0 and +1",
+							after.EdgesTraversed-before.EdgesTraversed, after.Failed-before.Failed)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !dst.Equal(want) {
+					t.Errorf("pts(s1) = %s, PointsTo %s", dst.FormatObjects(f.Prog.G), want.FormatObjects(f.Prog.G))
+				}
+			})
+		}
+	}
+}
+
 // TestCancelDeadline: an expired deadline surfaces as ErrCanceled AND as
 // context.DeadlineExceeded — the wrapper carries the context's cause.
 func TestCancelDeadline(t *testing.T) {
@@ -80,7 +147,7 @@ func TestCancelDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), -1)
 	defer cancel()
 
-	_, err := d.PointsToCtx2(ctx, f.S1, intstack.Empty)
+	err := d.Query(ctx, core.NewPointsToSet(), f.S1, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -101,7 +168,8 @@ func TestCancelMidFlightPrompt(t *testing.T) {
 	defer cancel()
 	d.Tracer = func(core.TraceEvent) { cancel() }
 
-	pts, err := d.PointsToCtx2(ctx, query, intstack.Empty)
+	pts := core.NewPointsToSet()
+	err := d.Query(ctx, pts, query, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -117,7 +185,7 @@ func TestCancelMidFlightPrompt(t *testing.T) {
 	// The partial set is a sound under-approximation: whatever is in it
 	// must also be in the uncanceled answer.
 	d2 := core.NewDynSum(prog.G, core.Config{}, nil)
-	full, err := d2.PointsToCtx(query, intstack.Empty)
+	full, err := d2.PointsTo(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,17 +203,17 @@ func TestCancelThenReuse(t *testing.T) {
 	d := core.NewDynSum(prog.G, core.Config{}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	d.Tracer = func(core.TraceEvent) { cancel() }
-	if _, err := d.PointsToCtx2(ctx, query, intstack.Empty); !errors.Is(err, core.ErrCanceled) {
+	if err := d.Query(ctx, core.NewPointsToSet(), query, intstack.Empty); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("setup: err = %v, want ErrCanceled", err)
 	}
 	d.Tracer = nil
 
-	got, err := d.PointsToCtx(query, intstack.Empty)
+	got, err := d.PointsTo(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := core.NewDynSum(prog.G, core.Config{}, nil)
-	want, err := oracle.PointsToCtx(query, intstack.Empty)
+	want, err := oracle.PointsTo(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +251,7 @@ func TestIsPartial(t *testing.T) {
 func TestQueryPanicQuarantine(t *testing.T) {
 	f := fixture.BuildFigure2()
 	oracle := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-	want, err := oracle.PointsToCtx(f.S1, intstack.Empty)
+	want, err := oracle.PointsTo(f.S1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +264,7 @@ func TestQueryPanicQuarantine(t *testing.T) {
 	faultinject.Activate(s)
 	defer faultinject.Deactivate()
 
-	_, err = d.PointsToCtx(f.S1, intstack.Empty)
+	_, err = d.PointsTo(f.S1)
 	var qp *core.QueryPanicError
 	if !errors.As(err, &qp) {
 		t.Fatalf("err = %v (%T), want *QueryPanicError", err, err)
@@ -227,7 +295,7 @@ func TestQueryPanicQuarantine(t *testing.T) {
 	}
 
 	faultinject.Deactivate()
-	got, err := d.PointsToCtx(f.S1, intstack.Empty)
+	got, err := d.PointsTo(f.S1)
 	if err != nil {
 		t.Fatalf("re-query after quarantined panic: %v", err)
 	}
@@ -247,7 +315,8 @@ func TestRetryPolicyEscalates(t *testing.T) {
 	}
 
 	p := core.RetryPolicy{MaxAttempts: 4, Budget: 10, BudgetScale: 4}
-	pts, attempts, err := p.PointsTo(context.Background(), d, m.Query)
+	pts := core.NewPointsToSet()
+	attempts, err := p.Query(context.Background(), d, pts, m.Query, intstack.Empty)
 	if err != nil {
 		t.Fatalf("retry: %v after %d attempts", err, attempts)
 	}
@@ -272,7 +341,7 @@ func TestRetryPolicyDoesNotRetryCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := core.RetryPolicy{MaxAttempts: 5, Budget: 10}
-	_, attempts, err := p.PointsTo(ctx, d, m.Query)
+	attempts, err := p.Query(ctx, d, core.NewPointsToSet(), m.Query, intstack.Empty)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

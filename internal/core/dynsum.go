@@ -21,14 +21,18 @@ import (
 // queries sharing library code gets progressively cheaper — the effect
 // measured in paper Figure 4.
 //
+// Each shape of question has one entry point, all on one query path:
+// PointsTo (Analysis), Query (one variable and context into a caller-owned
+// set) and BatchPointsToCtx (a worker pool); RetryPolicy wraps Query.
+//
 // A DynSum engine is safe for concurrent queries: the summary cache is
 // sharded (see cache.go), the stack tables intern concurrently, and the
-// work counters are updated atomically, so PointsTo/PointsToCtx may be
-// called from many goroutines and BatchPointsTo fans a query batch out
-// across a worker pool. The mutating operations (ResetCache,
-// InvalidateMethod, setting Tracer, DisableCache or DisableCondense) are
-// not synchronised with in-flight queries; quiesce the engine before
-// calling them.
+// work counters are updated atomically, so PointsTo and Query may be
+// called from many goroutines and BatchPointsToCtx fans a query batch out
+// across a worker pool. The mutating operations (ApplyDelta, Compact,
+// ApplySpecs, EnableOpenWorld, InvalidateMethod, ImportSummaries, setting
+// Tracer, DisableCache or DisableCondense) are not synchronised with
+// in-flight queries; quiesce the engine before calling them.
 type DynSum struct {
 	// metrics must stay the first field: its int64 counters are updated
 	// with sync/atomic, which requires 8-byte alignment that 32-bit
@@ -125,14 +129,6 @@ func (d *DynSum) condensation() *pag.Condensation {
 	return d.g.Condensation()
 }
 
-// InternStats reports the hash-consing effect on cached summaries: shared
-// is the number of results that re-used an existing result record, unique
-// the number of distinct records filed since the cache was last cleared
-// (see cache.go).
-func (d *DynSum) InternStats() (shared, unique int64) {
-	return d.cache.store.shared.Load(), d.cache.store.unique.Load()
-}
-
 // Name implements Analysis.
 func (d *DynSum) Name() string { return "DYNSUM" }
 
@@ -146,11 +142,6 @@ func (d *DynSum) Ctxs() *intstack.Table { return d.ctxs }
 // SummaryCount returns the number of PPTA summaries currently cached —
 // the quantity Figure 5 compares against STASUM.
 func (d *DynSum) SummaryCount() int { return d.cache.size() }
-
-// ResetCache drops all summaries (used by the IDE-session example to model
-// invalidation after an edit, and by ablations), releasing their arena
-// space.
-func (d *DynSum) ResetCache() { d.cache.clear() }
 
 // InvalidateMethod drops the summaries whose start node lies in method m —
 // the incremental invalidation an IDE performs after editing one method
@@ -223,61 +214,34 @@ func (d *DynSum) SummaryCached(v pag.NodeID) bool {
 }
 
 // PointsTo implements Analysis: the points-to set of v under the empty
-// initial context.
+// initial context, in a freshly allocated set. It is Query with no
+// governing context and a new dst.
 func (d *DynSum) PointsTo(v pag.NodeID) (*PointsToSet, error) {
-	return d.PointsToCtx(v, intstack.Empty)
-}
-
-// PointsToCtx computes the points-to set of v in the given calling context
-// (an ID in the engine's context table). This is DYNSUM(v, c) of paper
-// Algorithm 4. It allocates only the returned set; for the allocation-free
-// path, reuse a set through PointsToCtxInto.
-func (d *DynSum) PointsToCtx(v pag.NodeID, ctx intstack.ID) (*PointsToSet, error) {
 	pts := NewPointsToSet()
-	err := d.PointsToCtxInto(pts, v, ctx)
+	err := d.Query(nil, pts, v, intstack.Empty)
 	return pts, err
 }
 
-// PointsToInto is PointsTo accumulating into a caller-owned set: dst is
-// emptied (retaining capacity) and filled with the answer. A warm-cache
-// query through this path performs zero heap allocations — per-query
-// state lives in a pooled Scratch and cached summaries are returned as
-// read-only views — which is what lets a batch amortise thousands of
-// queries (paper Figure 4) without allocator traffic.
-func (d *DynSum) PointsToInto(dst *PointsToSet, v pag.NodeID) error {
-	return d.PointsToCtxInto(dst, v, intstack.Empty)
-}
-
-// PointsToCtxInto is PointsToCtx accumulating into a caller-owned set; see
-// PointsToInto. On error dst holds the partial set, exactly as the
-// allocating API returns it.
-func (d *DynSum) PointsToCtxInto(dst *PointsToSet, v pag.NodeID, ctx intstack.ID) error {
-	return d.pointsToInto(nil, dst, v, ctx, d.cfg.Budget)
-}
-
-// PointsToCtx2 is PointsToCtx governed by a context: cancellation or a
-// deadline aborts the traversal cooperatively — the budget's per-edge
-// check polls ctx.Done() every cancelCheckInterval steps — returning
-// ErrCanceled (which also matches the context's own cause under
-// errors.Is) with the sound partial set accumulated so far. A context
-// that cannot be canceled adds no overhead over PointsToCtx.
-func (d *DynSum) PointsToCtx2(ctx context.Context, v pag.NodeID, cc intstack.ID) (*PointsToSet, error) {
-	pts := NewPointsToSet()
-	err := d.pointsToInto(ctx, pts, v, cc, d.cfg.Budget)
-	return pts, err
-}
-
-// PointsToCtx2Into is PointsToCtx2 accumulating into a caller-owned set;
-// see PointsToInto for the allocation discipline.
-func (d *DynSum) PointsToCtx2Into(ctx context.Context, dst *PointsToSet, v pag.NodeID, cc intstack.ID) error {
+// Query computes DYNSUM(v, cc) of paper Algorithm 4 — the points-to set of
+// v in calling context cc (intstack.Empty for the whole-program query) —
+// into dst, which is emptied (retaining capacity) first. On a partial
+// abort dst holds the sound partial set. A warm-cache query allocates
+// nothing: per-query state lives in a pooled Scratch and cached summaries
+// are read-only views.
+//
+// ctx may be nil. Otherwise cancellation or a deadline aborts the
+// traversal cooperatively — the budget polls ctx.Done() every
+// cancelCheckInterval steps — with ErrCanceled, which also matches the
+// context's own cause under errors.Is.
+func (d *DynSum) Query(ctx context.Context, dst *PointsToSet, v pag.NodeID, cc intstack.ID) error {
 	return d.pointsToInto(ctx, dst, v, cc, d.cfg.Budget)
 }
 
-// pointsToInto is the single query entry every public PointsTo variant
-// funnels through: it resolves the adjacency mode, arms the budget with
-// the governing context (nil for the context-free APIs), and runs the
-// driver inside the panic-quarantine boundary — quarantineRelease is the
-// only way the borrowed Scratch leaves this function, pooled on normal
+// pointsToInto is the single query path PointsTo, Query, the batch
+// workers and RetryPolicy funnel through: it resolves the adjacency mode,
+// arms the budget with the governing context (nil for PointsTo), and runs
+// the driver inside the panic-quarantine boundary — quarantineRelease is
+// the only way the borrowed Scratch leaves this function, pooled on normal
 // return (sc.completed) and abandoned on panic. budget is a parameter
 // (rather than always d.cfg.Budget) so RetryPolicy can escalate it
 // per-attempt without mutating the engine.

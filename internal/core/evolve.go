@@ -15,9 +15,8 @@ import (
 // condensation, memoisation and zero-alloc warm behaviour, only the
 // summaries the epoch actually touched are recomputed.
 //
-// All three operations here are engine mutators: like ResetCache and
-// InvalidateMethod they must not race in-flight queries — quiesce the
-// engine first.
+// All three operations here are engine mutators: like InvalidateMethod
+// they must not race in-flight queries — quiesce the engine first.
 
 // ErrNotEvolved is returned by Compact when the engine carries no overlay.
 var ErrNotEvolved = errors.New("core: engine has no delta overlay to compact")

@@ -21,6 +21,10 @@ func CacheDump(d *DynSum) []string {
 	return out
 }
 
+// ClearCache drops every cached summary and releases the arena space, so
+// a test can measure the cold query path repeatedly on one engine.
+func ClearCache(d *DynSum) { d.cache.clear() }
+
 // CacheEntry is an opaque captured cache entry (see SnapshotMethod).
 type CacheEntry struct {
 	key pptaState

@@ -118,7 +118,7 @@ func TestInternedAnswersMatchUncached(t *testing.T) {
 				}
 			}
 		}
-		if _, unique := interned.InternStats(); unique == 0 {
+		if interned.cache.store.unique.Load() == 0 {
 			t.Errorf("seed %d: interning never activated", seed)
 		}
 	}
@@ -136,7 +136,7 @@ func TestDynSumInternsCachedSummaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shared, unique := d.InternStats()
+	shared, unique := d.cache.store.shared.Load(), d.cache.store.unique.Load()
 	if unique == 0 {
 		t.Error("no summaries interned on a warmed engine")
 	}

@@ -117,9 +117,6 @@ func (d *DynSum) EnableOpenWorld(policy OpenWorldPolicy, specd ...pag.MethodID) 
 	d.refreshOpenWorld()
 }
 
-// OpenWorldEnabled reports whether the engine runs in open-world mode.
-func (d *DynSum) OpenWorldEnabled() bool { return d.ow != nil }
-
 // OpenWorldActive returns the methods currently served by blended
 // summaries: marked bodyless, no spec installed, no body arrived by delta.
 // Sorted ascending; nil on closed-world engines.

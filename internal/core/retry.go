@@ -51,28 +51,22 @@ func (p RetryPolicy) withDefaults(d *DynSum) RetryPolicy {
 	return p
 }
 
-// PointsTo answers PointsTo under the policy: attempts run with budgets
+// Query answers DynSum.Query under the policy: attempts run with budgets
 // Budget, Budget×Scale, Budget×Scale², … until one completes, attempts
-// run out, or a non-budget error appears. attempts reports how many runs
-// executed; on error the returned set is the last attempt's partial set.
-func (p RetryPolicy) PointsTo(ctx context.Context, d *DynSum, v pag.NodeID) (pts *PointsToSet, attempts int, err error) {
-	return p.PointsToCtx(ctx, d, v, intstack.Empty)
-}
-
-// PointsToCtx is PointsTo under an explicit calling context (an ID in
-// the engine's context table).
-func (p RetryPolicy) PointsToCtx(ctx context.Context, d *DynSum, v pag.NodeID, cc intstack.ID) (*PointsToSet, int, error) {
+// run out, or a non-budget error appears. ctx may be nil, and dst is
+// caller-owned exactly as for DynSum.Query. attempts reports how many
+// runs executed; on error dst holds the last attempt's partial set.
+func (p RetryPolicy) Query(ctx context.Context, d *DynSum, dst *PointsToSet, v pag.NodeID, cc intstack.ID) (attempts int, err error) {
 	p = p.withDefaults(d)
-	pts := NewPointsToSet()
 	budget := p.Budget
 	for attempt := 1; ; attempt++ {
-		err := d.pointsToInto(ctx, pts, v, cc, budget)
+		err = d.pointsToInto(ctx, dst, v, cc, budget)
 		if err == nil || attempt >= p.MaxAttempts || !errors.Is(err, ErrBudget) {
-			return pts, attempt, err
+			return attempt, err
 		}
 		if p.Backoff > 0 {
 			if serr := sleepCtx(ctx, p.Backoff); serr != nil {
-				return pts, attempt, serr
+				return attempt, serr
 			}
 		}
 		budget *= p.BudgetScale

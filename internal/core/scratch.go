@@ -17,7 +17,7 @@ import (
 // Scratch owns all of that state, keyed by dense integer encodings of the
 // ⟨node, field-stack, state⟩ and ⟨node, field-stack, state, context⟩
 // tuples, and is recycled through a sync.Pool shared by all engines and
-// all BatchPointsTo workers, so a query whose state space fits inside a
+// all BatchPointsToCtx workers, so a query whose state space fits inside a
 // previous high-water mark performs zero heap allocations.
 //
 // The visited sets are open-addressing probe tables with generation
@@ -297,7 +297,7 @@ func (v *visitSet2) rehash() {
 
 // Scratch is the reusable workspace of one in-flight query. It is not
 // safe for concurrent use; acquire one per query via the internal pool
-// (RunDriver and DynSum.PointsToCtxInto do this automatically).
+// (RunDriver and DynSum.Query do this automatically).
 type Scratch struct {
 	// bud is the query budget, embedded so budget setup allocates nothing.
 	bud Budget

@@ -149,7 +149,7 @@ type dissolvePlan struct {
 // reusable by any pre-commit abort.
 //
 // Apply is a mutator: quiesce all engines reading the overlay first, as
-// for ResetCache and the other engine mutators.
+// for the other engine mutators.
 func (o *Overlay) Apply(l *Log) (ApplyStats, error) {
 	o.ensureIndexes()
 	if err := l.validate(o); err != nil {

@@ -538,7 +538,7 @@ func TestEvolveBatchConcurrency(t *testing.T) {
 		if len(queries) == 0 {
 			continue
 		}
-		results := d.BatchPointsTo(queries, 4)
+		results := d.BatchPointsToCtx(nil, queries, 4)
 		for i, r := range results {
 			want, errW := serial.PointsTo(queries[i].Var)
 			compareOn(t, fmt.Sprintf("wave %d batch[%d]", k, i), evolveNamer{d}, r.Var, r.Pts, want, r.Err, errW, true)

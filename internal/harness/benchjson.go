@@ -14,6 +14,7 @@ import (
 	"dynsum/internal/clients"
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
+	"dynsum/internal/intstack"
 	"dynsum/internal/persist"
 	"dynsum/internal/serve"
 )
@@ -128,16 +129,16 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 	fig.Prog.G.Freeze()
 	warm := core.NewDynSum(fig.Prog.G, core.Config{}, nil)
 	dst := core.NewPointsToSet()
-	if err := warm.PointsToInto(dst, fig.S1); err != nil {
+	if err := warm.Query(nil, dst, fig.S1, intstack.Empty); err != nil {
 		panic(err)
 	}
-	if err := warm.PointsToInto(dst, fig.S2); err != nil {
+	if err := warm.Query(nil, dst, fig.S2, intstack.Empty); err != nil {
 		panic(err)
 	}
 	r := measure(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := warm.PointsToInto(dst, fig.S2); err != nil {
+			if err := warm.Query(nil, dst, fig.S2, intstack.Empty); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -155,7 +156,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					d := core.NewDynSum(prog.G, opts.config(), nil)
-					if _, err := clients.Run(client, prog, d); err != nil {
+					if _, err := clients.Run(client, prog, d, 1); err != nil {
 						b.Fatal(err)
 					}
 					m := d.Metrics().Snapshot()
@@ -184,7 +185,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 				for i := 0; i < b.N; i++ {
 					d := core.NewDynSum(prog.G, opts.config(), nil)
 					d.DisableCondense = mode == "base"
-					if _, err := clients.Run("NullDeref", prog, d); err != nil {
+					if _, err := clients.Run("NullDeref", prog, d, 1); err != nil {
 						b.Fatal(err)
 					}
 					m := d.Metrics().Snapshot()
@@ -218,7 +219,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d := core.NewDynSum(prog.G, opts.config(), nil)
-				if _, err := clients.Run("NullDeref", prog, d); err != nil {
+				if _, err := clients.Run("NullDeref", prog, d, 1); err != nil {
 					b.Fatal(err)
 				}
 				m := d.Metrics().Snapshot()
@@ -252,24 +253,24 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			d := core.NewDynSum(cyc.G, opts.config(), nil)
 			d.DisableCondense = mode == "base"
 			wdst := core.NewPointsToSet()
-			if err := d.PointsToInto(wdst, qv); err != nil {
+			if err := d.Query(nil, wdst, qv, intstack.Empty); err != nil {
 				panic(err)
 			}
 			r := measure(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := d.PointsToInto(wdst, qv); err != nil {
+					if err := d.Query(nil, wdst, qv, intstack.Empty); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			snap.Records = append(snap.Records, record("warm-query/bloat-cyclic/"+mode, opts.Scale, r))
 
-			d.BatchPointsTo(batch, 1) // warm every query's summaries
+			d.BatchPointsToCtx(nil, batch, 1) // warm every query's summaries
 			r = measure(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d.BatchPointsTo(batch, 1)
+					d.BatchPointsToCtx(nil, batch, 1)
 				}
 			})
 			snap.Records = append(snap.Records, record("warm-batch/bloat-cyclic/NullDeref/"+mode, opts.Scale, r))
@@ -309,7 +310,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 						frac = res.OverlayFraction
 					}
 					for _, q := range ev.DerefsThrough(k) {
-						d.PointsToInto(dst, q.Var)
+						d.Query(nil, dst, q.Var, intstack.Empty)
 					}
 				}
 				invalidated = int64(inv)
@@ -330,7 +331,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 					}
 					d := core.NewDynSum(prefix.G, opts.config(), nil)
 					for _, q := range ev.DerefsThrough(k) {
-						d.PointsToInto(dst, q.Var)
+						d.Query(nil, dst, q.Var, intstack.Empty)
 					}
 				}
 			}
@@ -356,7 +357,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := clients.Run("NullDeref", prog, st.Engine()); err != nil {
+		if _, err := clients.Run("NullDeref", prog, st.Engine(), 1); err != nil {
 			panic(err)
 		}
 		if err := st.Compact(); err != nil {
@@ -458,7 +459,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d := core.NewDynSum(bprog.G, opts.config(), nil)
-				d.BatchPointsTo(queries, workers)
+				d.BatchPointsToCtx(nil, queries, workers)
 				m := d.Metrics().Snapshot()
 				edges = m.EdgesTraversed
 				summaries = int64(d.SummaryCount())

@@ -107,7 +107,7 @@ func newEngine(name string, g *pag.Graph, cfg core.Config) core.Analysis {
 // and the engine metrics.
 func timedClient(client string, prog *pag.Program, a core.Analysis) (time.Duration, *clients.Report, core.Metrics) {
 	start := time.Now()
-	rep, err := clients.Run(client, prog, a)
+	rep, err := clients.Run(client, prog, a, 1)
 	if err != nil {
 		panic(err) // client names are internal constants
 	}

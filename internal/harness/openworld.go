@@ -8,6 +8,7 @@ import (
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
+	"dynsum/internal/intstack"
 	"dynsum/internal/openworld"
 	"dynsum/internal/pag"
 )
@@ -260,7 +261,7 @@ func appendOpenWorldRecords(snap *BenchSnapshot, opts Options) {
 					d := mk()
 					for _, v := range queries {
 						dst.Reset()
-						d.PointsToInto(dst, v) // budget failures are part of the workload
+						d.Query(nil, dst, v, intstack.Empty) // budget failures are part of the workload
 					}
 					m := d.Metrics().Snapshot()
 					edges = m.EdgesTraversed

@@ -10,7 +10,7 @@ import (
 )
 
 // This file measures the concurrent batch-query engine: the wall-clock
-// speedup of DynSum.BatchPointsTo over the serial query loop on the same
+// speedup of DynSum.BatchPointsToCtx over the serial query loop on the same
 // workload. It is the experiment the paper's Figure 4 hints at but cannot
 // run — the original DYNSUM is single-threaded; here the summary cache is
 // shared across a worker pool, so the batch-amortisation effect compounds
@@ -38,7 +38,7 @@ type ParallelSeries struct {
 var ParallelWorkerCounts = []int{1, 2, 4, 8}
 
 // RunParallelSpeedup times a cold serial query loop against cold
-// BatchPointsTo runs at each worker count, on the client's site queries
+// BatchPointsToCtx runs at each worker count, on the client's site queries
 // for one Table 3 benchmark.
 func RunParallelSpeedup(opts Options, bench, client string, workerCounts []int) ParallelSeries {
 	opts = opts.WithDefaults()
@@ -57,7 +57,7 @@ func RunParallelSpeedup(opts Options, bench, client string, workerCounts []int) 
 	for _, q := range queries {
 		// Conservative failures count like any other answer: both paths
 		// see the identical query stream.
-		serialEngine.PointsToCtx(q.Var, q.Ctx) //nolint:errcheck
+		serialEngine.Query(nil, core.NewPointsToSet(), q.Var, q.Ctx) //nolint:errcheck
 	}
 	serial := time.Since(start)
 
@@ -65,7 +65,7 @@ func RunParallelSpeedup(opts Options, bench, client string, workerCounts []int) 
 	for _, w := range workerCounts {
 		d := core.NewDynSum(prog.G, opts.config(), nil)
 		start := time.Now()
-		d.BatchPointsTo(queries, w)
+		d.BatchPointsToCtx(nil, queries, w)
 		elapsed := time.Since(start)
 		speedup := 0.0
 		if elapsed > 0 {

@@ -133,7 +133,7 @@ func (g *Graph) Frozen() bool { return g.frozen != nil }
 // and errors.Is(recover().(error), ErrFrozen) identifies it. Freeze() makes
 // the PAG immutable; the supported way to keep growing a frozen program is
 // the delta path (internal/delta: record the change in a delta.Log and
-// apply it as an epoch overlay — dynsum.ApplyDelta at the facade), which
+// apply it as an epoch overlay — DynSum.ApplyDelta on an engine), which
 // absorbs method-granular changes without thawing or rebuilding the CSR
 // layout. PAGs that need free-form edits should simply skip Freeze.
 var ErrFrozen = errors.New("pag: mutation of a frozen graph")
@@ -155,7 +155,7 @@ func (e *FrozenError) Error() string {
 	if e.Name != "" {
 		msg += " (" + e.Name + ")"
 	}
-	return msg + "; Freeze() made the PAG immutable — evolve it through the delta overlay (internal/delta, dynsum.ApplyDelta) or skip Freeze for free-form incremental edits"
+	return msg + "; Freeze() made the PAG immutable — evolve it through the delta overlay (internal/delta, DynSum.ApplyDelta) or skip Freeze for free-form incremental edits"
 }
 
 // Unwrap ties FrozenError to the ErrFrozen sentinel for errors.Is.

@@ -17,6 +17,7 @@ import (
 //     the request was refused to keep it that way. Nothing was partially
 //     executed.
 //   - caller or operator bug: *UnknownSessionError (bad session ID),
+//     *BadQueryError (a variable the session's program does not have),
 //     *PanicError (a panic crossed a serve-layer boundary; the engine's
 //     own quarantine already contained it, the wrapper records where).
 //
@@ -75,6 +76,20 @@ type UnknownSessionError struct{ ID string }
 
 func (e *UnknownSessionError) Error() string {
 	return fmt.Sprintf("serve: unknown session %q", e.ID)
+}
+
+// BadQueryError reports a request naming a variable outside [0, Limit).
+// The serving core sets Limit to the session's node count — the base
+// graph's plus every node the session's applied deltas added — so an ID
+// that a later apply introduces is refused before that apply and served
+// after it. Nothing of the request ran.
+type BadQueryError struct {
+	Var   int64
+	Limit int64
+}
+
+func (e *BadQueryError) Error() string {
+	return fmt.Sprintf("serve: query variable %d outside [0, %d)", e.Var, e.Limit)
 }
 
 // DuplicateSessionError reports CreateSession with an ID already in use.

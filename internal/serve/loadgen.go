@@ -325,7 +325,8 @@ func (st *loadState) verify(sess *Session, epoch uint64, resp *Response) {
 			continue
 		}
 		st.oracleMu.Lock()
-		want, werr := d.PointsToCtx(r.Var, r.Ctx)
+		want := core.NewPointsToSet()
+		werr := d.Query(nil, want, r.Var, r.Ctx)
 		st.oracleMu.Unlock()
 		if werr != nil {
 			// The cold oracle ran out of budget where the warm session

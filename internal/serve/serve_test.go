@@ -12,6 +12,7 @@ import (
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
 	"dynsum/internal/intstack"
+	"dynsum/internal/pag"
 	"dynsum/internal/persist"
 )
 
@@ -70,6 +71,13 @@ func newTestServer(t *testing.T, ev *benchgen.EvolveProgram, cfg Config) *Server
 		srv.Drain(ctx) // ErrNotRunning when the test already drained
 	})
 	return srv
+}
+
+// queryCtx answers one query through Query into a fresh set.
+func queryCtx(d *core.DynSum, v pag.NodeID, cc intstack.ID) (*core.PointsToSet, error) {
+	pts := core.NewPointsToSet()
+	err := d.Query(nil, pts, v, cc)
+	return pts, err
 }
 
 // queryVars returns one Query per deref site installed through wave k.
@@ -147,7 +155,7 @@ func TestServedAnswersMatchOracle(t *testing.T) {
 				if r.Err != nil {
 					t.Fatalf("epoch %d query %d: %v", epoch, i, r.Err)
 				}
-				want, werr := oracle.PointsToCtx(r.Var, r.Ctx)
+				want, werr := queryCtx(oracle, r.Var, r.Ctx)
 				if werr != nil {
 					t.Fatalf("epoch %d oracle var %d: %v", epoch, r.Var, werr)
 				}
@@ -218,7 +226,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("admitted query failed: %v", r.Err)
 			}
-			want, werr := oracle.PointsToCtx(r.Var, r.Ctx)
+			want, werr := queryCtx(oracle, r.Var, r.Ctx)
 			if werr != nil {
 				t.Fatal(werr)
 			}
@@ -289,7 +297,7 @@ func TestCheapLaneFlowsBesideWhales(t *testing.T) {
 	// so driving the engine outside the session lock is safe here).
 	cheapQ := queries[:3]
 	for _, q := range cheapQ {
-		if _, err := cheapSess.Engine().PointsToCtx(q.Var, q.Ctx); err != nil {
+		if _, err := queryCtx(cheapSess.Engine(), q.Var, q.Ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -590,11 +598,11 @@ func TestDrainPersistsAndRecovers(t *testing.T) {
 			t.Fatalf("recovered %s: %v", sess.ID, err)
 		}
 		for _, q := range queryVars(ev, int(sess.Epoch())) {
-			want, err := sess.Engine().PointsToCtx(q.Var, q.Ctx)
+			want, err := queryCtx(sess.Engine(), q.Var, q.Ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := st.Engine().PointsToCtx(q.Var, q.Ctx)
+			got, err := queryCtx(st.Engine(), q.Var, q.Ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -647,7 +655,7 @@ func TestDrainDeadlineAbortsCooperatively(t *testing.T) {
 	// it, the batch's later slots observe the canceled context at entry
 	// even if the wedged query itself finishes between budget polls.
 	go issue(queries[0:6])
-	<-wedgedIn // the wedge owns the worker before anything else queues
+	<-wedgedIn             // the wedge owns the worker before anything else queues
 	go issue(queries[6:7]) // sits in the queue
 	go issue(queries[7:8]) // sits in the queue
 
@@ -735,5 +743,60 @@ func TestSessionRegistry(t *testing.T) {
 	var ue *UnknownSessionError
 	if !errors.As(err, &ue) || ue.ID != "ghost" {
 		t.Fatalf("unknown session: err = %v, want *UnknownSessionError{ghost}", err)
+	}
+}
+
+// TestBadQueryBeforeAndAfterApply: a variable ID is valid exactly when the
+// session's view has that node. A local that wave 1 adds is refused with a
+// typed *BadQueryError before the wave is applied (and so is a negative
+// ID), and answered like the oracle after it.
+func TestBadQueryBeforeAndAfterApply(t *testing.T) {
+	ev := testEvolve(t, 2)
+	srv := newTestServer(t, ev, Config{})
+	sess, err := srv.CreateSession("s1", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wave nodes arrive in final, wave-major IDs: wave 1's i-th node is
+	// baseNodes+i once applied.
+	baseNodes := ev.Base.G.NumNodes()
+	var added []core.Query
+	for i, nd := range ev.Waves[1].Nodes {
+		if nd.Kind == pag.Local {
+			added = append(added, core.Query{Var: pag.NodeID(baseNodes + i), Ctx: intstack.Empty})
+		}
+	}
+	if len(added) == 0 {
+		t.Fatal("wave 1 adds no local variable")
+	}
+	for _, q := range []core.Query{added[0], {Var: -1}} {
+		_, err := srv.Do(context.Background(), Request{Session: "s1", Queries: []core.Query{q}})
+		var bq *BadQueryError
+		if !errors.As(err, &bq) || bq.Var != int64(q.Var) || bq.Limit != int64(baseNodes) {
+			t.Fatalf("var %d before apply: err = %v, want *BadQueryError{%d, %d}", q.Var, err, q.Var, baseNodes)
+		}
+	}
+
+	applyWave(t, srv, sess, ev, 1)
+	resp, err := srv.Do(context.Background(), Request{Session: "s1", Queries: added})
+	if err != nil {
+		t.Fatalf("after apply: %v", err)
+	}
+	prefix, err := ev.BuildPrefix(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := core.NewDynSum(prefix.G, testEngineCfg, srv.Ctxs())
+	for i, r := range resp.Results {
+		if r.Err != nil {
+			t.Fatalf("var %d after apply: %v", added[i].Var, r.Err)
+		}
+		want, err := queryCtx(oracle, r.Var, r.Ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Pts.Equal(want) {
+			t.Errorf("var %d after apply: served answer diverges from oracle", r.Var)
+		}
 	}
 }

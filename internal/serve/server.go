@@ -272,6 +272,7 @@ func (s *Server) Sessions() []*Session {
 // Do admits and runs one request, blocking until it completes, is
 // refused, or ctx is done. Refusals are always typed: *OverloadError
 // (lane queue full, or draining), *QuotaError, *UnknownSessionError,
+// *BadQueryError (a variable outside the session's program),
 // *ExpiredError (deadline passed while queued), *PanicError (a fault
 // crossed a serve boundary). A ctx cancellation abandons the wait — the
 // server still completes the request internally (no goroutine or slot
@@ -319,7 +320,10 @@ func (s *Server) admit(ctx context.Context, req Request) (r *request, err error)
 		s.metrics.tenant(tenant, func(tc *TenantCounters) { tc.QuotaRejected++ })
 		return nil, &QuotaError{Tenant: tenant, RetryAfter: retry}
 	}
-	laneID := s.classify(sess, req.Queries)
+	laneID, err := s.classify(sess, req.Queries)
+	if err != nil {
+		return nil, err
+	}
 	l := s.lanes[laneID]
 	faultinject.Fire(faultinject.ServeAdmit)
 	r = &request{
@@ -353,19 +357,27 @@ func (s *Server) admit(ctx context.Context, req Request) (r *request, err error)
 	}
 }
 
-// classify probes the session's summary cache for every queried
-// variable: an all-warm footprint is cheap, anything else a whale. The
-// probe runs under the session read lock, ordered against that session's
-// mutators exactly like a query.
-func (s *Server) classify(sess *Session, queries []core.Query) Lane {
+// classify checks that every queried variable is a node of the session's
+// view (base plus delta-added nodes; deltas never remove one) and probes
+// the session's summary cache: an all-warm footprint is cheap, anything
+// else a whale. It holds the session read lock, like a query.
+func (s *Server) classify(sess *Session, queries []core.Query) (Lane, error) {
 	sess.mu.RLock()
 	defer sess.mu.RUnlock()
+	nodes := sess.eng.Graph().NumNodes()
+	if ov := sess.eng.Overlay(); ov != nil {
+		nodes = ov.NumNodes()
+	}
+	lane := LaneCheap
 	for _, q := range queries {
-		if !sess.eng.SummaryCached(q.Var) {
-			return LaneWhale
+		if q.Var < 0 || int(q.Var) >= nodes {
+			return 0, &BadQueryError{Var: int64(q.Var), Limit: int64(nodes)}
+		}
+		if lane == LaneCheap && !sess.eng.SummaryCached(q.Var) {
+			lane = LaneWhale
 		}
 	}
-	return LaneCheap
+	return lane, nil
 }
 
 // dispatch moves one lane's admissions to its workers. During an aborted

@@ -316,13 +316,8 @@ func (e *Engine) gammaSeq(g intstack.ID) []intstack.Sym {
 	return s // consumption order = concrete-stack top first
 }
 
-// PointsTo implements core.Analysis.
-func (e *Engine) PointsTo(v pag.NodeID) (*core.PointsToSet, error) {
-	return e.PointsToCtx(v, intstack.Empty)
-}
-
-// PointsToCtx answers a query using the precomputed summaries and the
-// shared Algorithm-4 driver.
+// PointsTo implements core.Analysis: it answers a query using the
+// precomputed summaries and the shared Algorithm-4 driver.
 //
 // STASUM explicitly opts out of the SCC-condensed overlay (nil
 // condensation): its offline pass keys symbolic summaries by original
@@ -332,10 +327,10 @@ func (e *Engine) PointsTo(v pag.NodeID) (*core.PointsToSet, error) {
 // and the Andersen oracle, which never touch the driver: REFINEPTS's memo
 // is keyed by ⟨node, context⟩ pairs the paper's refinement loop inspects
 // per match edge, and Andersen mutates the graph pre-freeze.)
-func (e *Engine) PointsToCtx(v pag.NodeID, ctx intstack.ID) (*core.PointsToSet, error) {
+func (e *Engine) PointsTo(v pag.NodeID) (*core.PointsToSet, error) {
 	atomic.AddInt64(&e.metrics.Queries, 1)
 	bud := core.NewBudget(e.cfg.Budget)
-	return core.RunDriver(e.g, nil, e.ctxs, e.cfg, (*staSummarizer)(e), v, ctx, bud, &e.metrics, nil)
+	return core.RunDriver(e.g, nil, e.ctxs, e.cfg, (*staSummarizer)(e), v, intstack.Empty, bud, &e.metrics, nil)
 }
 
 type staSummarizer Engine
