@@ -51,11 +51,12 @@ fuzz:
 	$(GO) test ./internal/pag -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZ_TIME)
 
 # faultcheck runs the query-lifecycle hardening suite: deterministic
-# fault-injection crash-consistency sweeps (internal/enginetest) plus
-# the cancellation / panic-quarantine / retry tests (internal/core).
+# fault-injection crash-consistency sweeps (internal/enginetest), the
+# cancellation / panic-quarantine / retry tests (internal/core), and the
+# shared summary tier's equivalence and concurrency tests.
 .PHONY: faultcheck
 faultcheck:
-	$(GO) test -run 'Fault|Cancel|Panic|Quarantine|Retry' -count=1 ./internal/enginetest/ ./internal/core/
+	$(GO) test -run 'Fault|Cancel|Panic|Quarantine|Retry|Tier' -count=1 ./internal/enginetest/ ./internal/core/
 
 # servecheck runs the serving core end to end: the full internal/serve
 # suite under the race detector (oracle fidelity, overload shedding,

@@ -21,7 +21,7 @@
 //	POST /v1/apply     {"session":"s1","delta_b64":"<wire-encoded delta.Log>"}
 //	GET  /healthz      liveness (200 while the process runs)
 //	GET  /readyz       readiness (503 once draining)
-//	GET  /metrics      JSON: serve counters + engine metrics summed over sessions
+//	GET  /metrics      JSON: serve counters, engine metrics summed over sessions, summary storage
 //
 // With -debug-addr, a second listener serves the net/http/pprof profiles
 // under /debug/pprof/. It is off by default and never shares the query
@@ -331,7 +331,6 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Session    string  `json:"session"`
-		Tenant     string  `json:"tenant"`
 		Vars       []int64 `json:"vars"`
 		DeadlineMS int64   `json:"deadline_ms"`
 	}
@@ -349,7 +348,6 @@ func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := d.srv.Do(r.Context(), serve.Request{
 		Session:  req.Session,
-		Tenant:   req.Tenant,
 		Queries:  queries,
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
 	})

@@ -205,6 +205,43 @@ func TestOverQuotaIs429(t *testing.T) {
 	}
 }
 
+// TestQueryTenantFieldIsNotAQuotaPrincipal: a "tenant" field in a query
+// body names no quota principal. Every query is charged to its session's
+// tenant, so naming a fresh tenant per request neither escapes the quota
+// nor adds tenants to /metrics.
+func TestQueryTenantFieldIsNotAQuotaPrincipal(t *testing.T) {
+	ts, prog := testDaemonCfg(t, maxBodyBytes, serve.Config{Quota: serve.QuotaConfig{Rate: 0.001, Burst: 1}})
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	v := strconv.Itoa(int(prog.Derefs[0].Var))
+	admitted := 0
+	for i := range 20 {
+		status, body := post(t, ts, "/v1/query", `{"session":"s1","tenant":"x`+strconv.Itoa(i)+`","vars":[`+v+`]}`)
+		switch status {
+		case http.StatusOK:
+			admitted++
+		case http.StatusTooManyRequests:
+		default:
+			t.Fatalf("query %d: status %d (%s)", i, status, body)
+		}
+	}
+	if admitted != 1 {
+		t.Errorf("%d of 20 queries admitted under a burst of 1, want 1", admitted)
+	}
+	status, body := get(t, ts.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: status %d (%s)", status, body)
+	}
+	var snap serve.MetricsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Tenants) != 1 || snap.Tenants["t"].Admitted != 1 || snap.Tenants["t"].QuotaRejected != 19 {
+		t.Errorf("tenants %+v, want only t with 1 admitted and 19 rejected", snap.Tenants)
+	}
+}
+
 func TestApplyBoundaries(t *testing.T) {
 	ts, prog := testDaemon(t, maxBodyBytes)
 	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
@@ -275,6 +312,38 @@ func TestMetricsIsJSON(t *testing.T) {
 	}
 	if len(m) == 0 {
 		t.Error("metrics decoded to an empty object")
+	}
+}
+
+// TestMetricsSummaries: two sessions answering the same query store its
+// summaries once in the shared tier while each sees its own copy, which
+// /metrics shows as visible entries at twice the tier's count.
+func TestMetricsSummaries(t *testing.T) {
+	ts, prog := testDaemon(t, maxBodyBytes)
+	query := `","vars":[` + strconv.Itoa(int(prog.Derefs[0].Var)) + `]}`
+	for _, id := range []string{"s1", "s2"} {
+		if status, body := post(t, ts, "/v1/sessions", `{"id":"`+id+`","tenant":"t"}`); status != http.StatusCreated {
+			t.Fatalf("create session %s: status %d (%s)", id, status, body)
+		}
+		if status, body := post(t, ts, "/v1/query", `{"session":"`+id+query); status != http.StatusOK {
+			t.Fatalf("query on %s: status %d (%s)", id, status, body)
+		}
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	var m struct {
+		Summaries map[string]int64 `json:"summaries"`
+	}
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	s := m.Summaries
+	for _, k := range []string{"tier_entries", "tier_bytes", "visible", "private"} {
+		if _, ok := s[k]; !ok {
+			t.Errorf("summaries lacks %q: %v", k, s)
+		}
+	}
+	if s["tier_entries"] == 0 || s["visible"] != 2*s["tier_entries"] || s["private"] != 0 || s["tier_bytes"] <= 0 {
+		t.Errorf("summaries %v, want a non-empty tier seen twice over and nothing private", s)
 	}
 }
 

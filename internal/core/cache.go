@@ -5,15 +5,18 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dynsum/internal/faultinject"
 	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
 )
 
-// This file implements the concurrent summary cache backing DynSum: a map
-// from PPTA start states to cached results, laid out so that nothing the
-// cache holds per entry contains a pointer. Cached summaries live for the
+// This file implements the concurrent summary cache layout: a map from
+// PPTA start states to cached results, laid out so that nothing the cache
+// holds per entry contains a pointer. An engine's private table is a
+// summaryCache as described here; the summary tier engines share
+// (tier.go) reuses its hashing, record store and arenas. Cached summaries live for the
 // engine's lifetime (the paper's reuse argument, Alg. 4), so their per-entry
 // footprint sets a serving daemon's heap, and every pointer-bearing entry is
 // one more word for the garbage collector to mark on every cycle.
@@ -86,8 +89,6 @@ type cacheStripe struct {
 	recs []uint32
 	n    int
 }
-
-func newSummaryCache() *summaryCache { return new(summaryCache) }
 
 // unpackKey inverts pkey.
 func unpackKey(k uint64) pptaState {
@@ -464,6 +465,14 @@ func (st *resultStore) view(r uint32) Summary {
 	}
 }
 
+// bytes returns the heap the store holds: arena segments and the
+// hash-consing table.
+func (st *resultStore) bytes() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.recs.bytes() + st.objs.bytes() + st.frs.bytes() + int64(cap(st.dhash))*8 + int64(cap(st.drec))*4
+}
+
 // reset drops every record and segment and advances the generation.
 // Callers hold every stripe lock; reset takes mu itself.
 func (st *resultStore) reset() {
@@ -533,6 +542,16 @@ func (a *arena[T]) slice(off, n uint32) []T {
 	}
 	s, pos := segOf(off)
 	return a.segs[s][pos : pos+n : pos+n]
+}
+
+// bytes returns the size of the allocated segments.
+func (a *arena[T]) bytes() int64 {
+	var zero T
+	var n int64
+	for _, seg := range a.segs {
+		n += int64(cap(seg))
+	}
+	return n * int64(unsafe.Sizeof(zero))
 }
 
 func (a *arena[T]) at(off uint32) T {

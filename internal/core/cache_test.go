@@ -15,25 +15,36 @@ import (
 	"dynsum/internal/pag"
 )
 
-// This file checks the summary cache against a reference
-// map[pptaState]Summary: random put/putBatch/get/invalidate/clear
-// sequences (a table test and FuzzSummaryCache), the table mechanics the
-// sequences cannot force on their own (growth, backward-shift deletes
-// across the wraparound, ⊤ keys), concurrent readers and writers, and the
-// memory layout the cache exists for.
+// This file checks the summary cache — two engines' views over one
+// shared tier — against reference maps: random put/write-back/get/
+// invalidate/reset/evolve/detach sequences (a table test and
+// FuzzSummaryCache), the table mechanics the sequences cannot force on
+// their own (growth, backward-shift deletes across the wraparound, ⊤
+// keys), concurrent readers and writers, and the memory layout the cache
+// exists for.
 
-// cacheModel drives a summary cache and a reference map side by side.
+// cacheModel drives two engines on one tier side by side with reference
+// maps: ref[i] is what engine i must see, priv[i] which of those keys
+// live in its private table, and tier the first result filed per tier
+// key (the tier keeps it; later writers of the key only reveal it).
 type cacheModel struct {
 	t     testing.TB
-	d     *DynSum
+	d     [2]*DynSum
 	nodes int
-	ref   map[pptaState]Summary
+	ref   [2]map[pptaState]Summary
+	priv  [2]map[pptaState]bool
+	tier  map[pptaState]Summary
 }
 
 func newCacheModel(t testing.TB) *cacheModel {
 	p := fixture.RandProgram(3, fixture.RandConfig{Methods: 12}.Defaults())
 	p.G.Freeze()
-	m := &cacheModel{t: t, d: NewDynSum(p.G, Config{}, nil), ref: map[pptaState]Summary{}}
+	tier := NewSummaryTier(p.G, Config{})
+	m := &cacheModel{t: t, tier: map[pptaState]Summary{}}
+	for i := range m.d {
+		m.d[i] = tier.NewDynSum(nil)
+		m.ref[i], m.priv[i] = map[pptaState]Summary{}, map[pptaState]bool{}
+	}
 	m.nodes = min(p.G.NumNodes(), 256)
 	return m
 }
@@ -50,7 +61,7 @@ func (m *cacheModel) key(a, b byte) pptaState {
 	}
 }
 
-func (m *cacheModel) method(k pptaState) pag.MethodID { return m.d.g.Node(k.node).Method }
+func (m *cacheModel) method(k pptaState) pag.MethodID { return m.d[0].g.Node(k.node).Method }
 
 // modelResult derives a small result from b; many bytes map to equal
 // results (every empty one, for instance), so the hash-consing path is
@@ -70,78 +81,132 @@ func modelResult(b byte) Summary {
 	return s
 }
 
-// apply runs one operation decoded from op and args (three bytes).
+// write records, in the reference, engine i writing r under k, and
+// reports whether k became newly visible to it. An engine writes only
+// keys it does not see, so a key that i sees in the tier is not written
+// privately: ok is false and nothing changes.
+func (m *cacheModel) write(i int, k pptaState, r Summary) (fresh, ok bool) {
+	_, seen := m.ref[i][k]
+	if m.d[i].clean() {
+		if have, filed := m.tier[k]; filed {
+			r = have
+		} else {
+			m.tier[k] = r
+		}
+	} else if seen && !m.priv[i][k] {
+		return false, false
+	} else {
+		m.priv[i][k] = true
+	}
+	m.ref[i][k] = r
+	return !seen, true
+}
+
+// apply runs one operation decoded from op and args (three bytes); bit 3
+// of op picks the engine.
 func (m *cacheModel) apply(op, a, b, c byte) {
-	cache := m.d.cache
+	i := int(op>>3) & 1
+	d := m.d[i]
 	switch op % 8 {
 	case 0, 1: // put
 		k, r := m.key(a, b), modelResult(c)
-		cache.put(k, r.Objects, r.Frontier)
-		m.ref[k] = r
-	case 2: // putBatch: a run of keys, as a write-back (a key may recur)
-		var keys []pptaState
-		var recs []uint32
-		var gen uint64
+		if _, ok := m.write(i, k, r); ok {
+			d.cache.put(k, r.Objects, r.Frontier, d.clean())
+		}
+	case 2: // commit a write-back run, as a query does (a key may recur)
+		sc := new(Scratch)
 		fresh := 0
-		for i := 0; i < int(c%6)+1; i++ {
-			k := m.key(a+byte(i), b+byte(3*i))
-			r := modelResult(c + byte(i))
-			rec, g := cache.store.file(r.Objects, r.Frontier)
-			keys, recs, gen = append(keys, k), append(recs, rec), g
-			if _, ok := m.ref[k]; !ok {
+		for j := 0; j < int(c%6)+1; j++ {
+			k := m.key(a+byte(j), b+byte(3*j))
+			r := modelResult(c + byte(j))
+			f, ok := m.write(i, k, r)
+			if !ok {
+				continue
+			}
+			if f {
 				fresh++
 			}
-			m.ref[k] = r
+			sc.pendKeys = append(sc.pendKeys, k)
+			sc.pendRIdx = append(sc.pendRIdx, int32(len(sc.mres)))
+			sc.mres = append(sc.mres, memoResult{cached: r, spliced: true})
 		}
-		if got := cache.putBatch(keys, recs, gen); got != fresh {
-			m.t.Fatalf("putBatch reported %d fresh keys, %d were new", got, fresh)
+		if len(sc.pendKeys) == 0 {
+			return
+		}
+		if got := d.cache.commit(sc, d.clean()); got != fresh {
+			m.t.Fatalf("engine %d: commit reported %d fresh keys, %d became visible", i, got, fresh)
 		}
 	case 3, 4, 5: // get
-		m.check(m.key(a, b))
-	case 6: // invalidate one method through the stripe scan
+		m.check(i, m.key(a, b))
+	case 6: // invalidate one method through the stripe scans
 		meth := m.method(m.key(a, b))
 		want := 0
-		for k := range m.ref {
+		for k := range m.ref[i] {
 			if m.method(k) == meth {
-				delete(m.ref, k)
+				delete(m.ref[i], k)
+				delete(m.priv[i], k)
 				want++
 			}
 		}
-		if got := m.d.InvalidateMethod(meth); got != want {
-			m.t.Fatalf("InvalidateMethod(%d) dropped %d entries, reference holds %d", meth, got, want)
+		if got := d.InvalidateMethod(meth); got != want {
+			m.t.Fatalf("engine %d: InvalidateMethod(%d) dropped %d entries, reference holds %d", i, meth, got, want)
 		}
-	case 7: // clear, rarely
-		if a%4 == 0 {
-			cache.clear()
-			clear(m.ref)
-		} else {
-			m.check(m.key(a, b))
+	case 7: // rarely: reset, evolve (private from now on) or detach
+		switch a % 32 {
+		case 0:
+			d.cache.reset()
+			clear(m.ref[i])
+			clear(m.priv[i])
+		case 1:
+			if d.ov == nil {
+				l, err := d.NewDeltaLog()
+				if err != nil {
+					m.t.Fatal(err)
+				}
+				if _, err := d.ApplyDelta(l); err != nil {
+					m.t.Fatal(err)
+				}
+			}
+		case 2:
+			d.cache.detach()
+			clear(m.ref[i])
+			clear(m.priv[i])
+		default:
+			m.check(i, m.key(a, b))
 		}
 	}
 }
 
-func (m *cacheModel) check(k pptaState) {
-	got, ok := m.d.cache.get(k)
-	want, wok := m.ref[k]
+func (m *cacheModel) check(i int, k pptaState) {
+	got, ok := m.d[i].cache.get(k)
+	want, wok := m.ref[i][k]
 	if ok != wok {
-		m.t.Fatalf("get(%+v) present=%v, reference present=%v", k, ok, wok)
+		m.t.Fatalf("engine %d: get(%+v) present=%v, reference present=%v", i, k, ok, wok)
 	}
 	if ok && (!slices.Equal(got.Objects, want.Objects) || !slices.Equal(got.Frontier, want.Frontier)) {
-		m.t.Fatalf("get(%+v) = %v, reference %v", k, got, want)
+		m.t.Fatalf("engine %d: get(%+v) = %v, reference %v", i, k, got, want)
 	}
 }
 
-// verify checks the whole cache against the reference, plus the
-// structural invariants.
+// verify checks both engines and the tier against the references, plus
+// the structural invariants.
 func (m *cacheModel) verify() {
-	if got := m.d.SummaryCount(); got != len(m.ref) {
-		m.t.Fatalf("cache holds %d entries, reference %d", got, len(m.ref))
+	for i, d := range m.d {
+		if got := d.SummaryCount(); got != len(m.ref[i]) {
+			m.t.Fatalf("engine %d sees %d entries, reference %d", i, got, len(m.ref[i]))
+		}
+		if _, priv := d.SummaryCounts(); priv != len(m.priv[i]) {
+			m.t.Fatalf("engine %d holds %d private entries, reference %d", i, priv, len(m.priv[i]))
+		}
+		for k := range m.ref[i] {
+			m.check(i, k)
+		}
+		if err := d.CheckIntegrity(); err != nil {
+			m.t.Fatalf("engine %d: CheckIntegrity: %v", i, err)
+		}
 	}
-	for k := range m.ref {
-		m.check(k)
-	}
-	if err := m.d.CheckIntegrity(); err != nil {
-		m.t.Fatalf("CheckIntegrity: %v", err)
+	if got := m.d[0].cache.tier.Entries(); got != len(m.tier) {
+		m.t.Fatalf("tier holds %d entries, reference %d", got, len(m.tier))
 	}
 }
 
@@ -177,13 +242,13 @@ func TestSummaryCacheDifferential(t *testing.T) {
 			if i%400 == 0 {
 				m.verify()
 			}
-			for j := range m.d.cache.stripes {
-				grew = grew || len(m.d.cache.stripes[j].keys) > 16
+			for j := range m.d[0].cache.tier.stripes {
+				grew = grew || len(m.d[0].cache.tier.stripes[j].keys) > 16
 			}
 		}
 		m.verify()
 		if seed%2 == 0 && !grew {
-			t.Errorf("seed %d: no stripe ever grew past its first table", seed)
+			t.Errorf("seed %d: no tier stripe ever grew past its first table", seed)
 		}
 	}
 }
@@ -203,9 +268,9 @@ func TestSummaryCacheWildKeys(t *testing.T) {
 				t.Fatalf("unpackKey(pkey(%+v)) = %+v", w, got)
 			}
 			r := modelResult(byte(n))
-			m.d.cache.put(w, r.Objects, r.Frontier)
-			m.ref[w] = r
-			m.check(e)
+			m.write(0, w, r)
+			m.d[0].cache.put(w, r.Objects, r.Frontier, true)
+			m.check(0, e)
 		}
 	}
 	m.verify()
@@ -257,20 +322,21 @@ func TestCacheStripeWraparound(t *testing.T) {
 	}
 }
 
-// TestSummaryCacheConcurrent runs readers against writers and clears,
+// TestSummaryCacheConcurrent runs readers against writers and resets,
 // then against invalidation scans, then against writers and scans
-// together; every hit must carry exactly its key's result, and the
-// quiesced cache must pass CheckIntegrity. Without a method index a scan
-// racing a writer cannot strand an entry: it either removes a key or
+// together — two engines on one tier, each writing the same keys through
+// both write paths; every hit must carry exactly its key's result, and
+// the quiesced engines must pass CheckIntegrity. Without a method index a
+// scan racing a writer cannot strand an entry: it either hides a key or
 // leaves it for the next scan, which the final exactness check confirms.
 // Meant for -race (CI runs it with -count=10).
 func TestSummaryCacheConcurrent(t *testing.T) {
 	m := newCacheModel(t)
-	c := m.d.cache
 	keyOf := func(i int) pptaState { return m.key(byte(i), byte(i/7)) }
 	resultOf := func(k pptaState) Summary { return modelResult(byte(int(k.node)*3 + int(k.fs) + int(k.st))) }
 	read := func(wg *sync.WaitGroup, r int) {
 		defer wg.Done()
+		c := m.d[r%2].cache
 		for i := 0; i < 2000; i++ {
 			k := keyOf(i + r)
 			if got, ok := c.get(k); ok {
@@ -284,37 +350,43 @@ func TestSummaryCacheConcurrent(t *testing.T) {
 	}
 	write := func(wg *sync.WaitGroup, w int) {
 		defer wg.Done()
+		c := m.d[w%2].cache
+		sc := new(Scratch)
 		for i := 0; i < 600; i++ {
 			k := keyOf(i*3 + w)
 			r := resultOf(k)
 			if i%2 == 0 {
-				c.put(k, r.Objects, r.Frontier)
+				c.put(k, r.Objects, r.Frontier, true)
 				continue
 			}
-			rec, gen := c.store.file(r.Objects, r.Frontier)
-			c.putBatch([]pptaState{k}, []uint32{rec}, gen)
+			sc.pendKeys = append(sc.pendKeys[:0], k)
+			sc.pendRIdx = append(sc.pendRIdx[:0], 0)
+			sc.mres = append(sc.mres[:0], memoResult{cached: r, spliced: true})
+			c.commit(sc, true)
 		}
 	}
-	scan := func(wg *sync.WaitGroup) {
+	scan := func(wg *sync.WaitGroup, e int) {
 		defer wg.Done()
 		for i := 0; i < 60; i++ {
-			m.d.InvalidateMethod(m.method(keyOf(i)))
+			m.d[e].InvalidateMethod(m.method(keyOf(i)))
 		}
 	}
 	readers := func(wg *sync.WaitGroup) {
-		for r := 0; r < 3; r++ {
+		for r := 0; r < 4; r++ {
 			wg.Add(1)
 			go read(wg, r)
 		}
 	}
 	integrity := func(phase string) {
-		if err := m.d.CheckIntegrity(); err != nil {
-			t.Fatalf("CheckIntegrity after %s: %v", phase, err)
+		for i, d := range m.d {
+			if err := d.CheckIntegrity(); err != nil {
+				t.Fatalf("engine %d: CheckIntegrity after %s: %v", i, phase, err)
+			}
 		}
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go write(&wg, w)
 	}
@@ -323,53 +395,61 @@ func TestSummaryCacheConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
 			runtime.Gosched()
-			c.clear()
+			m.d[i%2].cache.reset()
 		}
 	}()
 	readers(&wg)
 	wg.Wait()
 	integrity("writers")
 
-	wg.Add(1)
-	go scan(&wg)
+	wg.Add(2)
+	go scan(&wg, 0)
+	go scan(&wg, 1)
 	readers(&wg)
 	wg.Wait()
 	integrity("invalidations")
 
-	for w := 0; w < 3; w++ {
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go write(&wg, w)
 	}
 	wg.Add(2)
-	go scan(&wg)
-	go scan(&wg)
+	go scan(&wg, 0)
+	go scan(&wg, 1)
 	readers(&wg)
 	wg.Wait()
 	integrity("writers racing invalidations")
 
 	meth := m.method(keyOf(0))
-	m.d.InvalidateMethod(meth)
-	c.each(func(k pptaState, _ Summary) {
-		if m.method(k) == meth {
-			t.Errorf("entry %+v of method %d survived its quiesced invalidation", k, meth)
+	for i, d := range m.d {
+		d.InvalidateMethod(meth)
+		d.cache.each(func(k pptaState, _ Summary) {
+			if m.method(k) == meth {
+				t.Errorf("engine %d: entry %+v of method %d survived its quiesced invalidation", i, k, meth)
+			}
+		})
+		if got := d.InvalidateMethod(meth); got != 0 {
+			t.Errorf("engine %d: second invalidation of method %d dropped %d entries", i, meth, got)
 		}
-	})
-	if got := m.d.InvalidateMethod(meth); got != 0 {
-		t.Errorf("second invalidation of method %d dropped %d entries", meth, got)
 	}
 }
 
 // TestSummaryCachePointerFree: nothing the cache stores per entry or per
-// record may hold a pointer — the garbage collector then scans only the
+// record — in the private table, the tier or a view's bits — may hold a
+// pointer — the garbage collector then scans only the
 // segment directories and slot-array headers.
 func TestSummaryCachePointerFree(t *testing.T) {
 	var (
 		s  cacheStripe
+		ts tierStripe
+		v  summaryView
 		st resultStore
 	)
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(s.keys).Elem(),
 		reflect.TypeOf(s.recs).Elem(),
+		reflect.TypeOf(ts.entries).Elem(),
+		reflect.TypeOf(v.bits[0]).Elem(),
 		reflect.TypeOf(st.dhash).Elem(),
 		reflect.TypeOf(st.drec).Elem(),
 		reflect.TypeOf(st.recs.segs[0]).Elem(),
@@ -403,7 +483,9 @@ func hasPointers(t reflect.Type) bool {
 
 // TestSummaryCacheBytesPerEntry is the memory guard: sweeping every local
 // of soot-c at scale 0.05 grows the live heap by at most 36 bytes per
-// cached summary — the measured 29 B plus 25%.
+// cached summary — set at the private-cache layout's 29 B plus 25%; a
+// lone engine on its own tier measures 34.6 B (the entry-number arrays
+// and visibility bits are the difference).
 func TestSummaryCacheBytesPerEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps a whole benchmark program")

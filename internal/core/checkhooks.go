@@ -18,14 +18,20 @@ const checkMaxViolations = 20
 
 // CheckIntegrity verifies the engine's cache-layer invariants:
 //
-//   - cache keys name nodes inside the current view's ID space (so the
-//     node bitset InvalidateMethod scans with covers every key), sit in
-//     the stripe their hash picks, and name a filed record; each stripe's
-//     count matches the keys it holds
-//   - every record's object and frontier ranges lie inside one allocated
-//     segment of their arena
-//   - every hash-consing entry names a filed record whose contents still
-//     hash to the key it is filed under
+//   - private cache keys name nodes inside the current view's ID space (so
+//     the node bitset InvalidateMethod scans with covers every key), sit
+//     in the stripe their hash picks, and name a filed record; each
+//     stripe's count matches the keys it holds
+//   - tier keys name nodes of the tier's graph and sit in the stripe their
+//     hash picks; each stripe's slots hold every entry number below its
+//     entry count exactly once, and every entry names a filed record
+//   - the engine's visibility bits name existing tier entries, their count
+//     matches the visible total, and no key is both visible in the tier
+//     and private
+//   - in both record stores, every record's object and frontier ranges lie
+//     inside one allocated segment of their arena, and every hash-consing
+//     entry names a filed record whose contents still hash to the key it
+//     is filed under
 //
 // It returns nil when healthy, or the joined violations.
 func (d *DynSum) CheckIntegrity() error {
@@ -40,13 +46,13 @@ func (d *DynSum) CheckIntegrity() error {
 	if d.ov != nil {
 		numNodes = d.ov.NumNodes()
 	}
-	st := &d.cache.store
+	v := d.cache
+	c := &v.priv
+	st := &c.store
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	nrecs := st.recs.n
-
-	for i := range d.cache.stripes {
-		s := &d.cache.stripes[i]
+	for i := range c.stripes {
+		s := &c.stripes[i]
 		s.mu.RLock()
 		live := 0
 		for j, sk := range s.keys {
@@ -56,7 +62,7 @@ func (d *DynSum) CheckIntegrity() error {
 			live++
 			pk := sk - 1
 			k := unpackKey(pk)
-			if got, _ := d.cache.stripe(pk); got != s {
+			if got, _ := c.stripe(pk); got != s {
 				report("cache: key %#x filed in stripe %d, hashes elsewhere", pk, i)
 			}
 			if s.recs[j] >= nrecs {
@@ -71,14 +77,79 @@ func (d *DynSum) CheckIntegrity() error {
 		}
 		s.mu.RUnlock()
 	}
+	checkStore("cache", st, report)
+	st.mu.Unlock()
 
+	t := v.tier
+	tst := &t.store
+	tst.mu.Lock()
+	defer tst.mu.Unlock()
+	nrecs = tst.recs.n
+	visible := 0
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.RLock()
+		seen := newBitset(len(s.entries))
+		live := 0
+		for j, sk := range s.keys {
+			if sk == 0 {
+				continue
+			}
+			live++
+			pk := sk - 1
+			k := unpackKey(pk)
+			if got, _, _ := t.stripe(pk); got != s {
+				report("tier: key %#x filed in stripe %d, hashes elsewhere", pk, i)
+			}
+			if int(k.node) < 0 || int(k.node) >= t.g.NumNodes() {
+				report("tier: entry key node %d outside the view's %d nodes", k.node, t.g.NumNodes())
+			}
+			id := s.recs[j]
+			if int(id) >= len(s.entries) || seen.has(uint64(id)) {
+				report("tier: stripe %d slot %d holds entry %d (of %d) twice or out of range", i, j, id, len(s.entries))
+				continue
+			}
+			seen.add(int(id))
+			if s.entries[id] >= nrecs {
+				report("tier: key %#x names record %d of %d", pk, s.entries[id], nrecs)
+			}
+			if v.has(i, id) {
+				if _, ok := c.get(k); ok {
+					report("tier: key %#x is both visible and private", pk)
+				}
+			}
+		}
+		if live != len(s.entries) || live != s.n {
+			report("tier: stripe %d counts %d entries (%d keys), holds %d", i, len(s.entries), s.n, live)
+		}
+		for id := len(s.entries); id < len(v.bits[i])*64; id++ {
+			if v.has(i, uint32(id)) {
+				report("tier: stripe %d sees entry %d of %d", i, id, len(s.entries))
+				break
+			}
+		}
+		visible += v.popcount(i)
+		s.mu.RUnlock()
+	}
+	if got := v.visible.Load(); got != int64(visible) {
+		report("tier: view counts %d visible entries, its bits hold %d", got, visible)
+	}
+	checkStore("tier", tst, report)
+
+	return errors.Join(errs...)
+}
+
+// checkStore verifies a record store's arena bounds and hash-consing
+// table. The caller holds st.mu.
+func checkStore(name string, st *resultStore, report func(string, ...any)) {
+	nrecs := st.recs.n
 	for r := uint32(0); r < nrecs; r++ {
 		rec := st.recs.at(r)
 		if !st.objs.inRange(rec.objOff, rec.objLen) {
-			report("cache: record %d objects [%d,+%d) outside the arena (%d used)", r, rec.objOff, rec.objLen, st.objs.n)
+			report("%s: record %d objects [%d,+%d) outside the arena (%d used)", name, r, rec.objOff, rec.objLen, st.objs.n)
 		}
 		if !st.frs.inRange(rec.frOff, rec.frLen) {
-			report("cache: record %d frontier [%d,+%d) outside the arena (%d used)", r, rec.frOff, rec.frLen, st.frs.n)
+			report("%s: record %d frontier [%d,+%d) outside the arena (%d used)", name, r, rec.frOff, rec.frLen, st.frs.n)
 		}
 	}
 
@@ -89,7 +160,7 @@ func (d *DynSum) CheckIntegrity() error {
 		}
 		r := st.drec[i]
 		if r >= nrecs {
-			report("intern: hash %#x names record %d of %d", h, r, nrecs)
+			report("%s intern: hash %#x names record %d of %d", name, h, r, nrecs)
 			continue
 		}
 		rec := st.recs.at(r)
@@ -98,9 +169,7 @@ func (d *DynSum) CheckIntegrity() error {
 		}
 		v := st.view(r)
 		if got := hashResult(v.Objects, v.Frontier); got != h {
-			report("intern: record %d filed under %#x hashes to %#x — record contents mutated?", r, h, got)
+			report("%s intern: record %d filed under %#x hashes to %#x — record contents mutated?", name, r, h, got)
 		}
 	}
-
-	return errors.Join(errs...)
 }

@@ -27,13 +27,13 @@ func warmEngine(t *testing.T) *DynSum {
 	return d
 }
 
-// plantKey inserts k → record 0 straight into its stripe, bypassing
-// putBatch.
+// plantKey files k → record 0 straight into its tier stripe and reveals
+// it to d, bypassing the write-back path.
 func plantKey(d *DynSum, k pptaState) {
 	pk := pkey(k)
-	s, h := d.cache.stripe(pk)
+	s, i, h := d.cache.tier.stripe(pk)
 	s.mu.Lock()
-	s.set(pk+1, h, 0)
+	d.cache.reveal(s, i, s.add(pk+1, h, 0))
 	s.mu.Unlock()
 }
 
@@ -45,7 +45,7 @@ func TestCheckIntegrityHealthy(t *testing.T) {
 }
 
 // TestInvalidateMethodDropsPlantedEntry: an entry planted straight into
-// its stripe, bypassing putBatch, is still found by the invalidation scan
+// its tier stripe, bypassing the write-back path, is still found by the invalidation scan
 // — it drops exactly the method's entries, the planted one included, and
 // a second call drops nothing.
 func TestInvalidateMethodDropsPlantedEntry(t *testing.T) {
@@ -94,7 +94,7 @@ func TestCheckIntegrityKeyOutOfRange(t *testing.T) {
 
 func TestCheckIntegrityRecordOutOfRange(t *testing.T) {
 	d := warmEngine(t)
-	st := &d.cache.store
+	st := &d.cache.tier.store
 	st.mu.Lock()
 	r, dst := st.recs.alloc(1)
 	dst[0] = resultRecord{objOff: st.objs.n, objLen: 3}
@@ -107,7 +107,7 @@ func TestCheckIntegrityRecordOutOfRange(t *testing.T) {
 
 func TestCheckIntegrityInternMisfiled(t *testing.T) {
 	d := warmEngine(t)
-	st := &d.cache.store
+	st := &d.cache.tier.store
 	st.mu.Lock()
 	for i, h := range st.dhash {
 		if h == 0 {
@@ -124,8 +124,8 @@ func TestCheckIntegrityInternMisfiled(t *testing.T) {
 
 func TestCheckIntegrityInternMutated(t *testing.T) {
 	d := warmEngine(t)
-	r, _ := d.cache.store.file([]pag.NodeID{7, 8, 9}, nil)
-	d.cache.store.view(r).Objects[0] = 42 // violates the immutability contract of filed records
+	r, _ := d.cache.tier.store.file([]pag.NodeID{7, 8, 9}, nil)
+	d.cache.tier.store.view(r).Objects[0] = 42 // violates the immutability contract of filed records
 	err := d.CheckIntegrity()
 	if err == nil || !strings.Contains(err.Error(), "mutated") {
 		t.Fatalf("mutated record not detected: %v", err)

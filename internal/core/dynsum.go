@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"dynsum/internal/delta"
@@ -51,10 +52,12 @@ type DynSum struct {
 	// a fresh frozen graph (auto-trigger or explicit Compact).
 	compactions int
 
-	fields *intstack.Table // field stacks (private)
+	fields *intstack.Table // field stacks (the tier's, shared by its engines)
 	ctxs   *intstack.Table // context stacks (shareable across engines)
 
-	cache *summaryCache
+	// cache is the engine's view of its summary tier: the tier entries it
+	// may see plus a private table (tier.go).
+	cache *summaryView
 
 	// ow is the open-world model (nil on closed-world engines — the single
 	// nil-check is all a closed-world query pays). Installed by
@@ -66,9 +69,10 @@ type DynSum struct {
 	// the summary cache: 0 unset, 1 condensed, 2 base. Condensed entries
 	// are keyed by SCC representative and hold representative frontiers,
 	// so they are meaningless to the base path (and vice versa); if the
-	// mode observed at query time differs from the cache's, the cache is
-	// dropped before the query runs. Atomic so concurrent first queries
-	// may race to set it without -race findings.
+	// mode observed at query time differs from the cache's, the engine
+	// detaches from its tier and drops its private entries before the
+	// query runs. Atomic so concurrent first queries may race to set it
+	// without -race findings.
 	cacheMode atomic.Int32
 
 	// Tracer, when set, receives one event per driver tuple and per PPTA
@@ -102,20 +106,26 @@ type TraceEvent struct {
 	Kind   string         // "tuple" (driver step) or "ppta" (summary computed)
 }
 
-// NewDynSum builds a DYNSUM engine over g. ctxs may be nil (a private
-// table is created) or shared with other engines so that their points-to
-// sets are directly comparable.
+// NewDynSum builds a DYNSUM engine over g on a summary tier of its own
+// (engines that should share stored summaries are built with
+// SummaryTier.NewDynSum instead). ctxs may be nil (a private table is
+// created) or shared with other engines so that their points-to sets are
+// directly comparable.
 func NewDynSum(g *pag.Graph, cfg Config, ctxs *intstack.Table) *DynSum {
-	if ctxs == nil {
-		ctxs = new(intstack.Table)
-	}
-	return &DynSum{
-		g:      g,
-		cfg:    cfg.WithDefaults(),
-		fields: new(intstack.Table),
-		ctxs:   ctxs,
-		cache:  newSummaryCache(),
-	}
+	return NewSummaryTier(g, cfg).NewDynSum(ctxs)
+}
+
+// clean reports whether the engine's summaries are the tier's base
+// values, so its write-backs may go to the tier: it still runs on the
+// tier's frozen graph with no overlay and no open-world model, has never
+// detached, and queries in the tier's adjacency mode. Cleanliness only
+// ever ends — an overlay or open-world model is never removed, and
+// Compact and mode flips detach — so a clean engine's private table stays
+// empty and the tier entries it sees never hide a private one.
+func (d *DynSum) clean() bool {
+	v := d.cache
+	return d.ov == nil && d.ow == nil && d.g == v.tier.g && d.g.Frozen() &&
+		!v.detached.Load() && d.cacheMode.Load() == v.tier.mode.Load()
 }
 
 // condensation returns the graph's SCC-condensed overlay, or nil when the
@@ -140,50 +150,82 @@ func (d *DynSum) Metrics() *Metrics { return &d.metrics }
 func (d *DynSum) Ctxs() *intstack.Table { return d.ctxs }
 
 // SummaryCount returns the number of PPTA summaries currently cached —
-// the quantity Figure 5 compares against STASUM.
+// the quantity Figure 5 compares against STASUM. Tier entries count when
+// the engine sees them.
 func (d *DynSum) SummaryCount() int { return d.cache.size() }
+
+// SummaryCounts splits SummaryCount by where the summaries live: the
+// tier entries the engine sees, and its private entries.
+func (d *DynSum) SummaryCounts() (visible, private int) {
+	return int(d.cache.visible.Load()), d.cache.priv.size()
+}
 
 // InvalidateMethod drops the summaries whose start node lies in method m —
 // the incremental invalidation an IDE performs after editing one method
 // (the paper motivates DYNSUM with exactly this "program undergoing many
-// edits" scenario, §1 and §7) — and returns how many it dropped. Summary
-// keys are SCC representatives on condensed graphs, but assign SCCs never
-// cross methods, so the representative's method is the summary's method.
-// The cache keeps no per-method index: this is one pass over the node
-// table and one over the cache's key slots (see invalidateMethods).
+// edits" scenario, §1 and §7) — and returns how many it dropped: tier
+// entries the engine saw are hidden from it (the tier keeps them for its
+// other engines), private entries are removed. Summary keys are SCC
+// representatives on condensed graphs, but assign SCCs never cross
+// methods, so the representative's method is the summary's method. The
+// cache keeps no per-method index: this is one node-set build and one
+// pass over the key slots (see invalidateMethods).
 func (d *DynSum) InvalidateMethod(m pag.MethodID) int {
 	return d.invalidateMethods([]pag.MethodID{m})
 }
 
 // invalidateMethods drops every summary whose key node lies in one of ms
 // (pag.NoMethod selects the global nodes). The methods become a node
-// bitset in one pass over the view's node table, delta-added nodes
-// included, so the cache scan that follows tests one bit per slot.
+// bitset, delta-added nodes included, so the cache scan that follows
+// tests one bit per slot. An evolved engine reads the nodes off the
+// overlay's method index; without one, or for NoMethod (which the index
+// does not cover), it is one pass over the view's node table.
 func (d *DynSum) invalidateMethods(ms []pag.MethodID) int {
 	if len(ms) == 0 || d.cache.size() == 0 {
 		return 0
 	}
-	numMethods := d.g.NumMethods()
-	if d.ov != nil {
-		numMethods = d.ov.NumMethods()
-	}
-	// Methods are offset by one so NoMethod (-1) is member 0; IDs outside
-	// the program name no node and are skipped.
-	methods := newBitset(numMethods + 1)
-	for _, m := range ms {
-		if m >= pag.NoMethod && int(m) < numMethods {
-			methods.add(int(m) + 1)
-		}
-	}
 	gv := graphView{g: d.g, ov: d.ov}
-	numNodes := gv.numNodes()
-	nodes := newBitset(numNodes)
-	for n := range numNodes {
-		if methods.has(uint64(gv.nodeMethod(pag.NodeID(n)) + 1)) {
-			nodes.add(n)
+	nodes := newBitset(gv.numNodes())
+	if !d.indexedMethodNodes(ms, nodes) {
+		numMethods := d.g.NumMethods()
+		if d.ov != nil {
+			numMethods = d.ov.NumMethods()
+		}
+		// Methods are offset by one so NoMethod (-1) is member 0; IDs
+		// outside the program name no node and are skipped.
+		methods := newBitset(numMethods + 1)
+		for _, m := range ms {
+			if m >= pag.NoMethod && int(m) < numMethods {
+				methods.add(int(m) + 1)
+			}
+		}
+		for n := range gv.numNodes() {
+			if methods.has(uint64(gv.nodeMethod(pag.NodeID(n)) + 1)) {
+				nodes.add(n)
+			}
 		}
 	}
 	return d.cache.deleteNodes(nodes)
+}
+
+// indexedMethodNodes adds the nodes of ms to nodes from the overlay's
+// method index. It reports false, leaving the set to the node-table pass,
+// when there is no overlay, its index is not built yet, or ms names
+// NoMethod (the index does not cover global nodes).
+func (d *DynSum) indexedMethodNodes(ms []pag.MethodID, nodes bitset) bool {
+	if d.ov == nil || slices.Contains(ms, pag.NoMethod) {
+		return false
+	}
+	for _, m := range ms {
+		mn, ok := d.ov.MethodNodes(m)
+		if !ok {
+			return false
+		}
+		for _, n := range mn {
+			nodes.add(int(n))
+		}
+	}
+	return true
 }
 
 // SummaryCached reports whether the start-state PPTA summary of a
@@ -263,9 +305,10 @@ func (d *DynSum) pointsToInto(ctx context.Context, dst *PointsToSet, v pag.NodeI
 		if old != 0 {
 			// The adjacency mode flipped (DisableCondense toggled after
 			// warm use): cached summaries are keyed for the other mode.
-			d.cache.clear()
+			d.cache.detach()
 		}
 		d.cacheMode.Store(mode)
+		d.cache.tier.mode.CompareAndSwap(0, mode)
 	}
 	sc := getScratch()
 	sc.bud = Budget{Limit: budget}
@@ -360,9 +403,11 @@ func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *
 // traversal completed, so every committed entry is a complete closure; an
 // aborted traversal never reaches here (its pending queue was discarded).
 //
-// Each distinct result (runs of equal indices in pendRIdx are one SCC's
-// members) is hash-consed straight into the store's arenas in one critical
-// section, then the keys are published under the stripe locks.
+// A clean engine publishes to its tier, any other to its private table
+// (summaryView.commit). Each distinct result to be filed (runs of equal
+// indices in pendRIdx are one SCC's members) is hash-consed straight into
+// the store's arenas in one critical section, then the keys are published
+// under the stripe locks.
 func (d *DynSum) commitWriteBacks(sc *Scratch) {
 	if len(sc.pendKeys) == 0 {
 		return
@@ -370,8 +415,7 @@ func (d *DynSum) commitWriteBacks(sc *Scratch) {
 	// The last instant before anything is materialised: a fault here must
 	// leave the cache byte-identical (the crash-consistency sweep checks).
 	faultinject.Fire(faultinject.WriteBackCommit)
-	gen := d.cache.store.internPending(sc)
-	sc.written += int64(d.cache.putBatch(sc.pendKeys, sc.pendRec, gen))
+	sc.written += int64(d.cache.commit(sc, d.clean()))
 	sc.pendKeys = sc.pendKeys[:0]
 	sc.pendRIdx = sc.pendRIdx[:0]
 	sc.pendRec = sc.pendRec[:0]

@@ -108,11 +108,12 @@ func (d *DynSum) ApplyDelta(l *delta.Log) (res DeltaResult, err error) {
 
 // Compact merges the engine's overlay into a fresh frozen, re-condensed
 // graph with identical IDs and drops the overlay (a mutator: quiesce
-// first). The summary cache is cleared — the fresh condensation may pick
-// different representatives, so representative-keyed entries cannot be
-// carried over; that occasional full re-warm is the cost the overlay
-// amortises across the epochs in between. Returns ErrNotEvolved when
-// there is no overlay.
+// first). The engine detaches from its summary tier and clears its
+// private table — the fresh condensation may pick different
+// representatives, so representative-keyed entries cannot be carried
+// over; that occasional full re-warm, on the private table from then on,
+// is the cost the overlay amortises across the epochs in between.
+// Returns ErrNotEvolved when there is no overlay.
 func (d *DynSum) Compact() (err error) {
 	// Quarantine boundary: Overlay.Compact builds the replacement graph
 	// entirely off to the side — the engine's graph, overlay and cache are
@@ -133,7 +134,7 @@ func (d *DynSum) Compact() (err error) {
 	}
 	d.g = g
 	d.ov = nil
-	d.cache.clear()
+	d.cache.detach()
 	d.compactions++
 	d.refreshOpenWorld() // the blended frontiers referenced the old graph
 	return nil

@@ -23,7 +23,7 @@ func CacheDump(d *DynSum) []string {
 
 // ClearCache drops every cached summary and releases the arena space, so
 // a test can measure the cold query path repeatedly on one engine.
-func ClearCache(d *DynSum) { d.cache.clear() }
+func ClearCache(d *DynSum) { d.cache.reset() }
 
 // CacheEntry is an opaque captured cache entry (see SnapshotMethod).
 type CacheEntry struct {
@@ -50,6 +50,6 @@ func SnapshotMethod(d *DynSum, m pag.MethodID) []CacheEntry {
 // iterations. The restored results re-share their original records.
 func RestoreEntries(d *DynSum, entries []CacheEntry) {
 	for _, e := range entries {
-		d.cache.put(e.key, e.sum.Objects, e.sum.Frontier)
+		d.cache.put(e.key, e.sum.Objects, e.sum.Frontier, d.clean())
 	}
 }

@@ -118,7 +118,7 @@ func TestInternedAnswersMatchUncached(t *testing.T) {
 				}
 			}
 		}
-		if interned.cache.store.unique.Load() == 0 {
+		if interned.cache.tier.store.unique.Load() == 0 {
 			t.Errorf("seed %d: interning never activated", seed)
 		}
 	}
@@ -136,7 +136,7 @@ func TestDynSumInternsCachedSummaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shared, unique := d.cache.store.shared.Load(), d.cache.store.unique.Load()
+	shared, unique := d.cache.tier.store.shared.Load(), d.cache.tier.store.unique.Load()
 	if unique == 0 {
 		t.Error("no summaries interned on a warmed engine")
 	}

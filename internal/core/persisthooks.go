@@ -12,7 +12,7 @@ import (
 // be exported as plain value slices and re-imported into a freshly built
 // engine, so a restart answers its first query as warmly as the process
 // that wrote the snapshot. The export/import pair lives in package core
-// because cache keys (pptaState) and the private field-stack table are
+// because cache keys (pptaState) and the tier's field-stack table are
 // deliberately unexported.
 
 // SummaryEntry is one exported cache entry: a PPTA start state (the
@@ -75,9 +75,11 @@ func (d *DynSum) ExportSummaries() *SummarySnapshot {
 }
 
 // ImportSummaries restores an exported cache into this engine. The engine
-// must be freshly built (empty cache, empty field table): the snapshot's
-// stack cells are re-interned to reproduce its field-stack IDs, which only
-// works from ID 1. Every entry is range-checked against the engine's
+// must be freshly built (empty cache, empty field table — so its tier must
+// be fresh too, as NewDynSum's is): the snapshot's stack cells are
+// re-interned to reproduce its field-stack IDs, which only works from
+// ID 1. A clean engine files the entries in its tier, any other in its
+// private table. Every entry is range-checked against the engine's
 // current view before insertion — a snapshot from a different program
 // yields an error, never a cache entry that indexes out of bounds.
 func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
@@ -141,9 +143,11 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 			}
 		}
 	}
-	for _, e := range s.Entries {
-		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Objs, e.Frontier)
-	}
 	d.cacheMode.Store(s.CacheMode)
+	d.cache.tier.mode.CompareAndSwap(0, s.CacheMode)
+	clean := d.clean()
+	for _, e := range s.Entries {
+		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Objs, e.Frontier, clean)
+	}
 	return nil
 }

@@ -502,15 +502,15 @@ func (sc *Scratch) completeSCC(root int32, fields *intstack.Table, cfg Config) {
 
 // runPPTAMemo computes DSPOINTSTO(start) as a memoised closure over the
 // PPTA state graph (see the file comment): cache splice-in on the way
-// down, per-SCC write-back on the way up. cache is the engine's summary
-// cache (probed read-only here; the queued write-backs in sc.pendKeys/
+// down, per-SCC write-back on the way up. cache is the engine's view of
+// its summary tier (probed read-only here; the queued write-backs in sc.pendKeys/
 // pendRIdx are committed by the caller only after this returns nil). The
 // returned Summary views the Scratch arenas and is valid until the next
 // Summarize call of the same query — the driver's documented contract.
 //
 // On error (budget/depth) the pending write-backs are discarded: a partial
 // traversal proves nothing about any state's complete closure.
-func runPPTAMemo(gv graphView, fields *intstack.Table, cache *summaryCache, start pptaState, cfg Config, bud *Budget, sc *Scratch) (Summary, error) {
+func runPPTAMemo(gv graphView, fields *intstack.Table, cache *summaryView, start pptaState, cfg Config, bud *Budget, sc *Scratch) (Summary, error) {
 	sc.resetMemo()
 	rootIdx, err := sc.memoExpand(gv, fields, start, cfg, bud)
 	if err != nil {

@@ -172,6 +172,20 @@ func (o *Overlay) NumMethods() int { return o.baseMethods + len(o.addedMethods) 
 // NumCallSites returns the total call-site count, added sites included.
 func (o *Overlay) NumCallSites() int { return o.baseCallSites + len(o.addedCallSites) }
 
+// MethodNodes returns method m's nodes, delta-added ones included, from
+// the overlay's method index (read-only; nil for an ID that names no
+// method, NoMethod included — the index does not cover global nodes). ok
+// is false until the first Apply has built the index.
+func (o *Overlay) MethodNodes(m pag.MethodID) (nodes []pag.NodeID, ok bool) {
+	if o.methodNodes == nil {
+		return nil, false
+	}
+	if m < 0 || int(m) >= len(o.methodNodes) {
+		return nil, true
+	}
+	return o.methodNodes[m], true
+}
+
 // MethodInfo returns method metadata, resolving added methods from the
 // overlay.
 func (o *Overlay) MethodInfo(m pag.MethodID) pag.Method {

@@ -41,9 +41,10 @@ const (
 	// reaches commitWriteBacks, before anything is materialised — the
 	// last instant where an abort must leave the cache byte-identical.
 	WriteBackCommit
-	// CachePutBatch fires before each individual entry insert inside
-	// summaryCache.putBatch — mid-batch, some of the run's keys published
-	// and the rest not.
+	// CachePutBatch fires before each per-key step of a write-back's
+	// publication — an insert into the private table, a reveal-or-skip
+	// probe of the summary tier, an insert into the tier — mid-batch,
+	// some of the run's keys published and the rest not.
 	CachePutBatch
 	// OverlayApply fires at the Overlay.Apply stage→commit boundary:
 	// every change has been computed read-only, nothing installed.

@@ -107,14 +107,29 @@ func (m *serveMetrics) tenant(name string, f func(*TenantCounters)) {
 	f(tc)
 }
 
+// SummaryCounters shows how the server's summaries are stored: the
+// entries and heap bytes of the shared summary tier, and, summed over
+// every session, the tier entries each session sees and the private
+// entries sessions hold (evolved or open-world sessions cannot share).
+// Visible+Private is what per-session caches would hold; Visible over
+// TierEntries is the dedup ratio.
+type SummaryCounters struct {
+	TierEntries int64 `json:"tier_entries"`
+	TierBytes   int64 `json:"tier_bytes"`
+	Visible     int64 `json:"visible"`
+	Private     int64 `json:"private"`
+}
+
 // MetricsSnapshot is one consistent-enough read of the serving state:
-// lane and tenant counters, the session count, readiness, and the
+// lane and tenant counters, the session count, readiness, the
 // engine-level metrics summed across every session (each session's
-// core.Metrics.Snapshot added together). It is what /metrics serves.
+// core.Metrics.Snapshot added together) and the summary storage counts.
+// It is what /metrics serves.
 type MetricsSnapshot struct {
-	Ready    bool                      `json:"ready"`
-	Sessions int                       `json:"sessions"`
-	Lanes    map[string]LaneCounters   `json:"lanes"`
-	Tenants  map[string]TenantCounters `json:"tenants"`
-	Engine   core.Metrics              `json:"engine"`
+	Ready     bool                      `json:"ready"`
+	Sessions  int                       `json:"sessions"`
+	Lanes     map[string]LaneCounters   `json:"lanes"`
+	Tenants   map[string]TenantCounters `json:"tenants"`
+	Engine    core.Metrics              `json:"engine"`
+	Summaries SummaryCounters           `json:"summaries"`
 }

@@ -331,8 +331,8 @@ func TestCheapLaneFlowsBesideWhales(t *testing.T) {
 			t.Fatal("whale lane never filled to shedding")
 		}
 		_, err := srv.Do(context.Background(), Request{
-			Session: "whales",
-			Queries: queries[4+shed%4 : 5+shed%4],
+			Session:  "whales",
+			Queries:  queries[4+shed%4 : 5+shed%4],
 			Deadline: 50 * time.Millisecond, // queued whales expire, keeping the queue refillable
 		})
 		var oe *OverloadError
@@ -417,6 +417,46 @@ func TestQuotaTokenBucket(t *testing.T) {
 	}
 	if got := srv.MetricsSnapshot().Tenants["tenant-a"]; got.QuotaRejected != 2 {
 		t.Errorf("tenant-a QuotaRejected = %d, want 2", got.QuotaRejected)
+	}
+}
+
+// TestQuotaChargesSessionTenant: every request is charged to its
+// session's tenant — one bucket and one metrics entry however many
+// requests arrive — so a session cannot spread its load across tenants.
+func TestQuotaChargesSessionTenant(t *testing.T) {
+	ev := testEvolve(t, 1)
+	srv := newTestServer(t, ev, Config{Quota: QuotaConfig{Rate: 0.001, Burst: 1}})
+	now := time.Unix(1000, 0)
+	srv.now = func() time.Time { return now }
+	if _, err := srv.CreateSession("s", "t"); err != nil {
+		t.Fatal(err)
+	}
+	admitted := 0
+	for range 20 {
+		_, err := srv.Do(context.Background(), Request{Session: "s"})
+		var qe *QuotaError
+		switch {
+		case err == nil:
+			admitted++
+		case errors.As(err, &qe):
+			if qe.Tenant != "t" {
+				t.Fatalf("QuotaError charged %q, want the session's tenant t", qe.Tenant)
+			}
+		default:
+			t.Fatal(err)
+		}
+	}
+	if admitted != 1 {
+		t.Errorf("%d of 20 requests admitted under a burst of 1, want 1", admitted)
+	}
+	srv.quotas.mu.Lock()
+	buckets := len(srv.quotas.m)
+	srv.quotas.mu.Unlock()
+	if buckets != 1 {
+		t.Errorf("%d quota buckets, want 1", buckets)
+	}
+	if tenants := srv.MetricsSnapshot().Tenants; len(tenants) != 1 || tenants["t"].QuotaRejected != 19 {
+		t.Errorf("tenant metrics %+v, want only t with 19 rejected", tenants)
 	}
 }
 

@@ -79,13 +79,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Request is one admission candidate: a session's batch of points-to
-// queries, charged to a tenant, with an optional deadline relative to
-// admission time.
+// queries, charged to the session's tenant, with an optional deadline
+// relative to admission time.
 type Request struct {
 	Session string
-	// Tenant overrides the session's tenant for quota accounting; empty
-	// uses the session's.
-	Tenant  string
 	Queries []core.Query
 	// Deadline, when positive, bounds the request from admission to
 	// completion; 0 falls back to Config.DefaultDeadline.
@@ -138,6 +135,7 @@ type Server struct {
 	cfg     Config
 	base    *pag.Program
 	ctxs    *intstack.Table
+	tier    *core.SummaryTier
 	quotas  *quotas
 	metrics serveMetrics
 
@@ -177,7 +175,9 @@ type Server struct {
 // be frozen (sessions lay delta overlays over it; it is never written).
 // Every session shares one context-stack table, so points-to sets from
 // different sessions — and from oracle engines built with Ctxs() — are
-// directly comparable.
+// directly comparable, and one summary tier, so a base summary is stored
+// once however many sessions compute it (each session still sees only
+// the summaries it computed itself).
 func NewServer(base *pag.Program, cfg Config) (*Server, error) {
 	if base == nil || base.G == nil {
 		return nil, errors.New("serve: nil base program")
@@ -190,6 +190,7 @@ func NewServer(base *pag.Program, cfg Config) (*Server, error) {
 		cfg:       cfg,
 		base:      base,
 		ctxs:      new(intstack.Table),
+		tier:      core.NewSummaryTier(base.G, cfg.Engine),
 		quotas:    newQuotas(cfg.Quota),
 		sessions:  make(map[string]*Session),
 		watchStop: make(chan struct{}),
@@ -225,7 +226,8 @@ func (s *Server) Ready() bool { return s.state.Load() == stateRunning }
 // Draining reports a drain in progress or completed.
 func (s *Server) Draining() bool { return s.state.Load() != stateRunning }
 
-// CreateSession registers a new session for tenant over the shared base.
+// CreateSession registers a new session for tenant over the shared base
+// and the server's summary tier.
 func (s *Server) CreateSession(id, tenant string) (*Session, error) {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
@@ -240,7 +242,7 @@ func (s *Server) CreateSession(id, tenant string) (*Session, error) {
 	sess := &Session{
 		ID:     id,
 		Tenant: tenant,
-		eng:    core.NewDynSum(s.base.G, s.cfg.Engine, s.ctxs),
+		eng:    s.tier.NewDynSum(s.ctxs),
 	}
 	if s.cfg.Prepare != nil {
 		if err := s.cfg.Prepare(sess.eng); err != nil {
@@ -311,10 +313,7 @@ func (s *Server) admit(ctx context.Context, req Request) (r *request, err error)
 	if sess == nil {
 		return nil, &UnknownSessionError{ID: req.Session}
 	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = sess.Tenant
-	}
+	tenant := sess.Tenant
 	now := s.now()
 	if ok, retry := s.quotas.allow(tenant, now); !ok {
 		s.metrics.tenant(tenant, func(tc *TenantCounters) { tc.QuotaRejected++ })
@@ -625,8 +624,8 @@ func (s *Server) persistSession(sess *Session) (err error) {
 	return persist.SaveReplay(filepath.Join(s.cfg.StateDir, sess.ID), s.base, payloads)
 }
 
-// MetricsSnapshot returns the serving counters plus engine metrics
-// summed over every session — the /metrics payload.
+// MetricsSnapshot returns the serving counters plus engine metrics and
+// summary counts summed over every session — the /metrics payload.
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
 		Ready: s.Ready(),
@@ -643,8 +642,13 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	s.metrics.mu.Unlock()
 	sessions := s.Sessions()
 	snap.Sessions = len(sessions)
+	snap.Summaries.TierEntries = int64(s.tier.Entries())
+	snap.Summaries.TierBytes = s.tier.Bytes()
 	for _, sess := range sessions {
 		snap.Engine.Add(sess.eng.Metrics().Snapshot())
+		visible, private := sess.eng.SummaryCounts()
+		snap.Summaries.Visible += int64(visible)
+		snap.Summaries.Private += int64(private)
 	}
 	return snap
 }

@@ -9,10 +9,12 @@ import (
 
 // Session is one tenant's private view of the shared program: its own
 // core.DynSum whose delta.Overlay floats over the server's frozen base
-// graph. The base is never written — every session (and the server's
-// oracle users) reads the same immutable CSR arrays — so sessions are
+// graph, on the server's shared summary tier. The base is never written —
+// every session (and the server's oracle users) reads the same immutable
+// CSR arrays — and the tier only ever gains base summaries, each visible
+// to a session only once that session computed it, so sessions are
 // isolated by construction: one session's ApplyDelta touches only its
-// own overlay and summary cache.
+// own overlay, visibility bits and private summaries.
 //
 // Concurrency follows the engine's quiescence contract (DESIGN.md §10):
 // queries on one session may run concurrently with anything on other
@@ -24,8 +26,8 @@ type Session struct {
 	// ID names the session in the registry, in request routing, and as
 	// the per-session state directory under Config.StateDir.
 	ID string
-	// Tenant is the quota principal charged for the session's requests
-	// (a Request may override it per call).
+	// Tenant is the quota principal charged for every one of the
+	// session's requests.
 	Tenant string
 
 	mu  sync.RWMutex
