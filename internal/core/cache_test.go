@@ -17,7 +17,7 @@ import (
 
 // This file checks the summary cache — two engines' views over one
 // shared tier — against reference maps: random put/write-back/get/
-// invalidate/reset/evolve/detach sequences (a table test and
+// invalidate/evolve/detach sequences (a table test and
 // FuzzSummaryCache), the table mechanics the sequences cannot force on
 // their own (growth, backward-shift deletes across the wraparound, ⊤
 // keys), concurrent readers and writers, and the memory layout the cache
@@ -151,12 +151,8 @@ func (m *cacheModel) apply(op, a, b, c byte) {
 		if got := d.InvalidateMethod(meth); got != want {
 			m.t.Fatalf("engine %d: InvalidateMethod(%d) dropped %d entries, reference holds %d", i, meth, got, want)
 		}
-	case 7: // rarely: reset, evolve (private from now on) or detach
+	case 7: // rarely: evolve (private from now on) or detach
 		switch a % 32 {
-		case 0:
-			d.cache.reset()
-			clear(m.ref[i])
-			clear(m.priv[i])
 		case 1:
 			if d.ov == nil {
 				l, err := d.NewDeltaLog()
@@ -227,6 +223,7 @@ func FuzzSummaryCache(f *testing.F) {
 // enough distinct keys to grow most stripes several times — against the
 // reference map.
 func TestSummaryCacheDifferential(t *testing.T) {
+	grewPriv := false
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 4*3000)
@@ -244,12 +241,18 @@ func TestSummaryCacheDifferential(t *testing.T) {
 			}
 			for j := range m.d[0].cache.tier.stripes {
 				grew = grew || len(m.d[0].cache.tier.stripes[j].keys) > 16
+				for _, d := range m.d {
+					grewPriv = grewPriv || len(d.cache.priv.stripes[j].keys) > 16
+				}
 			}
 		}
 		m.verify()
 		if seed%2 == 0 && !grew {
 			t.Errorf("seed %d: no tier stripe ever grew past its first table", seed)
 		}
+	}
+	if !grewPriv {
+		t.Error("no private stripe ever grew past its first table")
 	}
 }
 
@@ -322,16 +325,28 @@ func TestCacheStripeWraparound(t *testing.T) {
 	}
 }
 
-// TestSummaryCacheConcurrent runs readers against writers and resets,
+// TestSummaryCacheConcurrent runs readers against writers and clears,
 // then against invalidation scans, then against writers and scans
 // together — two engines on one tier, each writing the same keys through
-// both write paths; every hit must carry exactly its key's result, and
-// the quiesced engines must pass CheckIntegrity. Without a method index a
+// both write paths: engine 0 is clean and writes to the tier, engine 1 has
+// evolved and writes to its private table, whose clears (detach) race its
+// writers and their generation guard. Every hit must carry exactly its
+// key's result, and the quiesced engines must pass CheckIntegrity. Without a method index a
 // scan racing a writer cannot strand an entry: it either hides a key or
 // leaves it for the next scan, which the final exactness check confirms.
 // Meant for -race (CI runs it with -count=10).
 func TestSummaryCacheConcurrent(t *testing.T) {
 	m := newCacheModel(t)
+	l, err := m.d[1].NewDeltaLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.d[1].ApplyDelta(l); err != nil {
+		t.Fatal(err)
+	}
+	if !m.d[0].clean() || m.d[1].clean() {
+		t.Fatal("want engine 0 clean and engine 1 evolved")
+	}
 	keyOf := func(i int) pptaState { return m.key(byte(i), byte(i/7)) }
 	resultOf := func(k pptaState) Summary { return modelResult(byte(int(k.node)*3 + int(k.fs) + int(k.st))) }
 	read := func(wg *sync.WaitGroup, r int) {
@@ -350,19 +365,20 @@ func TestSummaryCacheConcurrent(t *testing.T) {
 	}
 	write := func(wg *sync.WaitGroup, w int) {
 		defer wg.Done()
-		c := m.d[w%2].cache
+		d := m.d[w%2]
+		clean := d.clean()
 		sc := new(Scratch)
 		for i := 0; i < 600; i++ {
 			k := keyOf(i*3 + w)
 			r := resultOf(k)
 			if i%2 == 0 {
-				c.put(k, r.Objects, r.Frontier, true)
+				d.cache.put(k, r.Objects, r.Frontier, clean)
 				continue
 			}
 			sc.pendKeys = append(sc.pendKeys[:0], k)
 			sc.pendRIdx = append(sc.pendRIdx[:0], 0)
 			sc.mres = append(sc.mres[:0], memoResult{cached: r, spliced: true})
-			c.commit(sc, true)
+			d.cache.commit(sc, clean)
 		}
 	}
 	scan := func(wg *sync.WaitGroup, e int) {
@@ -395,7 +411,7 @@ func TestSummaryCacheConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
 			runtime.Gosched()
-			m.d[i%2].cache.reset()
+			m.d[1].cache.detach()
 		}
 	}()
 	readers(&wg)
@@ -483,9 +499,11 @@ func hasPointers(t reflect.Type) bool {
 
 // TestSummaryCacheBytesPerEntry is the memory guard: sweeping every local
 // of soot-c at scale 0.05 grows the live heap by at most 36 bytes per
-// cached summary — set at the private-cache layout's 29 B plus 25%; a
-// lone engine on its own tier measures 34.6 B (the entry-number arrays
-// and visibility bits are the difference).
+// cached summary. A lone engine on its own tier measures 34.6 B: the
+// key slots, records and arenas (29.0 B, the whole cost of a private
+// table) plus the tier's entry-number arrays (4.4 B) and the view's bits
+// (0.14 B). The bound leaves about 4% of headroom, so any new per-entry
+// word fails it.
 func TestSummaryCacheBytesPerEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps a whole benchmark program")

@@ -114,7 +114,11 @@ func (d *DynSum) CheckIntegrity() error {
 				report("tier: key %#x names record %d of %d", pk, s.entries[id], nrecs)
 			}
 			if v.has(i, id) {
-				if _, ok := c.get(k); ok {
+				ps, h := c.stripe(pk)
+				ps.mu.RLock()
+				_, ok := ps.find(sk, h)
+				ps.mu.RUnlock()
+				if ok {
 					report("tier: key %#x is both visible and private", pk)
 				}
 			}

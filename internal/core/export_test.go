@@ -21,9 +21,30 @@ func CacheDump(d *DynSum) []string {
 	return out
 }
 
-// ClearCache drops every cached summary and releases the arena space, so
-// a test can measure the cold query path repeatedly on one engine.
-func ClearCache(d *DynSum) { d.cache.reset() }
+// ClearCache empties the engine's tier in place and the engine's view, so
+// a test can measure the cold query path repeatedly on one engine: every
+// write-back hash-conses and files its result again, as on a new engine's
+// first query. Like summaryCache.clear it keeps the key tables' storage
+// (zeroed), the entry arrays and the view's bit arrays, and releases the
+// arenas; the field-stack table is kept. The engine must be the only one
+// on its tier.
+func ClearCache(d *DynSum) {
+	v, t := d.cache, d.cache.tier
+	for i := range t.stripes {
+		t.stripes[i].mu.Lock()
+	}
+	t.store.reset()
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		clear(s.keys)
+		clear(s.recs)
+		s.n, s.entries = 0, s.entries[:0]
+		clear(v.bits[i])
+		s.mu.Unlock()
+	}
+	v.visible.Store(0)
+	v.priv.clear()
+}
 
 // CacheEntry is an opaque captured cache entry (see SnapshotMethod).
 type CacheEntry struct {

@@ -13,9 +13,12 @@ import (
 // This file splits the summary cache into storage and visibility. A DYNSUM
 // summary depends only on its method's local edges and global flags
 // (paper Alg. 3-4, DESIGN.md §10), so every engine over one frozen graph
-// and Config that has never evolved computes byte-for-byte the same value
-// for a key. A SummaryTier stores each such base summary once, for every
-// engine built on it; each engine keeps its own window on the tier:
+// and Config that has never evolved computes the same set of objects and
+// frontier states for a key — the same set, not always the same order:
+// the order follows the Tarjan stack, so it depends on which state the
+// traversal entered the key's SCC from. A SummaryTier stores each such
+// base summary once, for every engine built on it; each engine keeps its
+// own window on the tier:
 //
 //   - Tier. Striped open-addressing tables of packed keys (cache.go's
 //     cacheStripe) over one hash-consed record store, plus the field-stack
@@ -31,10 +34,13 @@ import (
 //
 // A lookup probes the private table first, then the tier, and counts a
 // tier entry as a hit only when the engine's bit is set, so every engine
-// sees exactly the summaries it computed itself or imported — its counters
-// are those of an engine with a cache of its own. A clean engine (see
-// DynSum.clean) writes back to the tier: a key the tier already holds
-// keeps its stored, set-identical record and only becomes visible. Every
+// sees exactly the keys it computed itself or imported. A clean engine
+// (see DynSum.clean) writes back to the tier: a key the tier already holds
+// keeps its stored, set-identical record and only becomes visible, so a
+// later hit may hand the engine another engine's element order. The
+// enginetest tier sweeps require that this never shows: engines on a
+// shared tier match twins with tiers of their own in answers, error kinds
+// and every Metrics field, with ample and with tight budgets. Every
 // other engine writes to its private table, because an evolved engine's
 // summary may differ from the base value (§10 leaves stale true→false
 // flags in untouched methods on purpose). Invalidation clears the
@@ -321,30 +327,16 @@ func (v *summaryView) deleteNodes(nodes bitset) int {
 	return dropped
 }
 
-// reset hides every tier entry and clears the private table (see
-// summaryCache.clear for what that does and does not guarantee against
-// concurrent queries). The bit arrays keep their storage.
-func (v *summaryView) reset() { v.hideAll(false) }
-
-// detach takes the engine off the tier for good: every bit is dropped and
-// the private table cleared; from now on the engine is never clean.
+// detach takes the engine off the tier for good: every bit is dropped,
+// stripe by stripe under the write locks, and the private table cleared;
+// from now on the engine is never clean.
 func (v *summaryView) detach() {
 	v.detached.Store(true)
-	v.hideAll(true)
-}
-
-// hideAll clears every bit, stripe by stripe under the write locks, and
-// the private table; release also frees the bit arrays.
-func (v *summaryView) hideAll(release bool) {
 	for s := range v.tier.stripes {
 		ts := &v.tier.stripes[s]
 		ts.mu.Lock()
 		v.visible.Add(-int64(v.popcount(s)))
-		if release {
-			v.bits[s] = nil
-		} else {
-			clear(v.bits[s])
-		}
+		v.bits[s] = nil
 		ts.mu.Unlock()
 	}
 	v.priv.clear()

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -61,11 +62,11 @@ type tierEngine struct {
 	vars         []pag.NodeID
 }
 
-// tierSweep replays ev on every role in every mode. vars selects the
+// tierSweep replays ev on every role in every mode under cfg and returns
+// how many queries failed with ErrBudget or ErrDepth. vars selects the
 // query batch of the prefix an engine has applied through.
-func tierSweep(t *testing.T, tag string, ev *benchgen.EvolveProgram, vars func(prefix *pag.Program) []pag.NodeID) {
+func tierSweep(t *testing.T, tag string, cfg core.Config, ev *benchgen.EvolveProgram, vars func(prefix *pag.Program) []pag.NodeID) (failed int) {
 	t.Helper()
-	cfg := bigBudget
 	cfg.CompactFraction = -1 // compaction only where a role asks for it
 	prefixes := make([]*pag.Program, ev.NumWaves())
 	for k := range prefixes {
@@ -115,8 +116,12 @@ func tierSweep(t *testing.T, tag string, ev *benchgen.EvolveProgram, vars func(p
 					v := e.vars[j]
 					got, errG := e.shared.PointsTo(v)
 					want, errW := e.twin.PointsTo(v)
-					if (errG == nil) != (errW == nil) {
+					if errKind(errG) != errKind(errW) {
 						t.Fatalf("%s %s: pts(%d) error %v on the shared tier, %v on the twin", wtag, e.role.name, v, errG, errW)
+					}
+					if errG != nil {
+						failed++
+						continue
 					}
 					if !got.Equal(want) {
 						t.Fatalf("%s %s: pts(%d) = %v on the shared tier, %v on the twin", wtag, e.role.name, v, got, want)
@@ -131,6 +136,21 @@ func tierSweep(t *testing.T, tag string, ev *benchgen.EvolveProgram, vars func(p
 			}
 		}
 	}
+	return failed
+}
+
+// errKind classifies a query error for the twin comparison: the budget
+// and depth errors by kind, anything else by its message.
+func errKind(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, core.ErrBudget):
+		return "budget"
+	case errors.Is(err, core.ErrDepth):
+		return "depth"
+	}
+	return err.Error()
 }
 
 // step brings e's two engines to wave k under its role's schedule.
@@ -195,7 +215,7 @@ func TestTierSharedEnginesMatchPrivateTwins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tierSweep(t, name, ev, fixture.AllLocals)
+		tierSweep(t, name, bigBudget, ev, fixture.AllLocals)
 	}
 	for seed := int64(1100); seed < 1100+seedSpan(6); seed++ {
 		prog := fixture.RandProgram(seed, fixture.RandConfig{Methods: 6, Calls: 6, Globals: 2, GlobalAssigns: 3})
@@ -203,7 +223,30 @@ func TestTierSharedEnginesMatchPrivateTwins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		tierSweep(t, fmt.Sprintf("rand seed %d", seed), ev, fixture.AllLocals)
+		tierSweep(t, fmt.Sprintf("rand seed %d", seed), bigBudget, ev, fixture.AllLocals)
+	}
+}
+
+// TestTierSharedEnginesMatchPrivateTwinsTightBudget runs the sweep with a
+// step budget and a context depth small enough that many queries fail
+// part-way: where a budget cuts a query short, the order in which the
+// driver meets the cached summaries decides how far it got, so a shared
+// engine must then still fail exactly where its twin fails, with the
+// same error and the same counters.
+func TestTierSharedEnginesMatchPrivateTwinsTightBudget(t *testing.T) {
+	scale := 0.01
+	if testing.Short() {
+		scale = 0.004
+	}
+	cfg := core.Config{Budget: 400, MaxCtxDepth: 3}
+	for _, name := range []string{"soot-c-cyclic", "soot-c-diamond"} {
+		ev, err := benchgen.GenerateEvolve(benchgen.ProfileByNameMust(name).Scaled(scale), 7, benchgen.DefaultEvolveWaves)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if failed := tierSweep(t, name, cfg, ev, fixture.AllLocals); failed == 0 {
+			t.Errorf("%s: no query ran out of budget or depth; the budget is too loose to test anything", name)
+		}
 	}
 }
 
