@@ -3,6 +3,8 @@ package pag_test
 import (
 	"bytes"
 	"cmp"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -17,6 +19,18 @@ import (
 // edges in the order Encode writes their records, then freezes it: the
 // reference Decode's bulk CSR fill must reproduce exactly.
 func builderForm(t *testing.T, p *pag.Program) *pag.Graph {
+	t.Helper()
+	var edges []pag.Edge
+	for n := range p.G.NumNodes() {
+		edges = append(edges, p.G.Out(pag.NodeID(n))...)
+	}
+	return builderFormOf(t, p, edges)
+}
+
+// builderFormOf rebuilds p's tables through the builder, adds edges in
+// their order through AddEdge (which drops repeats on arrival), then
+// freezes the graph.
+func builderFormOf(t *testing.T, p *pag.Program, edges []pag.Edge) *pag.Graph {
 	t.Helper()
 	src, g := p.G, pag.NewGraph()
 	for c := range src.NumClasses() {
@@ -41,10 +55,8 @@ func builderForm(t *testing.T, p *pag.Program) *pag.Graph {
 		nd := src.Node(pag.NodeID(n))
 		g.AddNode(nd.Kind, nd.Method, nd.Class, nd.Name)
 	}
-	for n := range src.NumNodes() {
-		for _, e := range src.Out(pag.NodeID(n)) {
-			g.AddEdge(e)
-		}
+	for _, e := range edges {
+		g.AddEdge(e)
 	}
 	if err := g.AdoptBodyless(src); err != nil {
 		t.Fatal(err)
@@ -105,6 +117,121 @@ func TestDecodeMatchesBuilderForm(t *testing.T) {
 			t.Errorf("%s: decoded image differs from the builder-form reference", p.Name)
 		}
 	}
+}
+
+// withEdges returns p's encoding with its edge records replaced by edges,
+// written in their order.
+func withEdges(t testing.TB, p *pag.Program, edges []pag.Edge) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for line := range bytes.Lines(encode(t, p)) {
+		if !bytes.HasPrefix(line, []byte("edge ")) {
+			buf.Write(line)
+		}
+	}
+	for _, e := range edges {
+		if e.Label == pag.NoLabel {
+			fmt.Fprintf(&buf, "edge %s %d %d\n", e.Kind, e.Src, e.Dst)
+		} else {
+			fmt.Fprintf(&buf, "edge %s %d %d %d\n", e.Kind, e.Src, e.Dst, e.Label)
+		}
+	}
+	return buf.Bytes()
+}
+
+// checkDecodesLikeBuilder decodes p with its edge records replaced by
+// edges and checks the result against AddEdge fed the same records: the
+// same frozen image, and the same by-field Load/Store lists in the same
+// order (both follow the order the records first name each edge).
+func checkDecodesLikeBuilder(t *testing.T, p *pag.Program, edges []pag.Edge) {
+	t.Helper()
+	got, err := pag.Decode(bytes.NewReader(withEdges(t, p, edges)))
+	if err != nil {
+		t.Fatalf("%s: Decode: %v", p.Name, err)
+	}
+	want := builderFormOf(t, p, edges)
+	if got.G.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: %d edges decoded, want %d", p.Name, got.G.NumEdges(), want.NumEdges())
+	}
+	if !reflect.DeepEqual(image(t, got.G), image(t, want)) {
+		t.Errorf("%s: decoded image differs from the builder-form reference", p.Name)
+	}
+	for f := range want.NumFields() {
+		fid := pag.FieldID(f)
+		if !slices.Equal(got.G.LoadsOf(fid), want.LoadsOf(fid)) || !slices.Equal(got.G.StoresOf(fid), want.StoresOf(fid)) {
+			t.Errorf("%s: field %d: LoadsOf/StoresOf differ from the builder-form reference", p.Name, f)
+		}
+	}
+}
+
+// TestDecodeRepeatedEdges feeds Decode programs whose edge records come in
+// a shuffled order with about half of them repeats of earlier records.
+// Repeats must vanish and the first naming of each edge must fix its
+// place, as under AddEdge.
+func TestDecodeRepeatedEdges(t *testing.T) {
+	progs := []*pag.Program{fixture.BuildFigure2().Prog}
+	for seed := range int64(10) {
+		progs = append(progs, fixture.RandProgram(seed, fixture.RandConfig{Globals: 2, GlobalAssigns: 4}))
+	}
+	progs = append(progs, benchgen.Generate(benchgen.ProfileByNameMust("soot-c").Scaled(0.005), 1))
+	for i, p := range progs {
+		rng := rand.New(rand.NewPCG(uint64(i), 1))
+		var distinct []pag.Edge
+		for n := range p.G.NumNodes() {
+			distinct = append(distinct, p.G.Out(pag.NodeID(n))...)
+		}
+		rng.Shuffle(len(distinct), func(a, b int) { distinct[a], distinct[b] = distinct[b], distinct[a] })
+		var edges []pag.Edge
+		for _, e := range distinct {
+			edges = append(edges, e)
+			for rng.IntN(2) == 0 {
+				edges = append(edges, edges[rng.IntN(len(edges))])
+			}
+		}
+		checkDecodesLikeBuilder(t, p, edges)
+	}
+}
+
+// TestDecodeHubNode gives one node 100k out-edge records, about half of
+// them repeats, so its span takes the sorting path: well under a second,
+// where scanning each record against the span so far takes about 20 s.
+func TestDecodeHubNode(t *testing.T) {
+	const hubRecords, dsts = 100_000, 10_000
+	g := pag.NewGraph()
+	cls := g.AddClass("H", pag.NoClass)
+	m := g.AddMethod("H.m", cls)
+	f0, f1 := g.AddField("H.f0"), g.AddField("H.f1")
+	cs := g.AddCallSite(m, "H.m:1")
+	g.AddCallTarget(cs, m)
+	hub := g.AddNode(pag.Local, m, cls, "hub")
+	for i := range dsts {
+		g.AddNode(pag.Local, m, cls, fmt.Sprintf("v%d", i))
+	}
+	// A fresh record picks a random destination and kind; one in eight is
+	// reversed, which gives the hub a long in-span too.
+	kinds := []struct {
+		k     pag.EdgeKind
+		label int32
+	}{{pag.Assign, pag.NoLabel}, {pag.Load, int32(f0)}, {pag.Store, int32(f1)}, {pag.Entry, int32(cs)}, {pag.Exit, int32(cs)}}
+	rng := rand.New(rand.NewPCG(1, 2))
+	var edges []pag.Edge
+	for out := 0; out < hubRecords; {
+		var e pag.Edge
+		if len(edges) > 0 && rng.IntN(2) == 0 {
+			e = edges[rng.IntN(len(edges))]
+		} else {
+			k := kinds[rng.IntN(len(kinds))]
+			e = pag.Edge{Src: hub, Dst: pag.NodeID(1 + rng.IntN(dsts)), Kind: k.k, Label: k.label}
+			if rng.IntN(8) == 0 {
+				e.Src, e.Dst = e.Dst, e.Src
+			}
+		}
+		if e.Src == hub {
+			out++
+		}
+		edges = append(edges, e)
+	}
+	checkDecodesLikeBuilder(t, pag.NewProgram("hub", g), edges)
 }
 
 // handWritten exercises the tokeniser and the partition rule: comments,
@@ -209,10 +336,11 @@ func TestDecodeForwardReferences(t *testing.T) {
 }
 
 // FuzzDecode (seed corpus under testdata/fuzz/FuzzDecode): Decode never
-// panics, and whatever it accepts the snapshot loader accepts too and
-// survives an Encode/Decode round trip unchanged up to the order of each
-// in-span (Encode writes edges grouped by source, which fixes the
-// out-spans but not the order edges reached a target in).
+// panics, and whatever it accepts the snapshot loader accepts too: the
+// graph passes FromImage, every client site is in range (persist's site
+// check), and the program survives an Encode/Decode round trip unchanged
+// up to the order of each in-span (Encode writes edges grouped by source,
+// which fixes the out-spans but not the order edges reached a target in).
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := pag.Decode(bytes.NewReader(data))
@@ -222,6 +350,9 @@ func FuzzDecode(f *testing.F) {
 		img := image(t, p.G)
 		if _, err := pag.FromImage(img); err != nil {
 			t.Fatalf("FromImage rejects a decoded graph: %v", err)
+		}
+		if err := p.CheckSites(); err != nil {
+			t.Fatal(err)
 		}
 		q, err := pag.Decode(bytes.NewReader(encode(t, p)))
 		if err != nil {
@@ -275,13 +406,21 @@ func TestDecodeAllocsPerEdge(t *testing.T) {
 	}
 }
 
+// BenchmarkDecode decodes soot-c at two scales. At 0.1 the input and its
+// working set fit in cache; at 1 it is the ledger's program (9.5 MB, 115k
+// nodes, 252k edges), where every random access to a per-edge table
+// misses.
 func BenchmarkDecode(b *testing.B) {
-	data := sootC(b, 0.1)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := pag.Decode(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
+	for _, scale := range []float64{0.1, 1} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			data := sootC(b, scale)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := pag.Decode(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,9 +3,11 @@ package pag
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/url"
 	"slices"
 	"strconv"
@@ -49,7 +51,8 @@ import (
 //     non-negative method ID: under dynamic loading they may name methods
 //     a later delta epoch adds;
 //   - load/store labels must name fields and entry/exit labels call sites
-//     (Validate).
+//     (Validate);
+//   - client sites name entries of the complete tables (CheckSites).
 //
 // Encode emits records in dependency order. The bodyless record
 // references the blob nodes MarkBodyless minted — they are ordinary node
@@ -119,18 +122,26 @@ const maxLine = 1 << 24
 // Decode reads a Program in the textual PAG format and returns it frozen.
 //
 // Decoding is one streaming pass that never builds the builder form: lines
-// are split in place, node names are collected into one arena, and edges
-// into one flat duplicate-free list. The list then lays out the CSR form
+// are split in place, integers parsed by a byte loop, node names collected
+// into one arena, and edge records appended to one flat list as they come.
+// The list then drops its repeats (dropRepeats) and lays out the CSR form
 // directly (buildCSR), exactly as AddEdge followed by Freeze would lay out
 // the same records. Every reference is range-checked; an error names the
-// offending line.
+// offending line. On soot-c at scale 1 (9.5 MB, 115k nodes, 252k edges) a
+// decode takes about 85 ms on a 2-vCPU Intel Xeon and makes 55k
+// allocations, 0.22 per edge (BenchmarkDecode/scale=1).
 func Decode(r io.Reader) (*Program, error) {
 	d := &decoder{br: bufio.NewReaderSize(r, 1<<16), g: NewGraph()}
 	d.p = NewProgram("", d.g)
-	d.nodeMethod = fwdRef{what: "node method", top: -1}
-	d.nodeClass = fwdRef{what: "node class", top: -1}
-	d.classParent = fwdRef{what: "class parent", top: -1}
-	d.methodClass = fwdRef{what: "method class", top: -1}
+	d.nodeMethod = fwdRef{what: "node method", low: -1, top: -1}
+	d.nodeClass = fwdRef{what: "node class", low: -1, top: -1}
+	d.classParent = fwdRef{what: "class parent", low: -1, top: -1}
+	d.methodClass = fwdRef{what: "method class", low: -1, top: -1}
+	d.castVar = fwdRef{what: "cast variable", top: -1}
+	d.castClass = fwdRef{what: "cast class", top: -1}
+	d.derefVar = fwdRef{what: "deref variable", top: -1}
+	d.factoryMethod = fwdRef{what: "factory method", top: -1}
+	d.factoryRet = fwdRef{what: "factory return", top: -1}
 	if err := d.read(); err != nil {
 		return nil, err
 	}
@@ -153,15 +164,15 @@ type decoder struct {
 	nodes []nodeRec
 	names []byte
 
-	// edges holds the distinct edges in the order the input first names
-	// them; seen is an open-addressing set over it (edge index + 1 per
-	// slot, 0 = empty), dropped before the CSR is laid out.
+	// edges holds every edge record in file order, repeats included;
+	// finish drops the repeats before the CSR is laid out.
 	edges []Edge
-	seen  []uint32
 
 	// References the input may make to table entries declared further
-	// down (a class's parent may follow it), checked at the end.
-	nodeMethod, nodeClass, classParent, methodClass fwdRef
+	// down (a class's parent may follow it, a client site its node),
+	// checked at the end.
+	nodeMethod, nodeClass, classParent, methodClass         fwdRef
+	castVar, castClass, derefVar, factoryMethod, factoryRet fwdRef
 
 	err error // the first error reading the current record's fields
 }
@@ -173,14 +184,18 @@ type nodeRec struct {
 	kind    NodeKind
 	method  MethodID
 	class   ClassID
-	nameEnd int
+	nameEnd int32
 }
 
+// maxNames bounds the name arena, so that nodeRec.nameEnd fits.
+const maxNames = math.MaxInt32
+
 // fwdRef tracks one kind of table reference: the largest ID it names and
-// the first line naming it. A reference is in range iff that ID is below
-// the complete table's length.
+// the first line naming it. A reference is in range iff it is at least
+// low and that ID is below the complete table's length.
 type fwdRef struct {
 	what string
+	low  int32 // -1 where the reference may name no entry, else 0
 	top  int32
 	line int
 }
@@ -356,9 +371,13 @@ func (d *decoder) record() error {
 		if d.err != nil {
 			return d.err
 		}
-		if d.names, d.err = appendUnquoted(d.names, f[4]); d.err == nil {
-			d.nodes = append(grow(d.nodes), nodeRec{kind, MethodID(method), ClassID(class), len(d.names)})
+		if d.names, d.err = appendUnquoted(d.names, f[4]); d.err != nil {
+			return d.err
 		}
+		if len(d.names) > maxNames {
+			return fmt.Errorf("node names exceed %d bytes", maxNames)
+		}
+		d.nodes = append(grow(d.nodes), nodeRec{kind, MethodID(method), ClassID(class), int32(len(d.names))})
 	case "edge":
 		if len(f) != 4 && len(f) != 5 {
 			return errors.New("edge wants 3 or 4 args")
@@ -377,7 +396,7 @@ func (d *decoder) record() error {
 		if n := len(d.nodes); src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
 			return fmt.Errorf("edge endpoint out of range: %d -> %d (have %d nodes)", src, dst, n)
 		}
-		d.addEdge(Edge{Src: NodeID(src), Dst: NodeID(dst), Kind: kind, Label: label})
+		d.edges = append(grow(d.edges), Edge{Src: NodeID(src), Dst: NodeID(dst), Kind: kind, Label: label})
 	case "bodyless":
 		if len(f) < 5 {
 			return errors.New("bodyless wants >=4 args")
@@ -436,7 +455,7 @@ func (d *decoder) record() error {
 		if len(f) != 4 {
 			return errors.New("cast wants 3 args")
 		}
-		c := CastSite{Var: NodeID(d.int(1)), Target: ClassID(d.int(2)), Name: d.name(3)}
+		c := CastSite{Var: NodeID(d.ref(&d.castVar, 1)), Target: ClassID(d.ref(&d.castClass, 2)), Name: d.name(3)}
 		if d.err == nil {
 			d.p.Casts = append(d.p.Casts, c)
 		}
@@ -444,7 +463,7 @@ func (d *decoder) record() error {
 		if len(f) != 3 {
 			return errors.New("deref wants 2 args")
 		}
-		s := DerefSite{Var: NodeID(d.int(1)), Name: d.name(2)}
+		s := DerefSite{Var: NodeID(d.ref(&d.derefVar, 1)), Name: d.name(2)}
 		if d.err == nil {
 			d.p.Derefs = append(d.p.Derefs, s)
 		}
@@ -452,7 +471,7 @@ func (d *decoder) record() error {
 		if len(f) != 4 {
 			return errors.New("factory wants 3 args")
 		}
-		s := FactorySite{Method: MethodID(d.int(1)), Ret: NodeID(d.int(2)), Name: d.name(3)}
+		s := FactorySite{Method: MethodID(d.ref(&d.factoryMethod, 1)), Ret: NodeID(d.ref(&d.factoryRet, 2)), Name: d.name(3)}
 		if d.err == nil {
 			d.p.Factories = append(d.p.Factories, s)
 		}
@@ -465,15 +484,41 @@ func (d *decoder) record() error {
 // int parses field i of the current record as a decimal int32. Like name
 // and ref, it keeps the record's first error in d.err and does nothing
 // once there is one, so a record's fields can be read in one expression
-// and checked once. The string conversion does not escape ParseInt, so it
-// costs no allocation.
+// and checked once.
 func (d *decoder) int(i int) int32 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := strconv.ParseInt(string(d.fields[i]), 10, 32)
+	v, err := parseInt32(d.fields[i])
 	d.err = err
-	return int32(v)
+	return v
+}
+
+// parseInt32 parses b as strconv.ParseInt(string(b), 10, 32) does, with
+// the same value and the same error. An optional '-' and one to nine
+// digits, which cannot overflow, are parsed by a byte loop; anything else
+// (a '+' sign, a longer number, junk) goes to ParseInt. The string
+// conversion does not escape ParseInt, so it costs no allocation.
+func parseInt32(b []byte) (int32, error) {
+	digits := b
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if n := len(digits); n > 0 && n <= 9 {
+		var v int32
+		i := 0
+		for ; i < n && '0' <= digits[i] && digits[i] <= '9'; i++ {
+			v = v*10 + int32(digits[i]-'0')
+		}
+		if i == n {
+			if n < len(b) {
+				v = -v
+			}
+			return v, nil
+		}
+	}
+	v, err := strconv.ParseInt(string(b), 10, 32)
+	return int32(v), err
 }
 
 // name unquotes field i of the current record.
@@ -489,43 +534,13 @@ func (d *decoder) name(i int) string {
 // ref parses field i of the current record as a reference of kind r.
 func (d *decoder) ref(r *fwdRef, i int) int32 {
 	id := d.int(i)
-	if d.err == nil && id < -1 {
+	if d.err == nil && id < r.low {
 		d.err = fmt.Errorf("%s %d out of range", r.what, id)
 	}
 	if d.err == nil && id > r.top {
 		r.top, r.line = id, d.lineno
 	}
 	return id
-}
-
-// addEdge appends e to d.edges unless an identical edge is already there,
-// the duplicate suppression AddEdge performs through the graph's edge set.
-func (d *decoder) addEdge(e Edge) {
-	if 2*(len(d.edges)+1) > len(d.seen) {
-		d.seen = make([]uint32, max(1<<10, 2*len(d.seen)))
-		for k, have := range d.edges {
-			d.seen[d.slot(have)] = uint32(k + 1)
-		}
-	}
-	i := d.slot(e)
-	if d.seen[i] == 0 {
-		d.edges = append(grow(d.edges), e)
-		d.seen[i] = uint32(len(d.edges))
-	}
-}
-
-// slot returns the slot of seen that holds e, or the empty slot where it
-// belongs.
-func (d *decoder) slot(e Edge) uint64 {
-	h := (uint64(uint32(e.Src))<<32 | uint64(uint32(e.Dst))) * 0x9E3779B97F4A7C15
-	h ^= (uint64(uint32(e.Label))<<8 | uint64(e.Kind)) * 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	mask := uint64(len(d.seen) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		if k := d.seen[i]; k == 0 || d.edges[k-1] == e {
-			return i
-		}
-	}
 }
 
 // finish checks the forward references, then builds the frozen graph from
@@ -540,6 +555,11 @@ func (d *decoder) finish() (*Program, error) {
 		{&d.nodeClass, len(g.classes)},
 		{&d.classParent, len(g.classes)},
 		{&d.methodClass, len(g.classes)},
+		{&d.castVar, len(d.nodes)},
+		{&d.castClass, len(g.classes)},
+		{&d.derefVar, len(d.nodes)},
+		{&d.factoryMethod, len(g.methods)},
+		{&d.factoryRet, len(d.nodes)},
 	} {
 		if r := c.r; int(r.top) >= c.n {
 			return nil, fmt.Errorf("pag: line %d: %s %d out of range (have %d)", r.line, r.what, r.top, c.n)
@@ -550,16 +570,16 @@ func (d *decoder) finish() (*Program, error) {
 	if len(d.nodes) > 0 { // an empty table stays nil, as under AddNode
 		g.nodes = make([]Node, len(d.nodes))
 	}
-	start := 0
+	start := int32(0)
 	for i, r := range d.nodes {
 		g.nodes[i] = Node{Kind: r.kind, Method: r.method, Class: r.class, Name: names[start:r.nameEnd]}
 		start = r.nameEnd
 	}
 
-	d.seen = nil
-	g.frozen = buildCSR(len(g.nodes), d.edges)
+	edges := dropRepeats(len(g.nodes), d.edges)
+	g.frozen = buildCSR(len(g.nodes), edges)
 	g.flags = make([]nodeFlags, len(g.nodes))
-	for _, e := range d.edges {
+	for _, e := range edges {
 		g.indexEdge(e)
 	}
 	g.edgeSet = nil
@@ -582,11 +602,88 @@ func grow[T any](s []T) []T {
 	return s
 }
 
-func parseEdgeKind(b []byte) (EdgeKind, error) {
-	for k := 0; k < NumEdgeKinds; k++ {
-		if EdgeKind(k).String() == string(b) {
-			return EdgeKind(k), nil
+// shortSpan is the longest source span dropRepeats checks against its own
+// prefix; a longer one is sorted instead.
+const shortSpan = 16
+
+// dropRepeats drops every edge that repeats an earlier one and compacts
+// edges in place, so the rest stay in the order the file first names
+// them: the order in which AddEdge, which drops repeats on arrival, would
+// have kept them. Repeats share a source, so a counting pass groups the
+// edge indices by source, each group in file order, and each group is
+// checked on its own: a short one against its own prefix, a long one by
+// sorting a copy of its indices, so a hub node costs n log n, not n².
+// A repeat is marked by its source becoming NoNode.
+func dropRepeats(n int, edges []Edge) []Edge {
+	start := make([]int32, n+1)
+	for _, e := range edges {
+		start[e.Src]++
+	}
+	for v := 1; v <= n; v++ {
+		start[v] += start[v-1]
+	}
+	// Filling backwards from each span's end leaves start[v] at the span's
+	// first index and the span in file order.
+	bySrc := make([]int32, len(edges))
+	for i := len(edges) - 1; i >= 0; i-- {
+		v := edges[i].Src
+		start[v]--
+		bySrc[start[v]] = int32(i)
+	}
+	var sorted []int32
+	for v := range n {
+		span := bySrc[start[v]:start[v+1]]
+		if len(span) <= shortSpan {
+			for j, k := range span {
+				for _, h := range span[:j] {
+					if edges[h] == edges[k] {
+						edges[k].Src = NoNode
+						break
+					}
+				}
+			}
+			continue
 		}
+		sorted = append(sorted[:0], span...)
+		slices.SortFunc(sorted, func(a, b int32) int {
+			x, y := edges[a], edges[b]
+			return cmp.Or(cmp.Compare(x.Dst, y.Dst), cmp.Compare(x.Kind, y.Kind),
+				cmp.Compare(x.Label, y.Label), cmp.Compare(a, b))
+		})
+		prev := edges[sorted[0]]
+		for _, k := range sorted[1:] {
+			if edges[k] == prev {
+				edges[k].Src = NoNode
+			} else {
+				prev = edges[k]
+			}
+		}
+	}
+	kept := edges[:0]
+	for _, e := range edges {
+		if e.Src != NoNode {
+			kept = append(kept, e)
+		}
+	}
+	return kept
+}
+
+func parseEdgeKind(b []byte) (EdgeKind, error) {
+	switch string(b) {
+	case "new":
+		return New, nil
+	case "assign":
+		return Assign, nil
+	case "load":
+		return Load, nil
+	case "store":
+		return Store, nil
+	case "assignglobal":
+		return AssignGlobal, nil
+	case "entry":
+		return Entry, nil
+	case "exit":
+		return Exit, nil
 	}
 	return 0, fmt.Errorf("unknown edge kind %q", b)
 }

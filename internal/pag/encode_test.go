@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,18 @@ func TestDecodeErrors(t *testing.T) {
 		{"callsite target negative", oneMethod + "callsite 0 c 0 -1\n", 4},
 		{"label wraps int32", oneMethod + "field A.f\nnode local 0 0 a\nnode local 0 0 b\nedge load 0 1 4294967296\n", 7},
 		{"endpoint wraps int32", oneMethod + "node local 0 0 a\nedge assign 0 4294967296\n", 5},
+		// Client sites are checked against the complete tables, by the
+		// rules persist applies when it reopens a saved program.
+		{"cast variable range", oneMethod + "node local 0 0 a\ncast 1 0 c\n", 5},
+		{"cast variable negative", oneMethod + "node local 0 0 a\ncast -1 0 c\n", 5},
+		{"cast class range", oneMethod + "node local 0 0 a\ncast 0 1 c\n", 5},
+		{"cast class negative", oneMethod + "node local 0 0 a\ncast 0 -1 c\n", 5},
+		{"deref variable range", oneMethod + "node local 0 0 a\nderef 0 d\nderef 3 d\n", 6},
+		{"deref variable negative", oneMethod + "deref -1 d\n", 4},
+		{"factory method range", oneMethod + "node local 0 0 a\nfactory 1 0 f\n", 5},
+		{"factory method negative", oneMethod + "node local 0 0 a\nfactory -1 0 f\n", 5},
+		{"factory return range", oneMethod + "node local 0 0 a\nfactory 0 1 f\n", 5},
+		{"factory return negative", oneMethod + "node local 0 0 a\nfactory 0 -1 f\n", 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,6 +115,41 @@ func TestDecodeErrors(t *testing.T) {
 				t.Errorf("error %q does not start with %q", err, want)
 			}
 		})
+	}
+}
+
+// TestDecodeSitesForward pins that a client site may name a node or
+// class declared further down, as table references may.
+func TestDecodeSitesForward(t *testing.T) {
+	in := "pag v1 x\ncast 0 0 c\nderef 0 d\nfactory 0 0 f\nclass A -1\nmethod A.m 0\nnode local 0 0 a\n"
+	p, err := Decode(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Casts) != 1 || len(p.Derefs) != 1 || len(p.Factories) != 1 {
+		t.Errorf("sites = %v %v %v, want one of each", p.Casts, p.Derefs, p.Factories)
+	}
+}
+
+// TestParseInt32 pins that the decoder's integer parser agrees with
+// strconv.ParseInt(s, 10, 32) on the value and on whether it fails (the
+// fallback returns ParseInt's own error, so its text agrees too).
+func TestParseInt32(t *testing.T) {
+	for _, s := range []string{
+		"0", "7", "-7", "+7", "-0", "+0", "007", "-007",
+		"999999999", "-999999999", "1000000000", "-1000000000",
+		"2147483647", "-2147483647", "-2147483648", "2147483648", "-2147483649",
+		"4294967296", "99999999999999999999",
+		"-", "+", "", "--1", "1-", "1_0", "0x10", "1e3", " 1", "1 ", "a", "12a",
+	} {
+		want, wantErr := strconv.ParseInt(s, 10, 32)
+		got, err := parseInt32([]byte(s))
+		if int64(got) != want || (err == nil) != (wantErr == nil) {
+			t.Errorf("parseInt32(%q) = %d, %v; ParseInt = %d, %v", s, got, err, want, wantErr)
+		}
+		if err != nil && err.Error() != wantErr.Error() {
+			t.Errorf("parseInt32(%q) error %q, ParseInt's %q", s, err, wantErr)
+		}
 	}
 }
 

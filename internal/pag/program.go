@@ -1,5 +1,7 @@
 package pag
 
+import "fmt"
+
 // This file defines Program: a Graph plus the client-facing site metadata
 // that the paper's three clients (§5.2) consume. The metadata is produced
 // by the MiniJava frontend or the synthetic benchmark generator and
@@ -42,6 +44,31 @@ type Program struct {
 // NewProgram wraps g in an empty Program.
 func NewProgram(name string, g *Graph) *Program {
 	return &Program{Name: name, G: g}
+}
+
+// CheckSites range-checks the client sites against the graph's tables:
+// a cast names a node and a class, a deref a node, and a factory a method
+// and a node. Decode applies the same rules as it reads, and persist when
+// it reopens a saved program.
+func (p *Program) CheckSites() error {
+	g := p.G
+	node := func(v NodeID) bool { return v >= 0 && int(v) < len(g.nodes) }
+	for i, c := range p.Casts {
+		if !node(c.Var) || c.Target < 0 || int(c.Target) >= len(g.classes) {
+			return fmt.Errorf("cast site %d references out-of-range IDs", i)
+		}
+	}
+	for i, d := range p.Derefs {
+		if !node(d.Var) {
+			return fmt.Errorf("deref site %d references node %d out of range", i, d.Var)
+		}
+	}
+	for i, f := range p.Factories {
+		if f.Method < 0 || int(f.Method) >= len(g.methods) || !node(f.Ret) {
+			return fmt.Errorf("factory site %d references out-of-range IDs", i)
+		}
+	}
+	return nil
 }
 
 // invalidateIndexes drops lazily built indexes; call after mutating the

@@ -110,13 +110,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, corruptSection("csr", err)
 	}
-	if err := checkSites(snap, g); err != nil {
-		return nil, err
-	}
 	prog := pag.NewProgram(snap.name, g)
 	prog.Casts = snap.casts
 	prog.Derefs = snap.derefs
 	prog.Factories = snap.factories
+	if err := prog.CheckSites(); err != nil {
+		return nil, corruptSection("sites", err)
+	}
 
 	s := &Store{dir: dir, opts: opts, prog: prog, epoch: snap.epoch}
 	s.eng = s.newEngine(g)
@@ -254,29 +254,6 @@ func (s *Store) Close() error {
 	jr := s.jr
 	s.jr = nil
 	return jr.Close()
-}
-
-// checkSites range-checks the snapshot's client site tables against the
-// rebuilt graph — the one image-level validation FromImage cannot do
-// because sites live on the Program, not the Graph.
-func checkSites(s *snapshot, g *pag.Graph) error {
-	n, nc, nm := g.NumNodes(), g.NumClasses(), g.NumMethods()
-	for i, c := range s.casts {
-		if c.Var < 0 || int(c.Var) >= n || c.Target < 0 || int(c.Target) >= nc {
-			return corruptSection("sites", fmt.Errorf("cast site %d references out-of-range IDs", i))
-		}
-	}
-	for i, d := range s.derefs {
-		if d.Var < 0 || int(d.Var) >= n {
-			return corruptSection("sites", fmt.Errorf("deref site %d references node %d out of range", i, d.Var))
-		}
-	}
-	for i, f := range s.factories {
-		if f.Method < 0 || int(f.Method) >= nm || f.Ret < 0 || int(f.Ret) >= n {
-			return corruptSection("sites", fmt.Errorf("factory site %d references out-of-range IDs", i))
-		}
-	}
-	return nil
 }
 
 func (s *Store) newEngine(g *pag.Graph) *core.DynSum {
