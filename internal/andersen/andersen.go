@@ -29,6 +29,8 @@
 package andersen
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"dynsum/internal/pag"
@@ -107,13 +109,23 @@ type solver struct {
 	// to receiver points-to growth.
 	callsByRecv map[pag.NodeID][]int
 	resolved    map[resolvedKey]bool
-	work        []cell
-	inWork      []bool
+	// wired lists the resolved (call, callee) pairs in discovery order,
+	// which follows points-to map iteration; Solve adds them to the graph
+	// in a fixed order after the fixpoint.
+	wired  []wiredCall
+	work   []cell
+	inWork []bool
 }
 
 type resolvedKey struct {
 	call   int
 	method pag.MethodID
+}
+
+// wiredCall is one resolved dispatch: call indexes Solve's calls.
+type wiredCall struct {
+	call   int
+	callee Callee
 }
 
 // Solve runs the analysis. calls may be nil (fully static call graph).
@@ -162,7 +174,43 @@ func Solve(g *pag.Graph, calls []VirtualCall, disp Dispatcher) *Result {
 		s.res.Iterations++
 		s.process(c)
 	}
+	s.wire()
 	return s.res
+}
+
+// wire adds the resolved calls to the graph, ordered by call site, callee
+// method and argument position (the exit edge last), so that the graph,
+// its call-target lists and everything laid out from them do not depend
+// on the order the solver met the receivers' objects in.
+func (s *solver) wire() {
+	slices.SortFunc(s.wired, func(a, b wiredCall) int {
+		return cmp.Or(cmp.Compare(s.calls[a.call].Site, s.calls[b.call].Site),
+			cmp.Compare(a.callee.Method, b.callee.Method), cmp.Compare(a.call, b.call))
+	})
+	for _, w := range s.wired {
+		call := s.calls[w.call]
+		s.g.AddCallTarget(call.Site, w.callee.Method)
+		s.eachFlow(call, w.callee, func(e pag.Edge) { s.g.AddEdge(e) })
+	}
+}
+
+// eachFlow calls fn with the entry edge of every argument position, in
+// order, and then the exit edge, that wiring callee at call adds.
+func (s *solver) eachFlow(call VirtualCall, callee Callee, fn func(pag.Edge)) {
+	for i, actual := range call.Actuals {
+		if i >= len(callee.Formals) {
+			break
+		}
+		// Non-reference positions (int parameters) are NoNode on either
+		// side and carry no points-to flow.
+		if actual == pag.NoNode || callee.Formals[i] == pag.NoNode {
+			continue
+		}
+		fn(pag.Edge{Src: actual, Dst: callee.Formals[i], Kind: pag.Entry, Label: int32(call.Site)})
+	}
+	if call.Lhs != pag.NoNode && callee.Ret != pag.NoNode {
+		fn(pag.Edge{Src: callee.Ret, Dst: call.Lhs, Kind: pag.Exit, Label: int32(call.Site)})
+	}
 }
 
 // cellPts returns the points-to set of c, allocating on demand.
@@ -286,8 +334,8 @@ func (s *solver) process(c cell) {
 	}
 }
 
-// resolveCall wires every callee dispatchable from the receiver's current
-// points-to set into the PAG.
+// resolveCall adds the copy edges of every callee newly dispatchable from
+// the receiver's current points-to set, and records it for wire.
 func (s *solver) resolveCall(ci int, recvPts map[pag.NodeID]bool) {
 	call := s.calls[ci]
 	for o := range recvPts {
@@ -301,26 +349,7 @@ func (s *solver) resolveCall(ci int, recvPts map[pag.NodeID]bool) {
 		}
 		s.resolved[rk] = true
 		s.res.ResolvedCalls++
-		s.g.AddCallTarget(call.Site, callee.Method)
-		for i, actual := range call.Actuals {
-			if i >= len(callee.Formals) {
-				break
-			}
-			// Non-reference positions (int parameters) are NoNode on
-			// either side and carry no points-to flow.
-			if actual == pag.NoNode || callee.Formals[i] == pag.NoNode {
-				continue
-			}
-			e := pag.Edge{Src: actual, Dst: callee.Formals[i], Kind: pag.Entry, Label: int32(call.Site)}
-			if s.g.AddEdge(e) {
-				s.addCopy(cell(actual), cell(callee.Formals[i]))
-			}
-		}
-		if call.Lhs != pag.NoNode && callee.Ret != pag.NoNode {
-			e := pag.Edge{Src: callee.Ret, Dst: call.Lhs, Kind: pag.Exit, Label: int32(call.Site)}
-			if s.g.AddEdge(e) {
-				s.addCopy(cell(callee.Ret), cell(call.Lhs))
-			}
-		}
+		s.wired = append(s.wired, wiredCall{call: ci, callee: callee})
+		s.eachFlow(call, callee, func(e pag.Edge) { s.addCopy(cell(e.Src), cell(e.Dst)) })
 	}
 }
