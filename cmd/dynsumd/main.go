@@ -209,14 +209,7 @@ func loadBase(bench string, scale float64, seed int64) (*pag.Program, error) {
 	if flag.NArg() != 1 {
 		return nil, errors.New("pass a program file (.mj or .pag) or -bench")
 	}
-	prog, err := readProgram(flag.Arg(0))
-	if err != nil {
-		return nil, err
-	}
-	if !prog.G.Frozen() {
-		prog.G.Freeze()
-	}
-	return prog, nil
+	return readProgram(flag.Arg(0))
 }
 
 // readProgram compiles a .mj file, or streams any other file through

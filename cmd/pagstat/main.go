@@ -92,17 +92,14 @@ func main() {
 	}
 	s := prog.G.Stats()
 	fmt.Printf("program: %s\n%s\n%s\n", prog.Name, s, prog.G.Layout())
-	if prog.G.Frozen() {
-		fmt.Printf("condense: %s\n", prog.G.CondenseStats())
-	}
+	fmt.Printf("condense: %s\n", prog.G.CondenseStats())
 	fmt.Printf("call sites: %d\nquery sites: %d casts, %d derefs, %d factories\n",
 		prog.G.NumCallSites(), len(prog.Casts), len(prog.Derefs), len(prog.Factories))
 }
 
 // validateProgram runs the deep structural validators over the loaded
-// program: the graph invariants in its loaded form, then — after
-// freezing, which decoded/compiled programs arrive without — the frozen
-// layout and its condensation. Violations are reported with node and
+// (frozen) program: the graph invariants, then its condensation.
+// Violations are reported with node and
 // method names and exit non-zero, so the flag doubles as a regression
 // gate for externally produced .pag files.
 func validateProgram(prog *pag.Program) {
@@ -115,11 +112,7 @@ func validateProgram(prog *pag.Program) {
 			fmt.Printf("%s: ok\n", stage)
 		}
 	}
-	report("graph ("+form(prog.G)+")", check.Graph(prog.G))
-	if !prog.G.Frozen() {
-		prog.G.Freeze()
-		report("graph (frozen)", check.Graph(prog.G))
-	}
+	report("graph (frozen)", check.Graph(prog.G))
 	report("condensation", check.Condensation(prog.G, prog.G.Condensation()))
 	if fail {
 		os.Exit(1)
@@ -146,13 +139,6 @@ func snapshotStats(dir string) {
 		prog.G.NumCallSites(), len(prog.Casts), len(prog.Derefs), len(prog.Factories))
 	fmt.Printf("warm summaries: %d\n", st.Engine().SummaryCount())
 	fmt.Println("integrity: ok")
-}
-
-func form(g *pag.Graph) string {
-	if g.Frozen() {
-		return "frozen"
-	}
-	return "builder"
 }
 
 // benchStats renders the per-benchmark condensation and memoisation table:

@@ -211,7 +211,8 @@ const DefaultBudget = core.DefaultBudget
 // asks the usual whole-program question, the one PointsTo answers.
 const EmptyContext = intstack.Empty
 
-// NewBuilder returns a PAG builder over a fresh graph.
+// NewBuilder returns a PAG builder over a fresh graph; Finish validates
+// and freezes it for the engines.
 func NewBuilder() *Builder { return pag.NewBuilder() }
 
 // NewPointsToSet returns an empty points-to set, for reuse across queries
@@ -220,6 +221,8 @@ func NewPointsToSet() *PointsToSet { return core.NewPointsToSet() }
 
 // NewDynSum builds the paper's engine: demand-driven points-to analysis
 // with dynamic, context-independent PPTA summaries (Algorithms 3 and 4).
+// g must be frozen (Builder.Finish, or any program the frontend, the
+// generator or the decoder returns); an unfrozen graph panics.
 func NewDynSum(g *Graph, cfg Config) *DynSum { return core.NewDynSum(g, cfg, nil) }
 
 // NewNoRefine builds the NOREFINE baseline: fully field-sensitive

@@ -40,8 +40,8 @@ func main() {
 	b.Call(main, id, "main:1", []pag.NodeID{a}, []pag.NodeID{p}, ret, x)
 	b.Call(main, id, "main:2", []pag.NodeID{bb}, []pag.NodeID{p}, ret, y)
 
-	g := b.G
-	if err := g.Validate(); err != nil {
+	g, err := b.Finish() // validate and freeze: engines analyse frozen graphs
+	if err != nil {
 		panic(err)
 	}
 

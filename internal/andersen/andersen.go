@@ -19,13 +19,14 @@
 // as base points-to sets grow; propagation runs a difference-based
 // worklist to a fixpoint.
 //
-// Condensation opt-out: the solver runs on the base adjacency, never the
-// SCC-condensed overlay (pag/condense.go), by necessity — on-the-fly
-// call-graph construction mutates the graph (AddEdge), which is only
-// legal pre-freeze, and the overlay is built at freeze time. (Online
-// cycle collapse à la Hardekopf–Lin would live inside this solver's copy
-// graph, not in the PAG overlay.) As the soundness oracle it also wants
-// per-node sets: tests index its results by original NodeID.
+// The solver reads the graph only through its edge list (pag.Graph.Edges)
+// and keeps its own copy graph and index of field edges, so it runs on a
+// graph under construction (the frontend's case: on-the-fly call-graph
+// construction appends edges, which is only legal before Freeze) and on a
+// frozen one (the oracle's) alike. It never uses the SCC-condensed overlay
+// (pag/condense.go), which Freeze builds; online cycle collapse à la
+// Hardekopf–Lin would live inside the copy graph. As the soundness oracle
+// it also wants per-node sets: tests index its results by original NodeID.
 package andersen
 
 import (
@@ -100,11 +101,14 @@ func (r *Result) Size(v pag.NodeID) int { return len(r.pts[v]) }
 
 // solver state.
 type solver struct {
-	g     *pag.Graph
-	res   *Result
-	succ  []map[cell]bool // dynamic copy graph
-	calls []VirtualCall
-	disp  Dispatcher
+	g    *pag.Graph
+	res  *Result
+	succ []map[cell]bool // dynamic copy graph
+	// fieldEdges[n] lists the load edges with base n and the store edges
+	// with value or base n: the field constraints n's growth triggers.
+	fieldEdges [][]pag.Edge
+	calls      []VirtualCall
+	disp       Dispatcher
 	// callsByRecv groups unresolved calls by receiver for quick reaction
 	// to receiver points-to growth.
 	callsByRecv map[pag.NodeID][]int
@@ -142,6 +146,7 @@ func Solve(g *pag.Graph, calls []VirtualCall, disp Dispatcher) *Result {
 			slot: make(map[slotKey]cell),
 		},
 		succ:        make([]map[cell]bool, n),
+		fieldEdges:  make([][]pag.Edge, n),
 		calls:       calls,
 		disp:        disp,
 		callsByRecv: make(map[pag.NodeID][]int),
@@ -152,15 +157,19 @@ func Solve(g *pag.Graph, calls []VirtualCall, disp Dispatcher) *Result {
 		s.callsByRecv[c.Recv] = append(s.callsByRecv[c.Recv], i)
 	}
 
-	// Static copy edges and allocation seeds.
-	for i := 0; i < n; i++ {
-		src := pag.NodeID(i)
-		for _, e := range g.Out(src) {
-			switch e.Kind {
-			case pag.New:
-				s.addObj(cell(e.Dst), e.Src)
-			case pag.Assign, pag.AssignGlobal, pag.Entry, pag.Exit:
-				s.addCopy(cell(e.Src), cell(e.Dst))
+	// Static copy edges, allocation seeds and the field-edge index.
+	for _, e := range g.Edges() {
+		switch e.Kind {
+		case pag.New:
+			s.addObj(cell(e.Dst), e.Src)
+		case pag.Assign, pag.AssignGlobal, pag.Entry, pag.Exit:
+			s.addCopy(cell(e.Src), cell(e.Dst))
+		case pag.Load:
+			s.fieldEdges[e.Src] = append(s.fieldEdges[e.Src], e)
+		case pag.Store:
+			s.fieldEdges[e.Src] = append(s.fieldEdges[e.Src], e)
+			if e.Dst != e.Src {
+				s.fieldEdges[e.Dst] = append(s.fieldEdges[e.Dst], e)
 			}
 		}
 	}
@@ -298,31 +307,27 @@ func (s *solver) process(c cell) {
 		return
 	}
 	n := pag.NodeID(c)
-	for _, e := range s.g.Out(n) {
-		switch e.Kind {
-		case pag.Store:
-			// n is the stored value? No: store edge runs value -> base,
-			// so n is the value and e.Dst the base. The base's objects
-			// determine the slots the value flows into.
-			for o := range s.res.pts[e.Dst] {
-				s.addCopy(cell(e.Src), s.slotCell(o, e.Field()))
-			}
-		case pag.Load:
+	for _, e := range s.fieldEdges[n] {
+		if e.Kind == pag.Load {
 			// n is the base: its objects' slots flow into the target.
 			for o := range set {
 				s.addCopy(s.slotCell(o, e.Field()), cell(e.Dst))
 			}
-		}
-	}
-	// A store edge where n is the BASE (incoming store): new objects of n
-	// open new slots for the stored value. Stores are local edges, so only
-	// the local in-partition is scanned.
-	for _, e := range s.g.LocalIn(n) {
-		if e.Kind != pag.Store {
 			continue
 		}
-		for o := range set {
-			s.addCopy(cell(e.Src), s.slotCell(o, e.Field()))
+		// A store edge runs value -> base.
+		if e.Src == n {
+			// n is the value: the base's objects determine the slots it
+			// flows into.
+			for o := range s.res.pts[e.Dst] {
+				s.addCopy(cell(n), s.slotCell(o, e.Field()))
+			}
+		}
+		if e.Dst == n {
+			// n is the base: its new objects open new slots for the value.
+			for o := range set {
+				s.addCopy(cell(e.Src), s.slotCell(o, e.Field()))
+			}
 		}
 	}
 

@@ -115,6 +115,7 @@ func TestOnTheFlyCallGraph(t *testing.T) {
 		t.Errorf("ResolvedCalls = %d, want 1", res.ResolvedCalls)
 	}
 	// The PAG must now contain the entry/exit edges for the demand engines.
+	b.G.Freeze()
 	if b.G.EdgeKindCount(pag.Entry) != 2 || b.G.EdgeKindCount(pag.Exit) != 1 {
 		t.Errorf("entry/exit = %d/%d, want 2/1",
 			b.G.EdgeKindCount(pag.Entry), b.G.EdgeKindCount(pag.Exit))

@@ -97,18 +97,18 @@ func (e *EvolveProgram) NumWaves() int { return len(e.Waves) }
 // partitions it into a waves-instalment load order. Determinism matches
 // Generate: the same (profile, seed, waves) always yields the same replay.
 func GenerateEvolve(p Profile, seed int64, waves int) (*EvolveProgram, error) {
-	return PartitionEvolve(generate(p, seed), p.Name+"-evolve", waves)
+	return PartitionEvolve(Generate(p, seed), p.Name+"-evolve", waves)
 }
 
-// PartitionEvolve splits a fully built, still-mutable program into a
-// load-order replay of the given wave count. Methods are bucketed by
+// PartitionEvolve splits a frozen program into a load-order replay of the
+// given wave count. Methods are bucketed by
 // creation order into contiguous waves; a node arrives with its method
 // (globals arrive in the base), an edge as soon as both endpoints exist,
 // a call site with its caller, a query site with its variable.
 func PartitionEvolve(prog *pag.Program, name string, waves int) (*EvolveProgram, error) {
 	g := prog.G
-	if g.Frozen() {
-		return nil, fmt.Errorf("benchgen: PartitionEvolve needs the mutable form; partition before freezing")
+	if !g.Frozen() {
+		return nil, fmt.Errorf("benchgen: PartitionEvolve: %w", pag.ErrNotFrozen)
 	}
 	numMethods := g.NumMethods()
 	if numMethods == 0 {

@@ -32,10 +32,6 @@ import (
 // is exactly what IDE clients do and what the summary cache exploits.
 func Generate(p Profile, seed int64) *pag.Program {
 	prog := generate(p, seed)
-	// Synthetic benchmarks are never edited after generation: freeze to
-	// the CSR layout so every engine and experiment runs on the fast path.
-	// (The evolve workloads keep the mutable form and partition it into
-	// load-order waves instead; see evolve.go.)
 	prog.G.Freeze()
 	return prog
 }

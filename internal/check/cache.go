@@ -5,7 +5,7 @@ import (
 )
 
 // Cache validates the engine-side summary cache and intern tables of d:
-// cache keys must name nodes inside the current view (so InvalidateMethod's
+// cache keys must name nodes inside the current view (so invalidation's
 // node-bitset scan covers every entry), sit in the stripe their hash picks
 // and name a filed record whose arena ranges are in bounds; d's visibility
 // bits must name existing entries of its summary tier and never hide a

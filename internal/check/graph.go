@@ -4,9 +4,9 @@ import (
 	"dynsum/internal/pag"
 )
 
-// GraphData is the read surface Graph validates. *pag.Graph implements it
-// in both builder and frozen form; tests wrap one to corrupt a single
-// accessor and prove the corresponding clause fires.
+// GraphData is the read surface Graph validates. A frozen *pag.Graph
+// implements it; tests wrap one to corrupt a single accessor and prove the
+// corresponding clause fires.
 type GraphData interface {
 	NumNodes() int
 	NumEdges() int
@@ -32,8 +32,8 @@ type GraphData interface {
 
 var _ GraphData = (*pag.Graph)(nil)
 
-// Graph validates the adjacency representation of g — builder slices or
-// frozen CSR alike, since both feed the same accessor surface:
+// Graph validates the frozen CSR adjacency of g through its accessor
+// surface:
 //
 //   - every span endpoint and label is in range
 //   - the local/global partition: LocalOut holds only local kinds,

@@ -41,6 +41,7 @@ func segmentedChain(segs, seg int) (*pag.Program, pag.NodeID) {
 			carry = g
 		}
 	}
+	b.G.Freeze()
 	return pag.NewProgram("segmented", b.G), v
 }
 

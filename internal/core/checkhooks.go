@@ -19,7 +19,7 @@ const checkMaxViolations = 20
 // CheckIntegrity verifies the engine's cache-layer invariants:
 //
 //   - private cache keys name nodes inside the current view's ID space (so
-//     the node bitset InvalidateMethod scans with covers every key), sit
+//     the node bitset invalidation scans with covers every key), sit
 //     in the stripe their hash picks, and name a filed record; each
 //     stripe's count matches the keys it holds
 //   - tier keys name nodes of the tier's graph and sit in the stripe their

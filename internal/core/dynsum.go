@@ -31,7 +31,7 @@ import (
 // work counters are updated atomically, so PointsTo and Query may be
 // called from many goroutines and BatchPointsToCtx fans a query batch out
 // across a worker pool. The mutating operations (ApplyDelta, Compact,
-// ApplySpecs, EnableOpenWorld, InvalidateMethod, ImportSummaries, setting
+// ApplySpecs, EnableOpenWorld, ImportSummaries, setting
 // Tracer, DisableCache or DisableCondense) are not synchronised with
 // in-flight queries; quiesce the engine before calling them.
 type DynSum struct {
@@ -117,19 +117,19 @@ func NewDynSum(g *pag.Graph, cfg Config, ctxs *intstack.Table) *DynSum {
 
 // clean reports whether the engine's summaries are the tier's base
 // values, so its write-backs may go to the tier: it still runs on the
-// tier's frozen graph with no overlay and no open-world model, has never
+// tier's graph with no overlay and no open-world model, has never
 // detached, and queries in the tier's adjacency mode. Cleanliness only
 // ever ends — an overlay or open-world model is never removed, and
 // Compact and mode flips detach — so a clean engine's private table stays
 // empty and the tier entries it sees never hide a private one.
 func (d *DynSum) clean() bool {
 	v := d.cache
-	return d.ov == nil && d.ow == nil && d.g == v.tier.g && d.g.Frozen() &&
+	return d.ov == nil && d.ow == nil && d.g == v.tier.g &&
 		!v.detached.Load() && d.cacheMode.Load() == v.tier.mode.Load()
 }
 
-// condensation returns the graph's SCC-condensed overlay, or nil when the
-// graph is mutable or DisableCondense is set. Everything downstream — the
+// condensation returns the graph's SCC-condensed overlay, or nil when
+// DisableCondense is set. Everything downstream — the
 // driver expansion, the PPTA traversal and the summary-cache keys — hangs
 // off this one choice, so the two paths can never mix within a query.
 func (d *DynSum) condensation() *pag.Condensation {
@@ -160,24 +160,15 @@ func (d *DynSum) SummaryCounts() (visible, private int) {
 	return int(d.cache.visible.Load()), d.cache.priv.size()
 }
 
-// InvalidateMethod drops the summaries whose start node lies in method m —
-// the incremental invalidation an IDE performs after editing one method
-// (the paper motivates DYNSUM with exactly this "program undergoing many
-// edits" scenario, §1 and §7) — and returns how many it dropped: tier
-// entries the engine saw are hidden from it (the tier keeps them for its
-// other engines), private entries are removed. Summary keys are SCC
-// representatives on condensed graphs, but assign SCCs never cross
-// methods, so the representative's method is the summary's method. The
-// cache keeps no per-method index: this is one node-set build and one
-// pass over the key slots (see invalidateMethods).
-func (d *DynSum) InvalidateMethod(m pag.MethodID) int {
-	return d.invalidateMethods([]pag.MethodID{m})
-}
-
 // invalidateMethods drops every summary whose key node lies in one of ms
-// (pag.NoMethod selects the global nodes). The methods become a node
-// bitset, delta-added nodes included, so the cache scan that follows
-// tests one bit per slot. An evolved engine reads the nodes off the
+// (pag.NoMethod selects the global nodes) and returns how many it dropped:
+// tier entries the engine saw are hidden from it (the tier keeps them for
+// its other engines), private entries are removed. Summary keys are SCC
+// representatives on condensed graphs, but assign SCCs never cross
+// methods, so the representative's method is the summary's method.
+// ApplyDelta calls it with an epoch's touched methods. The cache keeps no
+// per-method index: the methods become a node bitset, delta-added nodes
+// included, so the cache scan that follows tests one bit per slot. An evolved engine reads the nodes off the
 // overlay's method index; without one, or for NoMethod (which the index
 // does not cover), it is one pass over the view's node table.
 func (d *DynSum) invalidateMethods(ms []pag.MethodID) int {

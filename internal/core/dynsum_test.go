@@ -171,6 +171,7 @@ func TestDynSumFieldDepthCap(t *testing.T) {
 	b.NewObject(y, "o", cls)
 	b.Load(x, x, fld) // x = x.f
 	b.Load(x, y, fld) // x = y.f  (forces a path into the self-loop)
+	b.G.Freeze()
 	d := core.NewDynSum(b.G, core.Config{MaxFieldDepth: 8}, nil)
 	_, err := d.PointsTo(x)
 	if !errors.Is(err, core.ErrDepth) && !errors.Is(err, core.ErrBudget) {

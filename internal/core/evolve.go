@@ -38,8 +38,7 @@ type DeltaResult struct {
 
 // NewDeltaLog starts a change log positioned at the engine's current
 // program: fill it with delta.Log's Add/Redefine methods and apply it with
-// ApplyDelta. The engine's graph must be frozen (mutable graphs take edits
-// directly and need no delta machinery).
+// ApplyDelta.
 func (d *DynSum) NewDeltaLog() (*delta.Log, error) {
 	if err := d.ensureOverlay(); err != nil {
 		return nil, err

@@ -7,6 +7,13 @@ import (
 	"dynsum/internal/pag"
 )
 
+// InvalidateMethod drops the summaries whose key node lies in method m and
+// returns how many it dropped, as ApplyDelta does for each method an
+// epoch touches; tests call it to check the invalidation scan directly.
+func (d *DynSum) InvalidateMethod(m pag.MethodID) int {
+	return d.invalidateMethods([]pag.MethodID{m})
+}
+
 // CacheDump renders every summary-cache entry — key fields and full result
 // contents — as a sorted string list. Tests use it to assert that an
 // operation left the cache byte-identical (the abort-rollback guarantee)

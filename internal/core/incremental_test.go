@@ -4,14 +4,31 @@ import (
 	"testing"
 
 	"dynsum/internal/core"
+	"dynsum/internal/delta"
 	"dynsum/internal/fixture"
 	"dynsum/internal/pag"
 )
 
+// edit applies one delta epoch, recorded by fill, to d.
+func edit(t *testing.T, d *core.DynSum, fill func(*delta.Log)) core.DeltaResult {
+	t.Helper()
+	log, err := d.NewDeltaLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(log)
+	res, err := d.ApplyDelta(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestIncrementalEditInvalidation models the IDE scenario the paper
 // motivates (§1, §7): after editing a method, invalidating just that
 // method's summaries restores exact answers, while the rest of the warm
-// cache keeps being reused.
+// cache keeps being reused. The edit arrives as a delta epoch, which
+// invalidates the edited method by itself.
 func TestIncrementalEditInvalidation(t *testing.T) {
 	f := fixture.BuildFigure2()
 	g := f.Prog.G
@@ -28,16 +45,17 @@ func TestIncrementalEditInvalidation(t *testing.T) {
 	// "Edit" Vector.add: the payload now also flows into the object
 	// array via a second store path (t2 aliases t).
 	addMethod := g.Node(f.TAdd).Method
-	t2 := g.AddNode(pag.Local, addMethod, pag.NoClass, "t2")
-	g.AddEdge(pag.Edge{Src: f.ThisAdd, Dst: t2, Kind: pag.Load, Label: int32(f.Elems)})
-	g.AddEdge(pag.Edge{Src: f.PAdd, Dst: t2, Kind: pag.Store, Label: int32(f.Arr)})
-
-	dropped := warm.InvalidateMethod(addMethod)
-	if dropped == 0 {
+	editAdd := func(l *delta.Log) {
+		t2 := l.AddNode(pag.Local, addMethod, pag.NoClass, "t2")
+		l.AddEdge(pag.Edge{Src: f.ThisAdd, Dst: t2, Kind: pag.Load, Label: int32(f.Elems)})
+		l.AddEdge(pag.Edge{Src: f.PAdd, Dst: t2, Kind: pag.Store, Label: int32(f.Arr)})
+	}
+	if res := edit(t, warm, editAdd); res.InvalidatedSummaries == 0 {
 		t.Fatal("no summaries invalidated for the edited method")
 	}
 
 	fresh := core.NewDynSum(g, core.Config{}, warm.Ctxs())
+	edit(t, fresh, editAdd)
 	for _, q := range []pag.NodeID{f.S1, f.S2, f.PAdd, f.RetGet} {
 		a, errA := warm.PointsTo(q)
 		b, errB := fresh.PointsTo(q)
@@ -45,7 +63,7 @@ func TestIncrementalEditInvalidation(t *testing.T) {
 			t.Fatalf("query %s: %v / %v", g.NodeString(q), errA, errB)
 		}
 		if !a.Equal(b) {
-			t.Errorf("query %s: warm-after-invalidate %s != fresh %s",
+			t.Errorf("query %s: warm-after-edit %s != fresh %s",
 				g.NodeString(q), a.FormatObjects(g), b.FormatObjects(g))
 		}
 	}
@@ -71,9 +89,14 @@ func TestGlobalEdgeEditNeedsNoInvalidation(t *testing.T) {
 
 	// New call site: v1.add(c1) — the Client object o27 now flows into p,
 	// which no existing call site provided.
-	cs := g.AddCallSite(g.Node(f.S2).Method, "Main.main:new")
-	g.AddEdge(pag.Edge{Src: f.V1, Dst: f.ThisAdd, Kind: pag.Entry, Label: int32(cs)})
-	g.AddEdge(pag.Edge{Src: f.C1, Dst: f.PAdd, Kind: pag.Entry, Label: int32(cs)})
+	addCall := func(l *delta.Log) {
+		cs := l.AddCallSite(pag.CallSite{Caller: g.Node(f.S2).Method, Name: "Main.main:new"})
+		l.AddEdge(pag.Edge{Src: f.V1, Dst: f.ThisAdd, Kind: pag.Entry, Label: int32(cs)})
+		l.AddEdge(pag.Edge{Src: f.C1, Dst: f.PAdd, Kind: pag.Entry, Label: int32(cs)})
+	}
+	if res := edit(t, warm, addCall); res.InvalidatedSummaries != 0 {
+		t.Errorf("a global edit invalidated %d summaries", res.InvalidatedSummaries)
+	}
 
 	after, err := warm.PointsTo(f.PAdd)
 	if err != nil {
@@ -87,6 +110,7 @@ func TestGlobalEdgeEditNeedsNoInvalidation(t *testing.T) {
 	}
 
 	fresh := core.NewDynSum(g, core.Config{}, warm.Ctxs())
+	edit(t, fresh, addCall)
 	want, err := fresh.PointsTo(f.PAdd)
 	if err != nil {
 		t.Fatal(err)

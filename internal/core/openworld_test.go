@@ -66,6 +66,7 @@ func buildOWFixture(t *testing.T) *owFixture {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("fixture invalid: %v", err)
 	}
+	g.Freeze()
 	return fx
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -79,8 +80,13 @@ type tierStripe struct {
 }
 
 // NewSummaryTier returns an empty tier for engines over g configured by
-// cfg. Only engines whose graph is g (frozen, never evolved) write to it.
+// cfg. Only engines whose graph is g (never evolved) write to it. Engines
+// analyse frozen graphs only: on a graph still under construction it
+// panics with an error wrapping pag.ErrNotFrozen.
 func NewSummaryTier(g *pag.Graph, cfg Config) *SummaryTier {
+	if !g.Frozen() {
+		panic(fmt.Errorf("core: NewSummaryTier: %w", pag.ErrNotFrozen))
+	}
 	return &SummaryTier{g: g, cfg: cfg.WithDefaults()}
 }
 

@@ -67,7 +67,7 @@ func edgeSet(es []pag.Edge) []pag.Edge {
 }
 
 // checkBaseViewMatches compares the overlay's base view against a freshly
-// built mutable reference graph node by node, all four spans.
+// built reference graph node by node, all four spans.
 func checkBaseViewMatches(t *testing.T, tag string, o *Overlay, ref *pag.Graph) {
 	t.Helper()
 	if o.NumNodes() != ref.NumNodes() {
@@ -129,7 +129,7 @@ func TestApplyAddMethodMatchesRebuild(t *testing.T) {
 		t.Errorf("a purely global epoch dissolved %d SCCs", st.DissolvedSCCs)
 	}
 
-	// Reference: the same program built mutable from scratch.
+	// Reference: the same program built from scratch.
 	ref := rebuildWith(t, fx, func(bd *pag.Builder) {
 		mD := bd.Method("D", fx.clsC)
 		d1 := bd.Local(mD, "d1", fx.clsC)
@@ -153,7 +153,7 @@ func TestApplyAddMethodMatchesRebuild(t *testing.T) {
 }
 
 // rebuildWith replays the base fixture's construction plus extra into a
-// fresh mutable graph with identical IDs.
+// fresh frozen graph with identical IDs.
 func rebuildWith(t *testing.T, fx *baseFixture, extra func(*pag.Builder)) *pag.Graph {
 	t.Helper()
 	bd := pag.NewBuilder()
@@ -174,15 +174,16 @@ func rebuildWith(t *testing.T, fx *baseFixture, extra func(*pag.Builder)) *pag.G
 	r := bd.Local(mB, "r", cls)
 	bd.Copy(r, p)
 	bd.Call(mA, mB, "A:cs0", []pag.NodeID{a}, []pag.NodeID{p}, r, lhs)
-	g := bd.GlobalVar("G.g", cls)
-	bd.Copy(g, c)
+	glob := bd.GlobalVar("G.g", cls)
+	bd.Copy(glob, c)
 	if extra != nil {
 		extra(bd)
 	}
-	if err := bd.G.Validate(); err != nil {
+	g, err := bd.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return bd.G
+	return g
 }
 
 func TestRedefineDropsOwnedEdges(t *testing.T) {
@@ -256,10 +257,11 @@ func rebuildWithRedefinedA(t *testing.T, fx *baseFixture) *pag.Graph {
 	o2 := bd.Object(mA, "o2", cls)
 	bd.Alloc(t2, o2)
 	bd.Copy(lhs, t2)
-	if err := bd.G.Validate(); err != nil {
+	g, err := bd.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return bd.G
+	return g
 }
 
 func TestCondensedViewRepair(t *testing.T) {
@@ -364,7 +366,7 @@ func TestUnfrozenGraphRejected(t *testing.T) {
 	m := bd.Method("M", cls)
 	bd.Local(m, "x", cls)
 	if _, err := NewOverlay(bd.G); err == nil {
-		t.Fatal("overlay over a mutable graph accepted")
+		t.Fatal("overlay over an unfrozen graph accepted")
 	}
 }
 

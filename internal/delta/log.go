@@ -1,9 +1,8 @@
 // Package delta makes a frozen PAG evolve: it implements the epoch-based
 // overlay that lets the paper's headline *dynamic* scenario — code arriving
 // while the analysis is live (class loading, JIT recompilation, an IDE
-// session) — run on the frozen CSR layout that every optimisation in this
-// repository lives on, instead of being exiled to the slow mutable builder
-// form.
+// session) — run on the frozen CSR layout that every engine in this
+// repository analyses.
 //
 // The model is a change log applied in epochs. A Log records structured,
 // method-granular program changes:

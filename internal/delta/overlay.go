@@ -128,7 +128,7 @@ type patchAdj struct {
 // NewOverlay starts an empty overlay (epoch 0) over a frozen graph.
 func NewOverlay(g *pag.Graph) (*Overlay, error) {
 	if !g.Frozen() {
-		return nil, fmt.Errorf("delta: overlay requires a frozen graph; mutable graphs take edits directly")
+		return nil, fmt.Errorf("delta: overlay: %w", pag.ErrNotFrozen)
 	}
 	cond := g.Condensation()
 	return &Overlay{

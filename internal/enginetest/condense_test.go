@@ -19,8 +19,7 @@ import (
 // and both must satisfy the Table 2 invariants (same precision class as
 // NOREFINE, sound w.r.t. Andersen) — across the random corpus AND the
 // cyclic benchmark programs, whose giant assign SCCs are what the
-// condensation exists for. Incremental-edit fixtures stay mutable and
-// must therefore stay on the uncondensed path.
+// condensation exists for.
 
 // condensedPair builds two DYNSUM engines over one frozen graph: one on
 // the condensed overlay, one forced onto the base adjacency.
@@ -127,46 +126,6 @@ func queryVars(prog *pag.Program) []pag.NodeID {
 		out = append(out, f.Ret)
 	}
 	return out
-}
-
-// TestIncrementalFixturesStayUncondensed pins the mutable path: the
-// incremental-edit fixtures are never frozen, never condensed, and keep
-// answering exactly like a fresh engine after an edit + invalidation —
-// the scenario that must not silently start reading a stale overlay.
-func TestIncrementalFixturesStayUncondensed(t *testing.T) {
-	f := fixture.BuildFigure2()
-	g := f.Prog.G
-	if g.Frozen() || g.Condensation() != nil {
-		t.Fatal("incremental fixture is frozen/condensed; edits would panic")
-	}
-
-	warm := core.NewDynSum(g, core.Config{}, nil)
-	if _, err := warm.PointsTo(f.S1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Edit a method (legal only because the graph is mutable), then
-	// invalidate and compare against a cold engine.
-	addMethod := g.Node(f.TAdd).Method
-	t2 := g.AddNode(pag.Local, addMethod, pag.NoClass, "t2")
-	g.AddEdge(pag.Edge{Src: f.ThisAdd, Dst: t2, Kind: pag.Load, Label: int32(f.Elems)})
-	g.AddEdge(pag.Edge{Src: f.PAdd, Dst: t2, Kind: pag.Store, Label: int32(f.Arr)})
-	if g.Condensation() != nil {
-		t.Fatal("editing produced a condensation")
-	}
-	warm.InvalidateMethod(addMethod)
-
-	fresh := core.NewDynSum(g, core.Config{}, warm.Ctxs())
-	for _, q := range []pag.NodeID{f.S1, f.S2, f.PAdd} {
-		a, errA := warm.PointsTo(q)
-		b, errB := fresh.PointsTo(q)
-		if errA != nil || errB != nil {
-			t.Fatalf("query %s: %v / %v", g.NodeString(q), errA, errB)
-		}
-		if !a.Equal(b) {
-			t.Errorf("query %s: warm-after-edit %v != fresh %v", g.NodeString(q), a, b)
-		}
-	}
 }
 
 // TestDisableCondenseToggleDropsWarmCache: condensed summaries are

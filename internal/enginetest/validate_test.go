@@ -24,18 +24,13 @@ func validateProfiles() []benchgen.Profile {
 	}
 }
 
-// TestValidateFrozenCondensedProfiles freezes each profile's program and
-// runs the deep structural validators on both forms plus the freeze-time
-// condensation.
+// TestValidateFrozenCondensedProfiles runs the deep structural validators
+// on each profile's frozen program plus its freeze-time condensation.
 func TestValidateFrozenCondensedProfiles(t *testing.T) {
 	for _, p := range validateProfiles() {
 		p = p.Scaled(0.004)
 		t.Run(p.Name, func(t *testing.T) {
 			prog := benchgen.Generate(p, 7)
-			if err := check.Graph(prog.G); err != nil {
-				t.Fatalf("builder form: %v", err)
-			}
-			prog.G.Freeze()
 			if err := check.Graph(prog.G); err != nil {
 				t.Fatalf("frozen form: %v", err)
 			}

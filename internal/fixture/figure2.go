@@ -3,7 +3,7 @@
 // program (a Vector/Client/Main scenario whose queries s1 and s2 drive the
 // Table 1 trace), several micro-graphs exercising single analysis features,
 // and a seeded random-program generator for property-based cross-engine
-// equivalence testing.
+// equivalence testing. Every fixture is frozen, as the engines require.
 package fixture
 
 import "dynsum/internal/pag"
@@ -187,5 +187,6 @@ func BuildFigure2() *Figure2 {
 		{Var: f.V1, Name: "v1.add"},
 		{Var: f.C1, Name: "c1.retrieve"},
 	}
+	b.G.Freeze()
 	return f
 }

@@ -140,7 +140,7 @@ func RandProgram(seed int64, cfg RandConfig) *pag.Program {
 		}
 	}
 
-	return pag.NewProgram("rand", b.G)
+	return frozen("rand", b)
 }
 
 // AllLocals returns every local-variable node of p, in ID order; property

@@ -100,6 +100,7 @@ func buildLib(t *testing.T) *libFixture {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("fixture invalid: %v", err)
 	}
+	g.Freeze()
 	return fx
 }
 
@@ -128,6 +129,7 @@ func TestStripBodies(t *testing.T) {
 			t.Errorf("node %s still has local edges", stripped.NodeString(n))
 		}
 	}
+	stripped.Freeze()
 	if !stripped.HasEdge(pag.Edge{Src: fx.o1, Dst: fx.a, Kind: pag.New, Label: pag.NoLabel}) {
 		t.Errorf("main's allocation vanished")
 	}

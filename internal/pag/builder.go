@@ -125,10 +125,9 @@ func (b *Builder) Ret(cs CallSiteID, ret, lhs NodeID) {
 }
 
 // Finish validates the constructed graph, freezes it into the immutable
-// CSR layout, and returns it. Use it when construction is complete and no
-// incremental edits will follow; builders that need to keep mutating (IDE
-// scenarios, on-the-fly call-graph growth) keep using G directly and may
-// freeze later — or never.
+// CSR layout, and returns it. Builders that still grow the graph after the
+// statements (on-the-fly call-graph resolution) keep using G and call
+// Validate and Freeze themselves.
 func (b *Builder) Finish() (*Graph, error) {
 	if err := b.G.Validate(); err != nil {
 		return nil, err

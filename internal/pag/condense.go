@@ -106,15 +106,14 @@ func (s CondenseStats) String() string {
 		s.GlobalEdges, s.CondensedGlobalEdges, s.GlobalEdgeReduction())
 }
 
-// Condensation returns the condensed overlay, or nil when the graph has
-// not been frozen (mutable graphs — the incremental-edit path — are never
-// condensed: edits would invalidate the SCC structure).
+// Condensation returns the condensed overlay Freeze built, or nil before
+// Freeze.
 func (g *Graph) Condensation() *Condensation {
 	return g.cond
 }
 
 // CondenseStats returns the condensation statistics of a frozen graph
-// (the zero value when unfrozen).
+// (the zero value before Freeze).
 func (g *Graph) CondenseStats() CondenseStats {
 	if g.cond == nil {
 		return CondenseStats{}

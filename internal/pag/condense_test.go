@@ -162,10 +162,10 @@ func TestCondenseMutableGraphHasNone(t *testing.T) {
 	m := b.Method("M", cls)
 	b.Local(m, "v", cls)
 	if b.G.Condensation() != nil {
-		t.Error("mutable graph has a condensation")
+		t.Error("unfrozen graph has a condensation")
 	}
 	if s := b.G.CondenseStats(); s.Nodes != 0 {
-		t.Errorf("mutable CondenseStats = %+v", s)
+		t.Errorf("unfrozen CondenseStats = %+v", s)
 	}
 }
 

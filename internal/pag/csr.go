@@ -2,27 +2,22 @@ package pag
 
 import "errors"
 
-// This file implements the frozen compressed-sparse-row (CSR) graph layout.
+// This file implements Freeze: the one step that turns a graph under
+// construction (its tables plus an append-only edge list) into the frozen
+// compressed-sparse-row (CSR) layout every engine reads. Builders, the
+// frontends, the PAG decoder and the delta overlay's Compact all end here,
+// so every frozen graph is laid out by the same code.
 //
-// A Graph starts life in builder form: per-node []Edge adjacency slices
-// plus the duplicate-suppression edge set. That form is convenient to grow
-// but hostile to the query engines, whose hot loops walk adjacency lists
-// millions of times per batch: every node's edges live in a separate heap
-// allocation, and the builder bookkeeping (edgeSet) stays resident forever.
-//
-// Freeze compacts the graph into two flat edge arrays (out- and in-edges,
-// grouped by node) indexed by offset arrays, and drops the builder-only
-// structures. Within each node's span the edges keep the invariant that
-// AddEdge already maintains incrementally: local edges (new/assign/load/
-// store) first, global edges (assignglobal/entry/exit) after, with the
-// boundary recorded per node. The PPTA (paper Algorithm 3) therefore
-// iterates exactly its local edges and the Algorithm 4 driver exactly its
-// global edges through the LocalIn/LocalOut/GlobalIn/GlobalOut accessors —
-// no kind-filter branch ever runs on the query path.
-//
-// A frozen Graph is immutable: AddNode/AddEdge panic, and every adjacency
-// accessor returns a capacity-clamped subslice so a buggy append in a
-// caller cannot silently overwrite a neighbouring node's edges.
+// The CSR holds two flat edge arrays (out- and in-edges, grouped by node)
+// indexed by offset arrays. Within each node's span local edges (new/
+// assign/load/store) come first and global edges (assignglobal/entry/
+// exit) after, with the boundary recorded per node. The PPTA (paper
+// Algorithm 3) therefore iterates exactly its local edges and the
+// Algorithm 4 driver exactly its global edges through the LocalIn/
+// LocalOut/GlobalIn/GlobalOut accessors — no kind-filter branch ever runs
+// on the query path. Every accessor returns a capacity-clamped subslice,
+// so a buggy append in a caller cannot silently overwrite a neighbouring
+// node's edges.
 
 // csr is the frozen adjacency representation. offsets have len(nodes)+1
 // entries; node n's out-edges are outEdges[outStart[n]:outStart[n+1]],
@@ -37,60 +32,38 @@ type csr struct {
 	inSplit []int32
 }
 
-// Freeze converts the graph to the immutable CSR layout and releases the
-// builder-form adjacency and the duplicate-suppression edge set. It is
-// idempotent and must be called only after construction is complete
+// Freeze lays the edge list out as the immutable CSR layout and condenses
+// it: repeats are dropped (dropRepeats, keeping each edge's first
+// occurrence), the spans are filled in list order (buildCSR), the edge
+// counts, adjacency flags and by-field Load/Store lists are indexed from
+// the deduplicated list, and the assign SCCs are collapsed into the
+// condensed overlay (condense.go). The edge list is released. Freeze is
+// idempotent and must be called only once construction is complete
 // (including any on-the-fly call-graph resolution, which adds entry/exit
-// edges): all mutation of nodes or edges afterwards panics.
-//
-// Engines work on frozen and unfrozen graphs alike — the adjacency
-// accessors present the same partitioned view of both — but the frozen
-// form is what the benchmarks measure: one contiguous allocation per
-// direction, no per-node slice headers, no edge set.
+// edges): AddNode and AddEdge panic afterwards.
 func (g *Graph) Freeze() {
 	if g.frozen != nil {
 		return
 	}
-	n := len(g.nodes)
-	f := &csr{
-		outStart: make([]int32, n+1),
-		outSplit: make([]int32, n),
-		inStart:  make([]int32, n+1),
-		inSplit:  make([]int32, n),
+	edges := dropRepeats(len(g.nodes), g.edges)
+	g.edges = nil
+	g.frozen = buildCSR(len(g.nodes), edges)
+	for _, e := range edges {
+		g.edgeCount[e.Kind]++
+		g.flag(e)
+		switch e.Kind {
+		case Load:
+			g.loadsByField[e.Field()] = append(g.loadsByField[e.Field()], e)
+		case Store:
+			g.storesByField[e.Field()] = append(g.storesByField[e.Field()], e)
+		}
 	}
-	total := 0
-	for _, es := range g.out {
-		total += len(es)
-	}
-	f.outEdges = make([]Edge, 0, total)
-	f.inEdges = make([]Edge, 0, total)
-	for i := 0; i < n; i++ {
-		f.outStart[i] = int32(len(f.outEdges))
-		f.outSplit[i] = f.outStart[i] + g.outSplit[i]
-		f.outEdges = append(f.outEdges, g.out[i]...)
-		f.inStart[i] = int32(len(f.inEdges))
-		f.inSplit[i] = f.inStart[i] + g.inSplit[i]
-		f.inEdges = append(f.inEdges, g.in[i]...)
-	}
-	f.outStart[n] = int32(len(f.outEdges))
-	f.inStart[n] = int32(len(f.inEdges))
-
-	g.frozen = f
-	g.out, g.in = nil, nil
-	g.outSplit, g.inSplit = nil, nil
-	g.edgeSet = nil
-
-	// With the CSR layout in place, collapse assign SCCs into the
-	// condensed overlay (condense.go). Mutable graphs never get one, so
-	// incrementally edited PAGs stay on the exact per-node path.
 	g.cond = g.condense()
 }
 
-// buildCSR lays out n nodes' adjacency straight from a duplicate-free edge
-// list, without the builder form: a counting pass sizes every span, and a
-// fill pass places the edges in list order through keepPartitioned. For a
-// list in AddEdge insertion order the result equals what AddEdge followed
-// by Freeze builds, edge for edge.
+// buildCSR lays out n nodes' adjacency from a duplicate-free edge list: a
+// counting pass sizes every span, and a fill pass places the edges in list
+// order through keepPartitioned.
 func buildCSR(n int, edges []Edge) *csr {
 	f := &csr{
 		outEdges: make([]Edge, len(edges)),
@@ -125,6 +98,24 @@ func buildCSR(n int, edges []Edge) *csr {
 	return f
 }
 
+// keepPartitioned restores the local-first partition of one node's span
+// after an edge was written to the span's next slot, s[len(s)-1]. *split
+// indexes s at the span's first global edge; the span may start anywhere
+// in s, so buildCSR passes the flat edge array up to the new slot. A local
+// edge lands at the boundary by swapping the first global edge (if any) to
+// the end — O(1), and the local/global partition each side of the
+// boundary is preserved. The order this leaves within a span is what the
+// engines' budgeted traversal counts depend on.
+func keepPartitioned(s []Edge, split *int32) {
+	last := len(s) - 1
+	if s[last].Kind.IsLocal() {
+		if at := int(*split); at < last {
+			s[at], s[last] = s[last], s[at]
+		}
+		*split++
+	}
+}
+
 // Frozen reports whether the graph has been compacted to the CSR layout.
 func (g *Graph) Frozen() bool { return g.frozen != nil }
 
@@ -135,7 +126,7 @@ func (g *Graph) Frozen() bool { return g.frozen != nil }
 // the delta path (internal/delta: record the change in a delta.Log and
 // apply it as an epoch overlay — DynSum.ApplyDelta on an engine), which
 // absorbs method-granular changes without thawing or rebuilding the CSR
-// layout. PAGs that need free-form edits should simply skip Freeze.
+// layout.
 var ErrFrozen = errors.New("pag: mutation of a frozen graph")
 
 // FrozenError is the panic value of a post-freeze AddNode/AddEdge: it
@@ -155,7 +146,7 @@ func (e *FrozenError) Error() string {
 	if e.Name != "" {
 		msg += " (" + e.Name + ")"
 	}
-	return msg + "; Freeze() made the PAG immutable — evolve it through the delta overlay (internal/delta, DynSum.ApplyDelta) or skip Freeze for free-form incremental edits"
+	return msg + "; Freeze() made the PAG immutable — evolve it through the delta overlay (internal/delta, DynSum.ApplyDelta)"
 }
 
 // Unwrap ties FrozenError to the ErrFrozen sentinel for errors.Is.

@@ -29,32 +29,30 @@ func buildSmall(t *testing.T) (*Builder, NodeID, NodeID) {
 	return b, v, w
 }
 
+// TestPartitionAccessorsBothForms: each node's out- and in-spans split
+// into their local and global forms, locals first.
 func TestPartitionAccessorsBothForms(t *testing.T) {
-	for _, freeze := range []bool{false, true} {
-		b, v, w := buildSmall(t)
-		g := b.G
-		if freeze {
-			g.Freeze()
-		}
-		// v: out = {assign->w, load->w (local)} + {entry->x (global)}.
-		if got := len(g.LocalOut(v)); got != 2 {
-			t.Errorf("freeze=%v: LocalOut(v) = %d edges, want 2", freeze, got)
-		}
-		if got := len(g.GlobalOut(v)); got != 1 || g.GlobalOut(v)[0].Kind != Entry {
-			t.Errorf("freeze=%v: GlobalOut(v) = %v, want one entry edge", freeze, g.GlobalOut(v))
-		}
-		// w: in = {assign, load (local)} + {exit (global)}.
-		if got := len(g.LocalIn(w)); got != 2 {
-			t.Errorf("freeze=%v: LocalIn(w) = %d edges, want 2", freeze, got)
-		}
-		if got := len(g.GlobalIn(w)); got != 1 || g.GlobalIn(w)[0].Kind != Exit {
-			t.Errorf("freeze=%v: GlobalIn(w) = %v, want one exit edge", freeze, g.GlobalIn(w))
-		}
-		// Concatenation order: locals first.
-		out := g.Out(v)
-		if len(out) != 3 || !out[0].Kind.IsLocal() || !out[1].Kind.IsLocal() || out[2].Kind.IsLocal() {
-			t.Errorf("freeze=%v: Out(v) = %v, want locals-first partition", freeze, out)
-		}
+	b, v, w := buildSmall(t)
+	g := b.G
+	g.Freeze()
+	// v: out = {assign->w, load->w (local)} + {entry->x (global)}.
+	if got := len(g.LocalOut(v)); got != 2 {
+		t.Errorf("LocalOut(v) = %d edges, want 2", got)
+	}
+	if got := len(g.GlobalOut(v)); got != 1 || g.GlobalOut(v)[0].Kind != Entry {
+		t.Errorf("GlobalOut(v) = %v, want one entry edge", g.GlobalOut(v))
+	}
+	// w: in = {assign, load (local)} + {exit (global)}.
+	if got := len(g.LocalIn(w)); got != 2 {
+		t.Errorf("LocalIn(w) = %d edges, want 2", got)
+	}
+	if got := len(g.GlobalIn(w)); got != 1 || g.GlobalIn(w)[0].Kind != Exit {
+		t.Errorf("GlobalIn(w) = %v, want one exit edge", g.GlobalIn(w))
+	}
+	// Concatenation order: locals first.
+	out := g.Out(v)
+	if len(out) != 3 || !out[0].Kind.IsLocal() || !out[1].Kind.IsLocal() || out[2].Kind.IsLocal() {
+		t.Errorf("Out(v) = %v, want locals-first partition", out)
 	}
 }
 
@@ -63,27 +61,23 @@ func TestPartitionAccessorsBothForms(t *testing.T) {
 // neighbouring node's edges (the "must not be mutated" doc promise, now
 // enforced for the append case).
 func TestAdjacencyIsAppendSafe(t *testing.T) {
-	for _, freeze := range []bool{false, true} {
-		b, v, w := buildSmall(t)
-		g := b.G
-		if freeze {
-			g.Freeze()
+	b, v, w := buildSmall(t)
+	g := b.G
+	g.Freeze()
+	for _, s := range [][]Edge{g.Out(v), g.In(w), g.LocalOut(v), g.GlobalOut(v), g.LocalIn(w), g.GlobalIn(w), g.Edges()} {
+		if len(s) == 0 {
+			continue
 		}
-		for _, s := range [][]Edge{g.Out(v), g.In(w), g.LocalOut(v), g.GlobalOut(v), g.LocalIn(w), g.GlobalIn(w)} {
-			if len(s) == 0 {
-				continue
-			}
-			if cap(s) != len(s) {
-				t.Fatalf("freeze=%v: adjacency slice has spare capacity %d > len %d", freeze, cap(s), len(s))
-			}
+		if cap(s) != len(s) {
+			t.Fatalf("adjacency slice has spare capacity %d > len %d", cap(s), len(s))
 		}
-		before := append([]Edge(nil), g.Out(w)...)
-		_ = append(g.Out(v), Edge{Kind: Assign}) // must copy, not clobber
-		after := g.Out(w)
-		for i := range before {
-			if before[i] != after[i] {
-				t.Fatalf("freeze=%v: append through Out(v) corrupted Out(w)", freeze)
-			}
+	}
+	before := append([]Edge(nil), g.Out(w)...)
+	_ = append(g.Out(v), Edge{Kind: Assign}) // must copy, not clobber
+	after := g.Out(w)
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatal("append through Out(v) corrupted Out(w)")
 		}
 	}
 }
@@ -135,29 +129,22 @@ func TestFrozenGraphPanicsOnMutation(t *testing.T) {
 func TestFrozenHasEdgeAndLayout(t *testing.T) {
 	b, v, w := buildSmall(t)
 	g := b.G
+	g.Freeze()
 	have := Edge{Src: v, Dst: w, Kind: Assign, Label: NoLabel}
 	haveGlobal := g.GlobalOut(v)[0]
-	mutLayout := g.Layout()
-	if mutLayout.Frozen {
-		t.Error("Layout.Frozen true before Freeze")
-	}
-	g.Freeze()
 	if !g.HasEdge(have) || !g.HasEdge(haveGlobal) {
 		t.Error("HasEdge lost edges after freeze")
 	}
 	if g.HasEdge(Edge{Src: w, Dst: v, Kind: Assign, Label: NoLabel}) {
 		t.Error("HasEdge invented an edge after freeze")
 	}
-	frzLayout := g.Layout()
-	if !frzLayout.Frozen {
-		t.Error("Layout.Frozen false after Freeze")
+	l := g.Layout()
+	if l.EdgeSlots != 2*g.NumEdges() {
+		t.Errorf("EdgeSlots = %d, want %d", l.EdgeSlots, 2*g.NumEdges())
 	}
-	if frzLayout.AdjacencyBytes >= mutLayout.AdjacencyBytes {
-		t.Errorf("freezing did not shrink the estimated adjacency footprint: %d -> %d",
-			mutLayout.AdjacencyBytes, frzLayout.AdjacencyBytes)
-	}
-	if frzLayout.EdgeSlots != 2*g.NumEdges() {
-		t.Errorf("EdgeSlots = %d, want %d", frzLayout.EdgeSlots, 2*g.NumEdges())
+	// 12-byte edges plus four int32 offset arrays over the nodes.
+	if n := g.NumNodes(); l.AdjacencyBytes != 12*l.EdgeSlots+4*(4*n+2) {
+		t.Errorf("AdjacencyBytes = %d for %d slots and %d nodes", l.AdjacencyBytes, l.EdgeSlots, n)
 	}
 }
 

@@ -15,22 +15,17 @@ import (
 	"dynsum/internal/pag"
 )
 
-// builderForm rebuilds p's graph through AddNode/AddEdge, adding the
-// edges in the order Encode writes their records, then freezes it: the
-// reference Decode's bulk CSR fill must reproduce exactly.
-func builderForm(t *testing.T, p *pag.Program) *pag.Graph {
+// builtForm rebuilds p's graph through AddNode/AddEdge, adding the edges
+// in the order Encode writes their records, then freezes it: the reference
+// Decode must reproduce exactly.
+func builtForm(t *testing.T, p *pag.Program) *pag.Graph {
 	t.Helper()
-	var edges []pag.Edge
-	for n := range p.G.NumNodes() {
-		edges = append(edges, p.G.Out(pag.NodeID(n))...)
-	}
-	return builderFormOf(t, p, edges)
+	return builtFormOf(t, p, p.G.Edges())
 }
 
-// builderFormOf rebuilds p's tables through the builder, adds edges in
-// their order through AddEdge (which drops repeats on arrival), then
-// freezes the graph.
-func builderFormOf(t *testing.T, p *pag.Program, edges []pag.Edge) *pag.Graph {
+// builtFormOf rebuilds p's tables through the graph's construction API,
+// appends edges in their order through AddEdge, then freezes the graph.
+func builtFormOf(t *testing.T, p *pag.Program, edges []pag.Edge) *pag.Graph {
 	t.Helper()
 	src, g := p.G, pag.NewGraph()
 	for c := range src.NumClasses() {
@@ -84,12 +79,11 @@ func image(t testing.TB, g *pag.Graph) *pag.FrozenImage {
 	return img
 }
 
-// TestDecodeMatchesBuilderForm pins that Decode's bulk CSR fill lays out
-// every span exactly as AddEdge's swap-insert followed by Freeze does, on
-// every benchgen profile, the paper's Figure 2, an open-world program and
-// random programs. Only the random ones have spans where two global edges
-// precede a local one in file order, the case where the swap rule differs
-// from a stable local-first partition.
+// TestDecodeMatchesBuilderForm pins that a decoded program equals the same
+// tables and edges built through AddNode/AddEdge and then frozen, on every
+// benchgen profile, the paper's Figure 2, an open-world program and random
+// programs: Decode fills the tables and the edge list itself and must hand
+// Freeze what a builder would.
 func TestDecodeMatchesBuilderForm(t *testing.T) {
 	progs := []*pag.Program{fixture.BuildFigure2().Prog}
 	for seed := range int64(25) {
@@ -113,8 +107,8 @@ func TestDecodeMatchesBuilderForm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", p.Name, err)
 		}
-		if !reflect.DeepEqual(image(t, got.G), image(t, builderForm(t, p))) {
-			t.Errorf("%s: decoded image differs from the builder-form reference", p.Name)
+		if !reflect.DeepEqual(image(t, got.G), image(t, builtForm(t, p))) {
+			t.Errorf("%s: decoded image differs from the built reference", p.Name)
 		}
 	}
 }
@@ -140,26 +134,26 @@ func withEdges(t testing.TB, p *pag.Program, edges []pag.Edge) []byte {
 }
 
 // checkDecodesLikeBuilder decodes p with its edge records replaced by
-// edges and checks the result against AddEdge fed the same records: the
-// same frozen image, and the same by-field Load/Store lists in the same
-// order (both follow the order the records first name each edge).
+// edges and checks the result against AddEdge fed the same records and
+// frozen: the same frozen image, and the same by-field Load/Store lists in
+// the same order (both follow the order the records first name each edge).
 func checkDecodesLikeBuilder(t *testing.T, p *pag.Program, edges []pag.Edge) {
 	t.Helper()
 	got, err := pag.Decode(bytes.NewReader(withEdges(t, p, edges)))
 	if err != nil {
 		t.Fatalf("%s: Decode: %v", p.Name, err)
 	}
-	want := builderFormOf(t, p, edges)
+	want := builtFormOf(t, p, edges)
 	if got.G.NumEdges() != want.NumEdges() {
 		t.Fatalf("%s: %d edges decoded, want %d", p.Name, got.G.NumEdges(), want.NumEdges())
 	}
 	if !reflect.DeepEqual(image(t, got.G), image(t, want)) {
-		t.Errorf("%s: decoded image differs from the builder-form reference", p.Name)
+		t.Errorf("%s: decoded image differs from the built reference", p.Name)
 	}
 	for f := range want.NumFields() {
 		fid := pag.FieldID(f)
 		if !slices.Equal(got.G.LoadsOf(fid), want.LoadsOf(fid)) || !slices.Equal(got.G.StoresOf(fid), want.StoresOf(fid)) {
-			t.Errorf("%s: field %d: LoadsOf/StoresOf differ from the builder-form reference", p.Name, f)
+			t.Errorf("%s: field %d: LoadsOf/StoresOf differ from the built reference", p.Name, f)
 		}
 	}
 }
@@ -167,7 +161,7 @@ func checkDecodesLikeBuilder(t *testing.T, p *pag.Program, edges []pag.Edge) {
 // TestDecodeRepeatedEdges feeds Decode programs whose edge records come in
 // a shuffled order with about half of them repeats of earlier records.
 // Repeats must vanish and the first naming of each edge must fix its
-// place, as under AddEdge.
+// place.
 func TestDecodeRepeatedEdges(t *testing.T) {
 	progs := []*pag.Program{fixture.BuildFigure2().Prog}
 	for seed := range int64(10) {
@@ -176,10 +170,7 @@ func TestDecodeRepeatedEdges(t *testing.T) {
 	progs = append(progs, benchgen.Generate(benchgen.ProfileByNameMust("soot-c").Scaled(0.005), 1))
 	for i, p := range progs {
 		rng := rand.New(rand.NewPCG(uint64(i), 1))
-		var distinct []pag.Edge
-		for n := range p.G.NumNodes() {
-			distinct = append(distinct, p.G.Out(pag.NodeID(n))...)
-		}
+		distinct := slices.Clone(p.G.Edges())
 		rng.Shuffle(len(distinct), func(a, b int) { distinct[a], distinct[b] = distinct[b], distinct[a] })
 		var edges []pag.Edge
 		for _, e := range distinct {
@@ -315,7 +306,7 @@ func TestDecodeHandWritten(t *testing.T) {
 		t.Errorf("In(x) = %v, want %v", got, wantIn)
 	}
 	if !reflect.DeepEqual(image(t, p.G), image(t, ref)) {
-		t.Error("decoded image differs from the builder-form reference")
+		t.Error("decoded image differs from the built reference")
 	}
 	if got, want := p.G.LoadsOf(f), ref.LoadsOf(f); !reflect.DeepEqual(got, want) {
 		t.Errorf("LoadsOf = %v, want %v", got, want)

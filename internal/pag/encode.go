@@ -87,13 +87,11 @@ func Encode(w io.Writer, p *Program) error {
 	for _, n := range g.nodes {
 		fmt.Fprintf(bw, "node %s %d %d %s\n", n.Kind, n.Method, n.Class, quote(n.Name))
 	}
-	for i := range g.nodes {
-		for _, e := range g.Out(NodeID(i)) {
-			if e.Label == NoLabel {
-				fmt.Fprintf(bw, "edge %s %d %d\n", e.Kind, e.Src, e.Dst)
-			} else {
-				fmt.Fprintf(bw, "edge %s %d %d %d\n", e.Kind, e.Src, e.Dst, e.Label)
-			}
+	for _, e := range g.Edges() {
+		if e.Label == NoLabel {
+			fmt.Fprintf(bw, "edge %s %d %d\n", e.Kind, e.Src, e.Dst)
+		} else {
+			fmt.Fprintf(bw, "edge %s %d %d %d\n", e.Kind, e.Src, e.Dst, e.Label)
 		}
 	}
 	for _, m := range g.BodylessMethods() {
@@ -121,13 +119,12 @@ const maxLine = 1 << 24
 
 // Decode reads a Program in the textual PAG format and returns it frozen.
 //
-// Decoding is one streaming pass that never builds the builder form: lines
-// are split in place, integers parsed by a byte loop, node names collected
-// into one arena, and edge records appended to one flat list as they come.
-// The list then drops its repeats (dropRepeats) and lays out the CSR form
-// directly (buildCSR), exactly as AddEdge followed by Freeze would lay out
-// the same records. Every reference is range-checked; an error names the
-// offending line. On soot-c at scale 1 (9.5 MB, 115k nodes, 252k edges) a
+// Decoding is one streaming pass: lines are split in place, integers
+// parsed by a byte loop, node names collected into one arena, and edge
+// records appended to the graph's edge list as they come, repeats
+// included. Freeze then lays the list out, as it does for every built
+// graph. Every reference is range-checked; an error names the offending
+// line. On soot-c at scale 1 (9.5 MB, 115k nodes, 252k edges) a
 // decode takes about 85 ms on a 2-vCPU Intel Xeon and makes 55k
 // allocations, 0.22 per edge (BenchmarkDecode/scale=1).
 func Decode(r io.Reader) (*Program, error) {
@@ -163,10 +160,6 @@ type decoder struct {
 	// allocation for all the names.
 	nodes []nodeRec
 	names []byte
-
-	// edges holds every edge record in file order, repeats included;
-	// finish drops the repeats before the CSR is laid out.
-	edges []Edge
 
 	// References the input may make to table entries declared further
 	// down (a class's parent may follow it, a client site its node),
@@ -396,7 +389,7 @@ func (d *decoder) record() error {
 		if n := len(d.nodes); src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
 			return fmt.Errorf("edge endpoint out of range: %d -> %d (have %d nodes)", src, dst, n)
 		}
-		d.edges = append(grow(d.edges), Edge{Src: NodeID(src), Dst: NodeID(dst), Kind: kind, Label: label})
+		g.edges = append(grow(g.edges), Edge{Src: NodeID(src), Dst: NodeID(dst), Kind: kind, Label: label})
 	case "bodyless":
 		if len(f) < 5 {
 			return errors.New("bodyless wants >=4 args")
@@ -543,8 +536,8 @@ func (d *decoder) ref(r *fwdRef, i int) int32 {
 	return id
 }
 
-// finish checks the forward references, then builds the frozen graph from
-// the collected records.
+// finish checks the forward references, then fills the node table and
+// edge list from the collected records and freezes the graph.
 func (d *decoder) finish() (*Program, error) {
 	g := d.g
 	for _, c := range []struct {
@@ -576,19 +569,13 @@ func (d *decoder) finish() (*Program, error) {
 		start = r.nameEnd
 	}
 
-	edges := dropRepeats(len(g.nodes), d.edges)
-	g.frozen = buildCSR(len(g.nodes), edges)
 	g.flags = make([]nodeFlags, len(g.nodes))
-	for _, e := range edges {
-		g.indexEdge(e)
-	}
-	g.edgeSet = nil
+	// Re-intern derived identifiers present in the tables.
+	g.ResolveDerived()
+	g.Freeze()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	// Re-intern derived identifiers present in the tables.
-	g.ResolveDerived()
-	g.cond = g.condense()
 	return d.p, nil
 }
 
@@ -607,9 +594,8 @@ func grow[T any](s []T) []T {
 const shortSpan = 16
 
 // dropRepeats drops every edge that repeats an earlier one and compacts
-// edges in place, so the rest stay in the order the file first names
-// them: the order in which AddEdge, which drops repeats on arrival, would
-// have kept them. Repeats share a source, so a counting pass groups the
+// edges in place, so the rest stay in the order the list first names
+// them. Repeats share a source, so a counting pass groups the
 // edge indices by source, each group in file order, and each group is
 // checked on its own: a short one against its own prefix, a long one by
 // sorting a copy of its indices, so a hub node costs n log n, not n².

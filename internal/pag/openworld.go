@@ -53,7 +53,7 @@ func (g *Graph) blobClass() ClassID {
 
 // MarkBodyless declares method m bodyless and returns its recorded
 // interface. formals and ret follow the BodylessInfo conventions; the slice
-// is retained. The graph must still be mutable (blob nodes are created
+// is retained. The graph must not be frozen yet (blob nodes are created
 // here), m must not carry local edges on any of the given nodes — a
 // bodyless method has no body — and re-marking a method is an error.
 func (g *Graph) MarkBodyless(m MethodID, formals []NodeID, ret NodeID) (BodylessInfo, error) {

@@ -191,33 +191,31 @@ const (
 // with a Builder, by decoding a serialised PAG, with the MiniJava frontend,
 // or with the synthetic benchmark generator.
 //
-// A Graph is immutable during analysis by convention: engines only read it.
-// It is therefore safe to share one Graph among concurrently running
-// engines as long as nobody calls Add* methods. Calling Freeze after
-// construction makes that convention mechanical: the adjacency is
-// compacted to a flat CSR layout (see csr.go), the builder bookkeeping is
-// released, and AddNode/AddEdge panic.
+// A Graph has two stages. Under construction it is its tables plus an
+// append-only edge list (Edges): AddNode and AddEdge grow it, and only the
+// tables, the edge list and the Has* flags can be read. Freeze lays the
+// list out as a flat CSR adjacency (see csr.go) with its SCC condensation
+// and makes the graph immutable: AddNode/AddEdge panic, and the adjacency
+// accessors, edge counts and by-field lists become readable. Engines
+// analyse frozen graphs only, so one Graph is safely shared among
+// concurrently running engines; a frozen program evolves through the
+// delta overlay (internal/delta).
 //
-// In both representations every node's adjacency is partitioned local
-// edges first, global edges after (outSplit/inSplit record the boundary),
-// so the LocalIn/LocalOut/GlobalIn/GlobalOut accessors return plain
+// Every node's adjacency is partitioned local edges first, global edges
+// after, so the LocalIn/LocalOut/GlobalIn/GlobalOut accessors return plain
 // subslices and the engines' hot loops run without kind-filter branches.
 type Graph struct {
 	nodes []Node
 
-	// Builder-form adjacency, nil once frozen. out[n]/in[n] hold node n's
-	// edges with locals in [0:outSplit[n]) and globals after — AddEdge
-	// maintains the partition with an O(1) swap-insert.
-	out      [][]Edge
-	in       [][]Edge
-	outSplit []int32
-	inSplit  []int32
+	// edges is the graph under construction: every AddEdge in call
+	// order, repeats included. Freeze lays it out and releases it.
+	edges []Edge
 
 	// frozen is the CSR form, non-nil after Freeze.
 	frozen *csr
 
 	// cond is the SCC-condensed overlay (see condense.go), built by
-	// Freeze alongside the CSR form; nil while the graph is mutable.
+	// Freeze alongside the CSR form.
 	cond *Condensation
 
 	flags []nodeFlags
@@ -228,7 +226,6 @@ type Graph struct {
 	callSites []CallSite
 
 	edgeCount [NumEdgeKinds]int
-	edgeSet   map[Edge]struct{}
 
 	// loadsByField / storesByField index Load/Store edges by field;
 	// REFINEPTS's field-based match edges need "all stores of f"
@@ -255,7 +252,6 @@ type Graph struct {
 // NewGraph returns an empty PAG.
 func NewGraph() *Graph {
 	g := &Graph{
-		edgeSet:       make(map[Edge]struct{}, 64),
 		loadsByField:  make(map[FieldID][]Edge),
 		storesByField: make(map[FieldID][]Edge),
 		fieldIndex:    make(map[string]FieldID),
@@ -269,7 +265,7 @@ func NewGraph() *Graph {
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
-// NumEdges returns the total number of edges.
+// NumEdges returns the total number of edges of a frozen graph.
 func (g *Graph) NumEdges() int {
 	n := 0
 	for _, c := range g.edgeCount {
@@ -289,63 +285,60 @@ func (g *Graph) Node(n NodeID) Node { return g.nodes[n] }
 // capacity-clamped, so appending allocates a copy instead of corrupting
 // the graph, and its contents must not be written.
 func (g *Graph) Out(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.outEdges, f.outStart[n], f.outStart[n+1])
-	}
-	s := g.out[n]
-	return s[:len(s):len(s)]
+	f := g.frozen
+	return span(f.outEdges, f.outStart[n], f.outStart[n+1])
 }
 
 // In returns the incoming edges of n, local edges first. Read-only; see Out.
 func (g *Graph) In(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.inEdges, f.inStart[n], f.inStart[n+1])
-	}
-	s := g.in[n]
-	return s[:len(s):len(s)]
+	f := g.frozen
+	return span(f.inEdges, f.inStart[n], f.inStart[n+1])
 }
 
 // LocalOut returns the outgoing local (new/assign/load/store) edges of n —
 // the PPTA's S2 iteration domain — as a read-only subslice, with no
 // filtering at call time.
 func (g *Graph) LocalOut(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.outEdges, f.outStart[n], f.outSplit[n])
-	}
-	return span(g.out[n], 0, g.outSplit[n])
+	f := g.frozen
+	return span(f.outEdges, f.outStart[n], f.outSplit[n])
 }
 
 // GlobalOut returns the outgoing global (assignglobal/entry/exit) edges of
 // n — the Algorithm 4 driver's S2 iteration domain — as a read-only
 // subslice.
 func (g *Graph) GlobalOut(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.outEdges, f.outSplit[n], f.outStart[n+1])
-	}
-	return span(g.out[n], g.outSplit[n], int32(len(g.out[n])))
+	f := g.frozen
+	return span(f.outEdges, f.outSplit[n], f.outStart[n+1])
 }
 
 // LocalIn returns the incoming local edges of n — the PPTA's S1 iteration
 // domain — as a read-only subslice.
 func (g *Graph) LocalIn(n NodeID) []Edge {
-	if f := g.frozen; f != nil {
-		return span(f.inEdges, f.inStart[n], f.inSplit[n])
-	}
-	return span(g.in[n], 0, g.inSplit[n])
+	f := g.frozen
+	return span(f.inEdges, f.inStart[n], f.inSplit[n])
 }
 
 // GlobalIn returns the incoming global edges of n — the Algorithm 4
 // driver's S1 iteration domain — as a read-only subslice.
 func (g *Graph) GlobalIn(n NodeID) []Edge {
+	f := g.frozen
+	return span(f.inEdges, f.inSplit[n], f.inStart[n+1])
+}
+
+// Edges returns every edge, read-only: before Freeze the edge list in
+// AddEdge order, repeats included; after it each edge once, grouped by
+// source as Out presents them. It is the one edge read that works in both
+// stages, for the code that runs before Freeze (Validate, the Andersen
+// solver, open-world stripping).
+func (g *Graph) Edges() []Edge {
 	if f := g.frozen; f != nil {
-		return span(f.inEdges, f.inSplit[n], f.inStart[n+1])
+		return f.outEdges[:len(f.outEdges):len(f.outEdges)]
 	}
-	return span(g.in[n], g.inSplit[n], int32(len(g.in[n])))
+	return g.edges[:len(g.edges):len(g.edges)]
 }
 
 // span carves the capacity-clamped subslice edges[i:j] out of a flat edge
-// array, normalising empty spans to nil (so adjacency comparisons treat
-// frozen and builder graphs alike).
+// array, normalising empty spans to nil.
 func span(edges []Edge, i, j int32) []Edge {
 	if i == j {
 		return nil
@@ -374,10 +367,11 @@ func (g *Graph) HasLocalEdges(n NodeID) bool {
 	return g.flags[n]&(flagLocalIn|flagLocalOut) != 0
 }
 
-// LoadsOf returns all Load edges labelled f.
+// LoadsOf returns all Load edges labelled f, in the order the frozen
+// graph's edge list first named them.
 func (g *Graph) LoadsOf(f FieldID) []Edge { return g.loadsByField[f] }
 
-// StoresOf returns all Store edges labelled f.
+// StoresOf returns all Store edges labelled f, ordered as LoadsOf.
 func (g *Graph) StoresOf(f FieldID) []Edge { return g.storesByField[f] }
 
 // NumFields returns the number of interned fields.
@@ -490,58 +484,26 @@ func (g *Graph) AddNode(kind NodeKind, method MethodID, class ClassID, name stri
 		panic(g.frozenPanic("AddNode", NoNode, method))
 	}
 	g.nodes = append(g.nodes, Node{Kind: kind, Method: method, Class: class, Name: name})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.outSplit = append(g.outSplit, 0)
-	g.inSplit = append(g.inSplit, 0)
 	g.flags = append(g.flags, 0)
 	return NodeID(len(g.nodes) - 1)
 }
 
-// keepPartitioned restores the local-first partition of one node's span
-// after an edge was written to the span's next slot, s[len(s)-1]. *split
-// indexes s at the span's first global edge; the span may start anywhere
-// in s, so a CSR fill passes the flat edge array up to the new slot. A
-// local edge lands at the boundary by swapping the first global edge (if
-// any) to the end — O(1), and the local/global partition each side of the
-// boundary is preserved. AddEdge and Decode's bulk CSR fill both place
-// edges through it, so they produce the same order within every span.
-func keepPartitioned(s []Edge, split *int32) {
-	last := len(s) - 1
-	if s[last].Kind.IsLocal() {
-		if at := int(*split); at < last {
-			s[at], s[last] = s[last], s[at]
-		}
-		*split++
-	}
-}
-
-// AddEdge inserts e unless an identical edge already exists. It returns
-// true if the edge was new. Duplicate suppression matters because the
-// Andersen call-graph construction re-discovers call targets repeatedly.
-// On a frozen graph it panics with a *FrozenError (wrapping ErrFrozen)
-// naming the edge's source node and method; use the delta overlay
+// AddEdge appends e to the graph under construction. Repeats are allowed:
+// Freeze keeps the first of each. The endpoints' Has* flags are set at
+// once, so MarkBodyless can tell a method with a body before Freeze. On a
+// frozen graph it panics with a *FrozenError (wrapping ErrFrozen) naming
+// the edge's source node and method; use the delta overlay
 // (internal/delta) to grow a frozen graph.
-func (g *Graph) AddEdge(e Edge) bool {
+func (g *Graph) AddEdge(e Edge) {
 	if g.frozen != nil {
 		panic(g.frozenPanic("AddEdge", e.Src, NoMethod))
 	}
-	if _, dup := g.edgeSet[e]; dup {
-		return false
-	}
-	g.edgeSet[e] = struct{}{}
-	g.out[e.Src] = append(g.out[e.Src], e)
-	keepPartitioned(g.out[e.Src], &g.outSplit[e.Src])
-	g.in[e.Dst] = append(g.in[e.Dst], e)
-	keepPartitioned(g.in[e.Dst], &g.inSplit[e.Dst])
-	g.indexEdge(e)
-	return true
+	g.flag(e)
+	g.edges = append(g.edges, e)
 }
 
-// indexEdge records a new edge in the per-node flags, the kind counts and
-// the by-field Load/Store lists.
-func (g *Graph) indexEdge(e Edge) {
-	g.edgeCount[e.Kind]++
+// flag sets the adjacency flags e gives its endpoints.
+func (g *Graph) flag(e Edge) {
 	if e.Kind.IsLocal() {
 		g.flags[e.Src] |= flagLocalOut
 		g.flags[e.Dst] |= flagLocalIn
@@ -549,32 +511,21 @@ func (g *Graph) indexEdge(e Edge) {
 		g.flags[e.Src] |= flagGlobalOut
 		g.flags[e.Dst] |= flagGlobalIn
 	}
-	switch e.Kind {
-	case Load:
-		g.loadsByField[e.Field()] = append(g.loadsByField[e.Field()], e)
-	case Store:
-		g.storesByField[e.Field()] = append(g.storesByField[e.Field()], e)
-	}
 }
 
-// HasEdge reports whether an identical edge exists. On a frozen graph the
-// edge set has been released, so the (short, partitioned) adjacency span of
-// e.Src is scanned instead.
+// HasEdge reports whether an identical edge exists, by scanning the
+// (short, partitioned) adjacency span of e.Src.
 func (g *Graph) HasEdge(e Edge) bool {
-	if g.frozen != nil {
-		span := g.GlobalOut(e.Src)
-		if e.Kind.IsLocal() {
-			span = g.LocalOut(e.Src)
-		}
-		for _, have := range span {
-			if have == e {
-				return true
-			}
-		}
-		return false
+	span := g.GlobalOut(e.Src)
+	if e.Kind.IsLocal() {
+		span = g.LocalOut(e.Src)
 	}
-	_, ok := g.edgeSet[e]
-	return ok
+	for _, have := range span {
+		if have == e {
+			return true
+		}
+	}
+	return false
 }
 
 // NullClass returns the class of null objects, interning it on first use.
@@ -623,13 +574,12 @@ func (g *Graph) IsNullObject(n NodeID) bool {
 
 // Validate checks structural invariants: labels present exactly on the
 // labelled kinds, endpoints in range, new edges sourced at objects, and
-// local edges confined to one method. It returns the first violation.
+// local edges confined to one method. It returns the first violation in
+// Edges order.
 func (g *Graph) Validate() error {
-	for n := range g.nodes {
-		for _, e := range g.Out(NodeID(n)) {
-			if err := g.validateEdge(e); err != nil {
-				return err
-			}
+	for _, e := range g.Edges() {
+		if err := g.validateEdge(e); err != nil {
+			return err
 		}
 	}
 	return nil

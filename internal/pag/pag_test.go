@@ -28,6 +28,7 @@ func buildTiny(t *testing.T) (*Builder, map[string]NodeID) {
 	b.Load(x, w, f)
 	b.Copy(g, v)
 	b.Call(m, callee, "main:1", []NodeID{v}, []NodeID{p}, r, x)
+	b.G.Freeze()
 
 	return b, map[string]NodeID{"v": v, "w": w, "x": x, "o": o, "g": g, "p": p, "r": r}
 }
@@ -84,15 +85,23 @@ func TestBuilderWiring(t *testing.T) {
 	}
 }
 
+// TestDuplicateEdgeSuppression: AddEdge accepts a repeat, and Freeze keeps
+// one copy of it.
 func TestDuplicateEdgeSuppression(t *testing.T) {
-	b, n := buildTiny(t)
-	g := b.G
-	total := g.NumEdges()
-	if g.AddEdge(Edge{Src: n["v"], Dst: n["w"], Kind: Assign, Label: NoLabel}) {
-		t.Error("duplicate assign edge was added")
+	b := NewBuilder()
+	cls := b.Class("A", NoClass)
+	m := b.Method("A.m", cls)
+	v, w := b.Local(m, "v", cls), b.Local(m, "w", cls)
+	b.NewObject(v, "o", cls)
+	b.Copy(w, v)
+	b.Copy(w, v)
+	if got := len(b.G.Edges()); got != 3 {
+		t.Fatalf("edge list holds %d records, want 3", got)
 	}
-	if g.NumEdges() != total {
-		t.Errorf("edge count changed on duplicate: %d -> %d", total, g.NumEdges())
+	b.G.Freeze()
+	if g := b.G; g.NumEdges() != 2 || len(g.Out(v)) != 1 || len(g.In(w)) != 1 {
+		t.Errorf("after Freeze: %d edges, Out(v) = %v, In(w) = %v; want the repeat dropped",
+			g.NumEdges(), g.Out(v), g.In(w))
 	}
 }
 

@@ -62,9 +62,11 @@ type BodylessImage struct {
 	BlobVar NodeID
 }
 
-// ErrNotFrozen is returned by Image on a graph still in builder form:
-// snapshots capture the immutable CSR layout, so Freeze first.
-var ErrNotFrozen = errors.New("pag: only a frozen graph can be imaged")
+// ErrNotFrozen reports a graph still under construction where a frozen
+// one is needed: Image returns it (snapshots capture the CSR layout), and
+// the engine constructors panic with it, since engines analyse frozen
+// graphs only. Freeze first.
+var ErrNotFrozen = errors.New("pag: graph is not frozen")
 
 // Image flattens a frozen graph. The returned image aliases the graph's
 // internal arrays — it is a read-only view for immediate encoding, not an

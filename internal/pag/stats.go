@@ -57,49 +57,31 @@ func (s Stats) Locality() float64 {
 	return 100 * float64(s.LocalEdges()) / float64(total)
 }
 
-// Layout describes the resident adjacency representation of a Graph: the
-// builder form keeps one []Edge header (and usually one allocation) per
-// node per direction plus the duplicate-suppression edge set, while the
-// frozen CSR form is two flat edge arrays plus three offset arrays.
+// Layout describes the resident adjacency of a frozen Graph: two flat edge
+// arrays plus four offset arrays (see csr.go).
 type Layout struct {
-	Frozen bool
 	// EdgeSlots counts resident edge records (each edge is stored once per
-	// direction, so this is 2×NumEdges in either representation).
+	// direction, so this is 2×NumEdges).
 	EdgeSlots int
-	// AdjacencyBytes approximates the resident bytes of the adjacency
-	// structures: edge storage, per-node slice headers or CSR offset
-	// arrays, and (builder form only) the edge set.
+	// AdjacencyBytes approximates the resident bytes of the adjacency:
+	// edge storage plus the CSR offset arrays.
 	AdjacencyBytes int
 }
 
-const (
-	edgeBytes        = 12 // Src+Dst+Label int32 + Kind uint8, padded
-	sliceHeaderBytes = 24
-)
+// edgeBytes is the size of one Edge: Src+Dst+Label int32 + Kind uint8,
+// padded.
+const edgeBytes = 12
 
-// Layout reports the current adjacency representation and its approximate
-// memory footprint — the quantity Freeze shrinks.
+// Layout reports the adjacency's size and approximate memory footprint.
 func (g *Graph) Layout() Layout {
-	l := Layout{Frozen: g.frozen != nil, EdgeSlots: 2 * g.NumEdges()}
-	l.AdjacencyBytes = l.EdgeSlots * edgeBytes
+	slots := 2 * g.NumEdges()
+	// outStart/inStart (n+1 each) + outSplit/inSplit (n each), int32.
 	n := len(g.nodes)
-	if g.frozen != nil {
-		// outStart/inStart (n+1 each) + outSplit/inSplit (n each), int32.
-		l.AdjacencyBytes += (2*(n+1) + 2*n) * 4
-		return l
-	}
-	// Two slice headers and two int32 split entries per node, plus the
-	// edge-set entries (Edge key + map overhead, conservatively 2×).
-	l.AdjacencyBytes += n*(2*sliceHeaderBytes+2*4) + g.NumEdges()*2*edgeBytes
-	return l
+	return Layout{EdgeSlots: slots, AdjacencyBytes: slots*edgeBytes + (2*(n+1)+2*n)*4}
 }
 
 func (l Layout) String() string {
-	form := "slices"
-	if l.Frozen {
-		form = "csr"
-	}
-	return fmt.Sprintf("layout=%s edgeslots=%d adjbytes=%d", form, l.EdgeSlots, l.AdjacencyBytes)
+	return fmt.Sprintf("layout=csr edgeslots=%d adjbytes=%d", l.EdgeSlots, l.AdjacencyBytes)
 }
 
 // String renders the statistics in a compact one-line form.
