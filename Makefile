@@ -31,6 +31,13 @@ test-short:
 test-race:
 	$(GO) test -race -short $(PKG)
 
+# examples runs every program under examples/ from its own directory, so
+# an API change that only fails at run time (say, an engine built on an
+# unfrozen graph) fails here.
+.PHONY: examples
+examples:
+	@for d in examples/*/; do echo "== $$d"; (cd $$d && $(GO) run .) || exit 1; done
+
 # lint = go vet + the repository's own invariant firewall (cmd/dynsumlint).
 .PHONY: lint
 lint:

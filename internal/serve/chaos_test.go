@@ -160,9 +160,15 @@ func TestChaosKillDuringLoad(t *testing.T) {
 		}
 		loadDone <- rep
 	}()
-	// Let some traffic through, then drain with a deadline that will
-	// expire while requests are still in flight.
-	time.Sleep(5 * time.Millisecond)
+	// Wait until the load has created all its sessions (a drain before
+	// that makes RunLoad fail with ErrNotRunning), then drain with a
+	// deadline that will expire while requests are still in flight.
+	for deadline := time.Now().Add(10 * time.Second); len(srv.Sessions()) < 8; {
+		if time.Now().After(deadline) {
+			t.Fatalf("load created %d of 8 sessions in 10s", len(srv.Sessions()))
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
