@@ -46,9 +46,12 @@ func TestCompileDeterministic(t *testing.T) {
 	var wantFP uint64
 	var wantTargets [][]pag.MethodID
 	for i := range 200 {
-		prog, _, err := mj.Compile("dispatch", dispatchSrc)
+		prog, info, err := mj.Compile("dispatch", dispatchSrc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if info.Andersen == nil || info.Andersen.ResolvedCalls != 5 {
+			t.Fatalf("Info.Andersen = %+v, want the solve that resolved 5 callees", info.Andersen)
 		}
 		g := prog.G
 		var targets [][]pag.MethodID

@@ -40,7 +40,7 @@ func Compile(name, src string) (*pag.Program, *Info, error) {
 	}
 	// Resolve virtual calls with Andersen on-the-fly call-graph
 	// construction; this adds the remaining entry/exit edges to the PAG.
-	g.andersen = andersen.Solve(g.b.G, g.virtualCalls, g)
+	g.info.Andersen = andersen.Solve(g.b.G, g.virtualCalls, g)
 
 	prog := pag.NewProgram(name, g.b.G)
 	prog.Casts = g.casts
@@ -118,8 +118,6 @@ type generator struct {
 	casts        []pag.CastSite
 	derefs       []pag.DerefSite
 	factories    []pag.FactorySite
-
-	andersen *andersen.Result
 
 	// per-method generation state
 	cur  *methodInfo

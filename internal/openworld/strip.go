@@ -2,7 +2,6 @@ package openworld
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"dynsum/internal/pag"
@@ -39,11 +38,13 @@ import (
 // blended model covers it — but specs naming its parameters will not
 // resolve.
 //
-// src may be frozen or still under construction: it is read through its
-// edge list. The result is under construction (add spec edges with AddEdge
-// if desired, then Freeze). Methods already bodyless in src are adopted
+// src must be frozen; the result is not (add spec edges with AddEdge if
+// desired, then Freeze). Methods already bodyless in src are adopted
 // as-is; re-listing them in deleted is a no-op.
 func StripBodies(src *pag.Graph, deleted []pag.MethodID) (*pag.Graph, error) {
+	if !src.Frozen() {
+		return nil, fmt.Errorf("openworld: StripBodies: %w", pag.ErrNotFrozen)
+	}
 	del := make(map[pag.MethodID]bool, len(deleted))
 	for _, m := range deleted {
 		if m < 0 || int(m) >= src.NumMethods() {
@@ -92,13 +93,12 @@ func StripBodies(src *pag.Graph, deleted []pag.MethodID) (*pag.Graph, error) {
 		return nil, err
 	}
 
-	bounds := boundaries(src, del)
 	for _, m := range sortedMethods(del) {
 		if _, already := src.Bodyless(m); already {
 			continue
 		}
-		b := bounds[m]
-		if _, err := ng.MarkBodyless(m, b.formals, b.ret); err != nil {
+		formals, ret := boundaryOf(src, m)
+		if _, err := ng.MarkBodyless(m, formals, ret); err != nil {
 			return nil, err
 		}
 	}
@@ -110,47 +110,32 @@ func StripBodies(src *pag.Graph, deleted []pag.MethodID) (*pag.Graph, error) {
 	return ng, nil
 }
 
-// boundary is one method's recovered interface.
-type boundary struct {
-	formals []pag.NodeID
-	ret     pag.NodeID
-}
-
-// boundaries recovers, for each method in ms, its formal-parameter nodes
-// (entry-edge targets, in node-ID order) and return node (lowest-ID
-// exit-edge source) from the call-site linkage in g.
-func boundaries(g *pag.Graph, ms map[pag.MethodID]bool) map[pag.MethodID]boundary {
-	formal := make(map[pag.NodeID]bool)
-	out := make(map[pag.MethodID]boundary, len(ms))
-	for m := range ms {
-		out[m] = boundary{ret: pag.NoNode}
-	}
-	for _, e := range g.Edges() {
-		switch e.Kind {
-		case pag.Entry:
-			if ms[g.Node(e.Dst).Method] {
-				formal[e.Dst] = true
+// boundaryOf recovers m's formal-parameter nodes (entry-edge targets, in
+// node-ID order) and return node (lowest-ID exit-edge source) from the
+// call-site linkage in g.
+func boundaryOf(g *pag.Graph, m pag.MethodID) (formals []pag.NodeID, ret pag.NodeID) {
+	ret = pag.NoNode
+	for n := 0; n < g.NumNodes(); n++ {
+		id := pag.NodeID(n)
+		if g.Node(id).Method != m {
+			continue
+		}
+		for _, e := range g.GlobalIn(id) {
+			if e.Kind == pag.Entry {
+				formals = append(formals, id)
+				break
 			}
-		case pag.Exit:
-			m := g.Node(e.Src).Method
-			if b, ok := out[m]; ok && (b.ret == pag.NoNode || e.Src < b.ret) {
-				b.ret = e.Src
-				out[m] = b
+		}
+		if ret == pag.NoNode {
+			for _, e := range g.GlobalOut(id) {
+				if e.Kind == pag.Exit {
+					ret = id
+					break
+				}
 			}
 		}
 	}
-	nodes := make([]pag.NodeID, 0, len(formal))
-	for n := range formal {
-		nodes = append(nodes, n)
-	}
-	slices.Sort(nodes)
-	for _, n := range nodes {
-		m := g.Node(n).Method
-		b := out[m]
-		b.formals = append(b.formals, n)
-		out[m] = b
-	}
-	return out
+	return formals, ret
 }
 
 func sortedMethods(set map[pag.MethodID]bool) []pag.MethodID {
