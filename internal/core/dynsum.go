@@ -168,9 +168,10 @@ func (d *DynSum) SummaryCounts() (visible, private int) {
 // methods, so the representative's method is the summary's method.
 // ApplyDelta calls it with an epoch's touched methods. The cache keeps no
 // per-method index: the methods become a node bitset, delta-added nodes
-// included, so the cache scan that follows tests one bit per slot. An evolved engine reads the nodes off the
-// overlay's method index; without one, or for NoMethod (which the index
-// does not cover), it is one pass over the view's node table.
+// included, so the cache scan that follows tests one bit per slot. An
+// evolved engine reads the nodes off the overlay's method index; without
+// one, or for NoMethod (which the index does not cover), it is one pass
+// over the view's node table.
 func (d *DynSum) invalidateMethods(ms []pag.MethodID) int {
 	if len(ms) == 0 || d.cache.size() == 0 {
 		return 0

@@ -483,3 +483,19 @@ func TestInvalidateMethodExact(t *testing.T) {
 		t.Errorf("post-invalidation pts(s1) = %v", pts.FormatObjects(f.Prog.G))
 	}
 }
+
+// TestNewDynSumRefusesUnfrozenGraph: engines analyse frozen graphs only,
+// so an engine on a graph still under construction panics at once with
+// an error wrapping pag.ErrNotFrozen.
+func TestNewDynSumRefusesUnfrozenGraph(t *testing.T) {
+	b := pag.NewBuilder()
+	cls := b.Class("A", pag.NoClass)
+	b.NewObject(b.Local(b.Method("A.m", cls), "v", cls), "o", cls)
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, pag.ErrNotFrozen) {
+			t.Fatalf("panic = %v, want an error wrapping pag.ErrNotFrozen", err)
+		}
+	}()
+	core.NewDynSum(b.G, core.Config{}, nil)
+}

@@ -134,7 +134,7 @@ func NewOverlay(g *pag.Graph) (*Overlay, error) {
 	return &Overlay{
 		g:              g,
 		cond:           cond,
-		trivial:        cond == nil || cond.Trivial(),
+		trivial:        cond.Trivial(),
 		baseNodes:      g.NumNodes(),
 		baseMethods:    g.NumMethods(),
 		baseCallSites:  g.NumCallSites(),

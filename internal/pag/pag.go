@@ -328,8 +328,9 @@ func (g *Graph) GlobalIn(n NodeID) []Edge {
 // Edges returns every edge, read-only: before Freeze the edge list in
 // AddEdge order, repeats included; after it each edge once, grouped by
 // source as Out presents them. It is the one edge read that works in both
-// stages, for the code that runs before Freeze (Validate, the Andersen
-// solver, open-world stripping).
+// stages: code that may run before Freeze (Validate, the Andersen solver)
+// and code that wants every edge once (Encode, open-world stripping) use
+// it.
 func (g *Graph) Edges() []Edge {
 	if f := g.frozen; f != nil {
 		return f.outEdges[:len(f.outEdges):len(f.outEdges)]

@@ -72,7 +72,7 @@ var ErrNotFrozen = errors.New("pag: graph is not frozen")
 // internal arrays — it is a read-only view for immediate encoding, not an
 // independent copy.
 func (g *Graph) Image() (*FrozenImage, error) {
-	if g.frozen == nil || g.cond == nil {
+	if g.frozen == nil {
 		return nil, ErrNotFrozen
 	}
 	f := g.frozen
