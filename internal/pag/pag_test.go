@@ -263,3 +263,19 @@ func TestDOTOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkBodylessRejectsBody: before Freeze, the edge list's flags tell
+// MarkBodyless that a method still has a body.
+func TestMarkBodylessRejectsBody(t *testing.T) {
+	b := NewBuilder()
+	cls := b.Class("A", NoClass)
+	withBody, without := b.Method("A.body", cls), b.Method("A.none", cls)
+	p := b.Local(withBody, "p", cls)
+	b.Copy(b.Local(withBody, "r", cls), p)
+	if _, err := b.G.MarkBodyless(withBody, []NodeID{p}, NoNode); err == nil || !strings.Contains(err.Error(), "has a body") {
+		t.Errorf("MarkBodyless on a method with local edges: err = %v", err)
+	}
+	if _, err := b.G.MarkBodyless(without, []NodeID{b.Local(without, "q", cls)}, NoNode); err != nil {
+		t.Errorf("MarkBodyless on a method without a body: %v", err)
+	}
+}
