@@ -199,3 +199,105 @@ func TestLayoutPins(t *testing.T) {
 		t.Errorf("built %d programs, %d pinned", len(gs), len(wantLayouts))
 	}
 }
+
+// overlayDigest replays ev on a bare overlay and hashes, after every wave
+// and in order, every node's base-view and condensed-view spans, its
+// adjacency flags in both views and its Rep. check.Overlay compares
+// sorted sets; this digest also sees the order of edges within a span,
+// which the engines' budgeted work counts depend on.
+func overlayDigest(t *testing.T, ev *benchgen.EvolveProgram) string {
+	t.Helper()
+	ov, err := delta.NewOverlay(ev.Base.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for k := 1; k < ev.NumWaves(); k++ {
+		log := ov.NewLog()
+		if err := ev.WaveLog(log, k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ov.Apply(log); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "wave %d nodes %d\n", k, ov.NumNodes())
+		for i := 0; i < ov.NumNodes(); i++ {
+			n := pag.NodeID(i)
+			fmt.Fprintf(h, "%d rep %d\n", n, ov.Rep(n))
+			for _, c := range []bool{false, true} {
+				fmt.Fprintf(h, "%v %v %v %v %v %v %v\n", ov.LocalOut(n, c), ov.GlobalOut(n, c),
+					ov.LocalIn(n, c), ov.GlobalIn(n, c),
+					ov.HasGlobalIn(n, c), ov.HasGlobalOut(n, c), ov.HasLocalEdges(n, c))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// pinnedOverlays builds every pinned evolve, keyed by a stable name.
+func pinnedOverlays(t *testing.T) map[string]*benchgen.EvolveProgram {
+	t.Helper()
+	evs := map[string]*benchgen.EvolveProgram{}
+	for seed := int64(0); seed < 25; seed++ {
+		cfg := fixture.RandConfig{Methods: 5, Calls: 6, Globals: 2, GlobalAssigns: 3}
+		ev, err := benchgen.PartitionEvolve(fixture.RandProgram(seed, cfg), "rand-evolve", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs[fmt.Sprintf("rand/%d", seed)] = ev
+	}
+	for _, name := range []string{"bloat-cyclic", "soot-c"} {
+		ev, err := benchgen.GenerateEvolve(benchgen.ProfileByNameMust(name).Scaled(0.005), 1, benchgen.DefaultEvolveWaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs["gen/"+name] = ev
+	}
+	return evs
+}
+
+// wantOverlays are the pinned overlay digests.
+var wantOverlays = map[string]string{
+	"gen/bloat-cyclic": "99c68ae4602a29f3",
+	"gen/soot-c":       "490b85d8d0563444",
+	"rand/0":           "f0b0e69ae9a69ef9",
+	"rand/1":           "6154f872476e4134",
+	"rand/10":          "e6afb13c166297c4",
+	"rand/11":          "6c12870b1c43f83c",
+	"rand/12":          "bb514b91acd39918",
+	"rand/13":          "28224c47f799f4ea",
+	"rand/14":          "555c23dbb2566366",
+	"rand/15":          "314c8d3ef3e5945d",
+	"rand/16":          "79706d53c9f78afb",
+	"rand/17":          "dc5872bbaeba243f",
+	"rand/18":          "fe7550e304aea69a",
+	"rand/19":          "723b0980b8f0223d",
+	"rand/2":           "f86954343f1aac6f",
+	"rand/20":          "b229b0b896892639",
+	"rand/21":          "44517eaa3befa0f0",
+	"rand/22":          "64865e65ab9082ce",
+	"rand/23":          "ebc7e97aedb72496",
+	"rand/24":          "9dbb9d3938d7fed4",
+	"rand/3":           "cad26dc0c903dc3b",
+	"rand/4":           "114ed9766257dce2",
+	"rand/5":           "1e87dbe15c45e82f",
+	"rand/6":           "13888f9d670139e0",
+	"rand/7":           "79ae330e7325acc7",
+	"rand/8":           "873cbd8f86494159",
+	"rand/9":           "175af4cbe92f1aac",
+}
+
+// TestOverlayLayoutPins: every pinned evolve still produces exactly the
+// pinned overlay spans, flags and representatives after every wave.
+func TestOverlayLayoutPins(t *testing.T) {
+	evs := pinnedOverlays(t)
+	for name, ev := range evs {
+		got := overlayDigest(t, ev)
+		if want, ok := wantOverlays[name]; !ok || got != want {
+			t.Errorf("%q: overlay digest %s, pinned %q", name, got, want)
+		}
+	}
+	if len(evs) != len(wantOverlays) {
+		t.Errorf("built %d evolves, %d pinned", len(evs), len(wantOverlays))
+	}
+}
