@@ -460,10 +460,11 @@ func TestFingerprint(t *testing.T) {
 // method with a node and edges.
 func buildOverlay(t *testing.T, fx *cyclicFixture) *delta.Overlay {
 	t.Helper()
-	ov, err := delta.NewOverlay(fx.g)
+	ob, err := delta.NewBase(fx.g)
 	if err != nil {
 		t.Fatalf("NewOverlay: %v", err)
 	}
+	ov := ob.NewOverlay()
 	l := ov.NewLog()
 	l.RedefineMethod(fx.m1)
 	l.AddEdge(pag.Edge{Src: fx.obj, Dst: fx.v0, Kind: pag.New, Label: pag.NoLabel})
@@ -619,10 +620,11 @@ func TestOverlayTrivialDivergence(t *testing.T) {
 	if c := p.G.Condensation(); c != nil && !c.Trivial() {
 		t.Skip("seed produced a cycle; fixture guards usually prevent this")
 	}
-	ov, err := delta.NewOverlay(p.G)
+	ob, err := delta.NewBase(p.G)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 	var some pag.NodeID = -1
 	for i := 0; i < p.G.NumNodes(); i++ {
 		if len(p.G.LocalOut(pag.NodeID(i))) > 0 {

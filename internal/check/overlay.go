@@ -29,7 +29,7 @@ type OverlayView interface {
 //     local/global partition, span anchoring, in-range endpoints,
 //     deduplication, and an exact out/in mirror
 //   - base-view adjacency flags equal span emptiness exactly
-//   - the repaired rep array is consistent: idempotent, smallest-member,
+//   - the repaired Rep function is consistent: idempotent, smallest-member,
 //     method-preserving, identity for added nodes
 //   - the repaired condensed view equals a from-scratch condensation of
 //     the patched base view: non-representatives expose empty spans, and

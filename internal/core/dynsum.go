@@ -170,8 +170,8 @@ func (d *DynSum) SummaryCounts() (visible, private int) {
 // per-method index: the methods become a node bitset, delta-added nodes
 // included, so the cache scan that follows tests one bit per slot. An
 // evolved engine reads the nodes off the overlay's method index; without
-// one, or for NoMethod (which the index does not cover), it is one pass
-// over the view's node table.
+// an overlay, or for NoMethod (which the index does not cover), it is one
+// pass over the view's node table.
 func (d *DynSum) invalidateMethods(ms []pag.MethodID) int {
 	if len(ms) == 0 || d.cache.size() == 0 {
 		return 0
@@ -202,18 +202,18 @@ func (d *DynSum) invalidateMethods(ms []pag.MethodID) int {
 
 // indexedMethodNodes adds the nodes of ms to nodes from the overlay's
 // method index. It reports false, leaving the set to the node-table pass,
-// when there is no overlay, its index is not built yet, or ms names
-// NoMethod (the index does not cover global nodes).
+// when there is no overlay or ms names NoMethod (the index does not cover
+// global nodes).
 func (d *DynSum) indexedMethodNodes(ms []pag.MethodID, nodes bitset) bool {
 	if d.ov == nil || slices.Contains(ms, pag.NoMethod) {
 		return false
 	}
 	for _, m := range ms {
-		mn, ok := d.ov.MethodNodes(m)
-		if !ok {
-			return false
+		base, added := d.ov.MethodNodes(m)
+		for _, n := range base {
+			nodes.add(int(n))
 		}
-		for _, n := range mn {
+		for _, n := range added {
 			nodes.add(int(n))
 		}
 	}

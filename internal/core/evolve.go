@@ -50,11 +50,19 @@ func (d *DynSum) ensureOverlay() error {
 	if d.ov != nil {
 		return nil
 	}
-	ov, err := delta.NewOverlay(d.g)
+	// Engines still on the tier's graph share its Base; a compacted engine
+	// indexes its own graph.
+	var b *delta.Base
+	var err error
+	if tier := d.cache.tier; d.g == tier.g {
+		b, err = tier.deltaBaseOf()
+	} else {
+		b, err = delta.NewBase(d.g)
+	}
 	if err != nil {
 		return err
 	}
-	d.ov = ov
+	d.ov = b.NewOverlay()
 	return nil
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
+	"dynsum/internal/delta"
 	"dynsum/internal/faultinject"
 	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
@@ -66,6 +68,13 @@ type SummaryTier struct {
 	fields  intstack.Table // field stacks of every engine on the tier
 	stripes [summaryShards]tierStripe
 	store   resultStore
+
+	// deltaBase indexes g for the delta overlays of the tier's engines,
+	// built by the first ApplyDelta on any of them (deltaBaseOf), so
+	// engines that never evolve do not pay for it.
+	deltaBaseOnce sync.Once
+	deltaBase     *delta.Base
+	deltaBaseErr  error
 }
 
 // tierStripe is one stripe of a tier's key table: a cacheStripe whose
@@ -104,6 +113,13 @@ func (t *SummaryTier) NewDynSum(ctxs *intstack.Table) *DynSum {
 		ctxs:   ctxs,
 		cache:  &summaryView{tier: t},
 	}
+}
+
+// deltaBaseOf returns the shared delta.Base of the tier's graph, building
+// it on first use. Safe for concurrent use.
+func (t *SummaryTier) deltaBaseOf() (*delta.Base, error) {
+	t.deltaBaseOnce.Do(func() { t.deltaBase, t.deltaBaseErr = delta.NewBase(t.g) })
+	return t.deltaBase, t.deltaBaseErr
 }
 
 // Entries returns the number of summaries the tier stores.

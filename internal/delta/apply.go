@@ -3,6 +3,7 @@ package delta
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 
 	"dynsum/internal/faultinject"
 	"dynsum/internal/pag"
@@ -14,9 +15,8 @@ import (
 // Apply's cost is O(changed elements + repair blast radius): the nodes of
 // redefined methods, the endpoints of added/dropped edges, and — for the
 // condensed view — the representatives global-edge-adjacent to dissolved
-// SCC members. It never walks the whole graph (the lazy one-time index
-// builds in ensureIndexes are the only O(n) work, paid on the first epoch
-// and reused by all later ones).
+// SCC members. It never walks the whole graph: the only O(n) work is the
+// Base index, built once per frozen graph and shared by its overlays.
 
 // ApplyStats reports what one epoch did. TouchedMethods is the engine's
 // invalidation work list: exactly the pre-existing methods whose cached
@@ -33,12 +33,8 @@ type ApplyStats struct {
 	RedefinedMethods int
 
 	// TouchedMethods lists the pre-existing methods whose summaries must
-	// be invalidated, sorted. DependentMethods counts the methods the
-	// reverse-dependency sketch marks as global-edge-adjacent to the
-	// touched set — the bound a conservative cascading invalidator would
-	// use; the summaries' method-locality lets the engine skip them.
-	TouchedMethods   []pag.MethodID
-	DependentMethods int
+	// be invalidated, sorted.
+	TouchedMethods []pag.MethodID
 
 	// FlagFlips counts existing nodes whose global-edge frontier flag went
 	// from unset to set this epoch (each forces its method onto
@@ -67,7 +63,23 @@ type Stats struct {
 	DroppedEdges   int // cumulative
 	DissolvedSCCs  int // cumulative
 	RebuiltReps    int // cumulative
+
+	// Bytes is what the overlay holds itself, the shared Base and base
+	// graph excluded: its patch tables, patch headers and edge lists and
+	// its added records, counted by element size (map and allocator
+	// overhead excluded). Apply keeps it as a running count.
+	Bytes int64
 }
+
+// Element sizes behind Stats.Bytes.
+const (
+	idBytes       = 4 // a NodeID, a MethodID or one patch-table entry
+	edgeBytes     = int64(unsafe.Sizeof(pag.Edge{}))
+	patchBytes    = int64(unsafe.Sizeof(patchAdj{}))
+	nodeBytes     = int64(unsafe.Sizeof(pag.Node{}))
+	methodBytes   = int64(unsafe.Sizeof(pag.Method{}))
+	callSiteBytes = int64(unsafe.Sizeof(pag.CallSite{}))
+)
 
 // OverlayFraction returns OverlayEdges/BaseEdges (0 on an empty base).
 func (s Stats) OverlayFraction() float64 {
@@ -79,16 +91,19 @@ func (s Stats) OverlayFraction() float64 {
 
 // Stats returns the overlay's cumulative statistics.
 func (o *Overlay) Stats() Stats {
-	patched := 0
-	for _, p := range o.patchBase {
-		if p >= 0 {
-			patched++
+	methods := make(map[pag.MethodID]bool)
+	for n, p := range o.patchBase {
+		if p < 0 {
+			continue
+		}
+		if m := o.nodeMethod(pag.NodeID(n)); m != pag.NoMethod {
+			methods[m] = true
 		}
 	}
 	return Stats{
 		Epochs:         o.epoch,
-		PatchedNodes:   patched,
-		PatchedMethods: len(o.patchedMethods),
+		PatchedNodes:   len(o.baseAdj), // base patches are never released
+		PatchedMethods: len(methods),
 		AddedMethods:   len(o.addedMethods),
 		AddedNodes:     len(o.addedNodes),
 		AddedCallSites: len(o.addedCallSites),
@@ -97,6 +112,7 @@ func (o *Overlay) Stats() Stats {
 		DroppedEdges:   o.droppedEdges,
 		DissolvedSCCs:  o.dissolvedSCCs,
 		RebuiltReps:    o.rebuiltReps,
+		Bytes:          o.bytes,
 	}
 }
 
@@ -121,7 +137,6 @@ type staged struct {
 
 	touched      map[pag.MethodID]bool
 	flipped      int
-	methodLinks  [][2]pag.MethodID
 	localMethods map[pag.MethodID]bool
 
 	// dissolve is the condensation-repair plan: each entry names a
@@ -151,7 +166,6 @@ type dissolvePlan struct {
 // Apply is a mutator: quiesce all engines reading the overlay first, as
 // for the other engine mutators.
 func (o *Overlay) Apply(l *Log) (ApplyStats, error) {
-	o.ensureIndexes()
 	if err := l.validate(o); err != nil {
 		return ApplyStats{}, err
 	}
@@ -194,11 +208,11 @@ func (o *Overlay) stage(l *Log) staged {
 	}
 
 	// Dropped edges: everything owned by a redefined method. The
-	// pre-epoch methodNodes index is complete for them — validate
-	// guarantees redefined methods pre-exist, and the log's own nodes
-	// carry no base edges.
+	// pre-epoch method index is complete for them — validate guarantees
+	// redefined methods pre-exist, and the log's own nodes carry no base
+	// edges.
 	for _, m := range l.redefined {
-		for _, n := range o.methodNodes[m] {
+		for n := range o.nodesOf(m) {
 			for _, e := range o.baseLocalOut(n) {
 				if o.ownerMethod(e) == m {
 					st.dropped[e] = true
@@ -269,21 +283,15 @@ func (o *Overlay) stage(l *Log) staged {
 			flipped[e.Dst] = true
 			markTouched(nodeMethod(e.Dst))
 		}
-		if o.methodNbrs != nil {
-			ms, md := nodeMethod(e.Src), nodeMethod(e.Dst)
-			if ms != pag.NoMethod && md != pag.NoMethod && ms != md {
-				st.methodLinks = append(st.methodLinks, [2]pag.MethodID{ms, md})
-			}
-		}
 	}
 	st.flipped = len(flipped)
 
 	// Dissolution plan: methods whose local edges changed lose their SCC
 	// collapse — a changed body voids the freeze-time cycle proof, so
 	// their nodes fall back to singleton representatives. Log-added
-	// methods have no index entry yet (and no groups); log-added nodes of
-	// redefined methods are singletons by construction. Both contribute
-	// nothing, exactly as they would post-registration.
+	// methods have no nodes in the index yet (and no groups); log-added
+	// nodes of redefined methods are singletons by construction. Both
+	// contribute nothing, exactly as they would post-registration.
 	for _, m := range l.redefined {
 		st.localMethods[m] = true
 	}
@@ -297,16 +305,13 @@ func (o *Overlay) stage(l *Log) staged {
 	if !o.trivial {
 		planned := make(map[pag.NodeID]bool)
 		for _, m := range sortedMethods(st.localMethods) {
-			if int(m) >= len(o.methodNodes) {
-				continue
-			}
-			for _, n := range o.methodNodes[m] {
-				r := o.rep[n]
+			for n := range o.nodesOf(m) {
+				r := o.Rep(n)
 				if planned[r] {
 					continue
 				}
-				members, ok := o.groups[r]
-				if !ok {
+				members := o.group(r)
+				if members == nil {
 					continue
 				}
 				planned[r] = true
@@ -342,47 +347,51 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 	preNodes := st.preNodes
 
 	// 1. Metadata: methods, call sites and node records join the
-	// overlay's side tables; the base graph is never written.
+	// overlay's side tables; the base graph is never written. The tables
+	// outlive the epoch, so they grow to exactly their new length.
+	o.addedMethods = append(growExact(o.addedMethods, len(l.methods)), l.methods...)
 	for _, m := range l.methods {
-		o.addedMethods = append(o.addedMethods, m)
-		o.methodNodes = append(o.methodNodes, nil)
+		o.bytes += methodBytes + int64(len(m.Name))
 	}
-	o.addedCallSites = append(o.addedCallSites, l.callSites...)
+	o.addedCallSites = append(growExact(o.addedCallSites, len(l.callSites)), l.callSites...)
+	for _, cs := range l.callSites {
+		o.bytes += callSiteBytes + int64(len(cs.Name)) + idBytes*int64(len(cs.Targets))
+	}
+	o.addedNodes = append(growExact(o.addedNodes, len(l.nodes)), l.nodes...)
+	o.patchBase = growExact(o.patchBase, len(l.nodes))
+	o.patchCond = growExact(o.patchCond, len(l.nodes))
 	for i, nd := range l.nodes {
-		id := pag.NodeID(preNodes + i)
-		o.addedNodes = append(o.addedNodes, nd)
 		o.patchBase = append(o.patchBase, -1)
 		o.patchCond = append(o.patchCond, -1)
-		if o.rep != nil {
-			o.rep = append(o.rep, id)
-		}
+		o.bytes += nodeBytes + int64(len(nd.Name)) + 2*idBytes
 		if nd.Method != pag.NoMethod {
-			o.methodNodes[nd.Method] = append(o.methodNodes[nd.Method], id)
+			o.addedOf[nd.Method] = append(o.addedOf[nd.Method], pag.NodeID(preNodes+i))
+			o.bytes += idBytes
 		}
 	}
 
-	// 2. Reverse-dependency sketch links for the epoch's global edges.
-	for _, lk := range st.methodLinks {
-		o.linkMethods(lk[0], lk[1])
-	}
-
-	// 3. Condensation repair, part 1: dissolve the planned SCCs.
+	// 2. Condensation repair, part 1: dissolve the planned SCCs.
 	var dissolved []pag.NodeID
 	for _, p := range st.dissolve {
-		for _, mb := range p.members {
-			o.rep[mb] = mb
-		}
+		o.dissolved[p.rep] = true
+		o.bytes += idBytes
 		dissolved = append(dissolved, p.members...)
-		delete(o.groups, p.rep)
 	}
 	o.dissolvedSCCs += len(st.dissolve)
 
-	// 4. Base-view rebuild of the patch set.
+	// 3. Base-view rebuild of the patch set.
+	fresh := 0
+	for n := range st.patch {
+		if o.patchBase[n] < 0 {
+			fresh++
+		}
+	}
+	o.baseAdj = growExact(o.baseAdj, fresh)
 	for _, n := range sortedNodes(st.patch) {
 		o.rebuildBase(n, st.dropped, st.addedOut[n], st.addedIn[n])
 	}
 
-	// 5. Condensation repair, part 2: rebuild the condensed spans whose
+	// 4. Condensation repair, part 2: rebuild the condensed spans whose
 	// contents this epoch invalidated — the repaired representatives of
 	// every patched node and every node of a local-change method, plus
 	// the representatives global-edge-adjacent to dissolved members
@@ -391,22 +400,19 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 	if !o.trivial {
 		condSet := make(map[pag.NodeID]bool)
 		for n := range st.patch {
-			condSet[o.rep[n]] = true
+			condSet[o.Rep(n)] = true
 		}
 		for m := range st.localMethods {
-			if m == pag.NoMethod || int(m) >= len(o.methodNodes) {
-				continue
-			}
-			for _, n := range o.methodNodes[m] {
-				condSet[o.rep[n]] = true
+			for n := range o.nodesOf(m) {
+				condSet[o.Rep(n)] = true
 			}
 		}
 		for _, d := range dissolved {
 			for _, e := range o.baseGlobalOut(d) {
-				condSet[o.rep[e.Dst]] = true
+				condSet[o.Rep(e.Dst)] = true
 			}
 			for _, e := range o.baseGlobalIn(d) {
-				condSet[o.rep[e.Src]] = true
+				condSet[o.Rep(e.Src)] = true
 			}
 			// Local neighbours live in the same (dissolved) method and are
 			// already in condSet via the localMethods loop.
@@ -418,13 +424,9 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 		o.rebuiltReps += rebuilt
 	}
 
-	// 6. Bookkeeping and the epoch's report.
+	// 5. Bookkeeping and the epoch's report.
+	o.buf = nil
 	o.droppedEdges += len(st.dropped)
-	for n := range st.patch {
-		if m := o.nodeMethod(n); m != pag.NoMethod {
-			o.patchedMethods[m] = true
-		}
-	}
 	o.epoch++
 
 	stats := ApplyStats{
@@ -441,17 +443,6 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 		RebuiltReps:      rebuilt,
 		OverlayFraction:  o.Fraction(),
 	}
-	// The sketch bound: methods adjacent (over global edges) to the
-	// touched set that a cascading invalidator would also have dropped.
-	deps := make(map[pag.MethodID]bool)
-	for _, m := range stats.TouchedMethods {
-		for nb := range o.methodNbrs[m] {
-			if !st.touched[nb] {
-				deps[nb] = true
-			}
-		}
-	}
-	stats.DependentMethods = len(deps)
 	o.committing = false
 	return stats
 }
@@ -461,92 +452,143 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 // deterministic: surviving edges keep their relative order, added edges
 // append in log order within their partition half.
 func (o *Overlay) rebuildBase(n pag.NodeID, dropped map[pag.Edge]bool, addOut, addIn []pag.Edge) {
-	build := func(localCur, globalCur, adds []pag.Edge) (edges []pag.Edge, split int32) {
+	buf := o.buf[:0]
+	build := func(localCur, globalCur, adds []pag.Edge) (split int32) {
 		for _, e := range localCur {
 			if !dropped[e] {
-				edges = append(edges, e)
+				buf = append(buf, e)
 			}
 		}
 		for _, e := range adds {
 			if e.Kind.IsLocal() {
-				edges = append(edges, e)
+				buf = append(buf, e)
 			}
 		}
-		split = int32(len(edges))
+		split = int32(len(buf))
 		for _, e := range globalCur {
 			if !dropped[e] {
-				edges = append(edges, e)
+				buf = append(buf, e)
 			}
 		}
 		for _, e := range adds {
 			if e.Kind.IsGlobal() {
-				edges = append(edges, e)
+				buf = append(buf, e)
 			}
 		}
-		return edges, split
+		return split
 	}
 	var a patchAdj
-	a.out, a.outSplit = build(o.baseLocalOut(n), o.baseGlobalOut(n), addOut)
-	a.in, a.inSplit = build(o.baseLocalIn(n), o.baseGlobalIn(n), addIn)
+	a.outSplit = build(o.baseLocalOut(n), o.baseGlobalOut(n), addOut)
+	a.outEnd = int32(len(buf))
+	a.inSplit = build(o.baseLocalIn(n), o.baseGlobalIn(n), addIn)
+	a.edges = exactCopy(buf)
+	o.buf = buf
 
+	out := int(a.outEnd)
 	if p := o.patchBase[n]; p >= 0 {
-		o.overlayEdges += len(a.out) - len(o.baseAdj[p].out)
-		o.baseAdj[p] = a
+		old := &o.baseAdj[p]
+		o.overlayEdges += out - int(old.outEnd)
+		o.bytes += edgeBytes * int64(len(a.edges)-len(old.edges))
+		*old = a
 		return
 	}
 	o.patchBase[n] = int32(len(o.baseAdj))
 	o.baseAdj = append(o.baseAdj, a)
-	o.overlayEdges += len(a.out)
+	o.overlayEdges += out
+	o.bytes += patchBytes + edgeBytes*int64(len(a.edges))
 }
 
 // rebuildCond installs representative r's condensed-view adjacency: the
 // union of its surviving members' current base-view edges with endpoints
 // mapped through the repaired rep function, intra-SCC assign self-loops
 // removed and duplicates merged — exactly the freeze-time gather, run on
-// one representative.
+// one representative. When the result equals r's base-view spans edge
+// for edge (the common case: a singleton whose neighbours are
+// singletons), r reuses them instead of holding a copy, and a slot it
+// held before is released for the next patch.
 func (o *Overlay) rebuildCond(r pag.NodeID) {
-	members := o.groups[r]
+	members := o.group(r)
 	if members == nil {
 		members = []pag.NodeID{r}
 	}
-	mapEdge := func(e pag.Edge) pag.Edge {
-		return pag.Edge{Src: o.rep[e.Src], Dst: o.rep[e.Dst], Kind: e.Kind, Label: e.Label}
-	}
-	gather := func(in bool) (edges []pag.Edge, split int32) {
-		var locals, globals []pag.Edge
+	buf := o.buf[:0]
+	gather := func(span func(pag.NodeID) []pag.Edge, local bool) int32 {
+		start := len(buf)
 		for _, mb := range members {
-			var loc, glob []pag.Edge
-			if in {
-				loc, glob = o.baseLocalIn(mb), o.baseGlobalIn(mb)
-			} else {
-				loc, glob = o.baseLocalOut(mb), o.baseGlobalOut(mb)
-			}
-			for _, e := range loc {
-				me := mapEdge(e)
-				if me.Kind == pag.Assign && me.Src == me.Dst {
+			for _, e := range span(mb) {
+				me := pag.Edge{Src: o.Rep(e.Src), Dst: o.Rep(e.Dst), Kind: e.Kind, Label: e.Label}
+				if local && me.Kind == pag.Assign && me.Src == me.Dst {
 					continue // collapsed cycle edge: a state-level no-op
 				}
-				locals = append(locals, me)
-			}
-			for _, e := range glob {
-				globals = append(globals, mapEdge(e))
+				buf = append(buf, me)
 			}
 		}
-		locals = dedupEdges(locals)
-		globals = dedupEdges(globals)
-		edges = append(locals, globals...)
-		return edges, int32(len(locals))
+		buf = buf[:start+len(dedupEdges(buf[start:]))]
+		return int32(len(buf))
 	}
 	var a patchAdj
-	a.out, a.outSplit = gather(false)
-	a.in, a.inSplit = gather(true)
+	a.outSplit = gather(o.baseLocalOut, true)
+	a.outEnd = gather(o.baseGlobalOut, false)
+	a.inSplit = gather(o.baseLocalIn, true)
+	gather(o.baseGlobalIn, false)
+	o.buf = buf
+	a.edges = buf // compared in place, copied only if r keeps spans of its own
 
-	if p := o.patchCond[r]; p >= 0 {
-		o.condAdj[p] = a
+	p := o.patchCond[r]
+	if o.sameAsBase(r, &a) {
+		if p >= 0 {
+			o.bytes -= edgeBytes * int64(len(o.condAdj[p].edges))
+			o.condAdj[p] = patchAdj{}
+			o.freeCond = append(o.freeCond, p)
+		}
+		o.patchCond[r] = reuseBase
 		return
 	}
-	o.patchCond[r] = int32(len(o.condAdj))
-	o.condAdj = append(o.condAdj, a)
+	a.edges = exactCopy(buf)
+	o.bytes += edgeBytes * int64(len(a.edges))
+	switch {
+	case p >= 0:
+		o.bytes -= edgeBytes * int64(len(o.condAdj[p].edges))
+	case len(o.freeCond) > 0:
+		p = o.freeCond[len(o.freeCond)-1]
+		o.freeCond = o.freeCond[:len(o.freeCond)-1]
+	default:
+		p = int32(len(o.condAdj))
+		o.condAdj = append(o.condAdj, patchAdj{})
+		o.bytes += patchBytes
+	}
+	o.condAdj[p] = a
+	o.patchCond[r] = p
+}
+
+// sameAsBase reports whether a's spans equal n's base-view spans edge
+// for edge.
+func (o *Overlay) sameAsBase(n pag.NodeID, a *patchAdj) bool {
+	return slices.Equal(a.localOut(), o.baseLocalOut(n)) &&
+		slices.Equal(a.globalOut(), o.baseGlobalOut(n)) &&
+		slices.Equal(a.localIn(), o.baseLocalIn(n)) &&
+		slices.Equal(a.globalIn(), o.baseGlobalIn(n))
+}
+
+// growExact returns s with room for n more elements and no more.
+func growExact[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make(S, len(s), len(s)+n)
+	copy(out, s)
+	return out
+}
+
+// exactCopy copies edges into a slice of exactly their length (nil when
+// empty): a patch outlives the epoch, so it carries no append slack.
+func exactCopy(edges []pag.Edge) []pag.Edge {
+	if len(edges) == 0 {
+		return nil
+	}
+	out := make([]pag.Edge, len(edges))
+	copy(out, edges)
+	return out
 }
 
 // Compact merges the overlay into a fresh, fully re-frozen (and

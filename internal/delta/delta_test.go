@@ -95,10 +95,11 @@ func checkBaseViewMatches(t *testing.T, tag string, o *Overlay, ref *pag.Graph) 
 
 func TestApplyAddMethodMatchesRebuild(t *testing.T) {
 	fx := buildBase(t)
-	ov, err := NewOverlay(fx.g)
+	ob, err := NewBase(fx.g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 
 	// Epoch: load method D calling B — a fresh allocation piped into B's
 	// formal, the return captured. B receives a new inbound entry edge
@@ -188,10 +189,11 @@ func rebuildWith(t *testing.T, fx *baseFixture, extra func(*pag.Builder)) *pag.G
 
 func TestRedefineDropsOwnedEdges(t *testing.T) {
 	fx := buildBase(t)
-	ov, err := NewOverlay(fx.g)
+	ob, err := NewBase(fx.g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 
 	// Recompile A: the new body allocates into a fresh temp and returns
 	// it through the same lhs; the old cycle, store, call edges and the
@@ -266,10 +268,11 @@ func rebuildWithRedefinedA(t *testing.T, fx *baseFixture) *pag.Graph {
 
 func TestCondensedViewRepair(t *testing.T) {
 	fx := buildBase(t)
-	ov, err := NewOverlay(fx.g)
+	ob, err := NewBase(fx.g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 	cond := fx.g.Condensation()
 	if cond.Trivial() {
 		t.Fatal("fixture lost its assign SCC")
@@ -329,10 +332,11 @@ func TestCondensedViewRepair(t *testing.T) {
 
 func TestStaleAndInvalidLogsRejected(t *testing.T) {
 	fx := buildBase(t)
-	ov, err := NewOverlay(fx.g)
+	ob, err := NewBase(fx.g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 	l1 := ov.NewLog()
 	l1.AddMethod("D", fx.clsC)
 	stale := ov.NewLog() // created before l1 lands, same position
@@ -365,17 +369,18 @@ func TestUnfrozenGraphRejected(t *testing.T) {
 	cls := bd.Class("C", pag.NoClass)
 	m := bd.Method("M", cls)
 	bd.Local(m, "x", cls)
-	if _, err := NewOverlay(bd.G); err == nil {
-		t.Fatal("overlay over an unfrozen graph accepted")
+	if _, err := NewBase(bd.G); err == nil {
+		t.Fatal("base over an unfrozen graph accepted")
 	}
 }
 
 func TestCompactRoundTrip(t *testing.T) {
 	fx := buildBase(t)
-	ov, err := NewOverlay(fx.g)
+	ob, err := NewBase(fx.g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 	l := ov.NewLog()
 	mD := l.AddMethod("D", fx.clsC)
 	d1 := l.AddNode(pag.Local, mD, fx.clsC, "d1")
@@ -438,10 +443,11 @@ func TestFrozenPanicIsTyped(t *testing.T) {
 
 func TestStatsAndFraction(t *testing.T) {
 	fx := buildBase(t)
-	ov, err := NewOverlay(fx.g)
+	ob, err := NewBase(fx.g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 	if ov.Fraction() != 0 {
 		t.Errorf("fresh overlay fraction = %v", ov.Fraction())
 	}

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"dynsum/internal/pag"
@@ -34,13 +35,20 @@ import (
 //     local: only the dissolved methods' nodes, the endpoints of changed
 //     edges, and the representatives global-edge-adjacent to dissolved
 //     members get rebuilt condensed spans; everything else keeps reading
-//     the freeze-time condensation.
+//     the freeze-time condensation. A rebuilt representative whose
+//     condensed spans come out equal, edge for edge and in order, to its
+//     base-view spans (most of them: a singleton among singletons) stores
+//     no copy; its patch-table entry says to read the base view instead.
 //
-// The overlay is fully self-contained: added node, method and call-site
-// records live in overlay-side tables (resolved through Overlay.Node /
-// MethodInfo / CallSiteInfo) and the base graph is never written. Several
-// engines can therefore evolve independent overlays over one shared frozen
-// base, and dropping an overlay rolls its epochs back for free.
+// An overlay holds only its edits: the patch tables and patches, the
+// added node, method and call-site records (resolved through
+// Overlay.Node / MethodInfo / CallSiteInfo), each method's added nodes and
+// the set of dissolved SCCs. What derives from the base graph alone — the
+// method→node index and the SCC member lists — is a Base, built once per
+// frozen graph and shared read-only by every overlay on it. The base
+// graph is never written, so several engines can evolve independent
+// overlays over one shared frozen base, and dropping an overlay rolls its
+// epochs back for free.
 //
 // Soundness of the invalidation contract (the TouchedMethods an Apply
 // returns): a cached PPTA summary is the closure of one state over local
@@ -60,11 +68,90 @@ import (
 // full re-freeze pays for itself.
 const DefaultCompactFraction = 0.5
 
+// Base is the read-only index of one frozen graph that every overlay on
+// it shares: the method→node index over the base nodes and the member
+// lists of the nontrivial SCCs. Building it is the delta subsystem's only
+// O(n) pass; a server pays it once per graph, not once per session.
+type Base struct {
+	g *pag.Graph
+
+	// methodStart/methodNodes index the base nodes by method in CSR form:
+	// method m's nodes are methodNodes[methodStart[m]:methodStart[m+1]],
+	// ascending.
+	methodStart []int32
+	methodNodes []pag.NodeID
+
+	// groups maps each nontrivial SCC's representative to its sorted
+	// members (representative included); nil on a trivial condensation.
+	groups map[pag.NodeID][]pag.NodeID
+}
+
+// NewBase indexes a frozen graph for the overlays built on it.
+func NewBase(g *pag.Graph) (*Base, error) {
+	if !g.Frozen() {
+		return nil, fmt.Errorf("delta: NewBase: %w", pag.ErrNotFrozen)
+	}
+	b := &Base{g: g}
+	nodes, methods := g.NumNodes(), g.NumMethods()
+	b.methodStart = make([]int32, methods+1)
+	for n := 0; n < nodes; n++ {
+		if m := g.Node(pag.NodeID(n)).Method; m != pag.NoMethod {
+			b.methodStart[m+1]++
+		}
+	}
+	for m := 0; m < methods; m++ {
+		b.methodStart[m+1] += b.methodStart[m]
+	}
+	b.methodNodes = make([]pag.NodeID, b.methodStart[methods])
+	fill := slices.Clone(b.methodStart[:methods])
+	for n := 0; n < nodes; n++ {
+		if m := g.Node(pag.NodeID(n)).Method; m != pag.NoMethod {
+			b.methodNodes[fill[m]] = pag.NodeID(n)
+			fill[m]++
+		}
+	}
+	if cond := g.Condensation(); !cond.Trivial() {
+		// The representative is its SCC's smallest member, so ascending
+		// IDs list every group sorted.
+		b.groups = make(map[pag.NodeID][]pag.NodeID)
+		for n := 0; n < nodes; n++ {
+			if r := cond.Rep(pag.NodeID(n)); r != pag.NodeID(n) {
+				if b.groups[r] == nil {
+					b.groups[r] = []pag.NodeID{r}
+				}
+				b.groups[r] = append(b.groups[r], pag.NodeID(n))
+			}
+		}
+	}
+	return b, nil
+}
+
+// NewOverlay starts an empty overlay (epoch 0) on the base.
+func (b *Base) NewOverlay() *Overlay {
+	n := b.g.NumNodes()
+	cond := b.g.Condensation()
+	return &Overlay{
+		base:          b,
+		g:             b.g,
+		cond:          cond,
+		trivial:       cond.Trivial(),
+		baseNodes:     n,
+		baseMethods:   b.g.NumMethods(),
+		baseCallSites: b.g.NumCallSites(),
+		patchBase:     makeNegative(n),
+		patchCond:     makeNegative(n),
+		addedOf:       make(map[pag.MethodID][]pag.NodeID),
+		dissolved:     make(map[pag.NodeID]bool),
+		bytes:         2 * idBytes * int64(n),
+	}
+}
+
 // Overlay is the epoch-stamped delta view over one frozen Graph. It is
 // not safe for concurrent mutation: Apply and Compact require the same
 // quiescence as every other engine mutator (no queries in flight).
 // Concurrent reads between epochs are safe.
 type Overlay struct {
+	base    *Base
 	g       *pag.Graph
 	cond    *pag.Condensation
 	trivial bool // base condensation has no nontrivial SCC: the views coincide
@@ -79,37 +166,32 @@ type Overlay struct {
 	addedCallSites []pag.CallSite
 
 	// patchBase/patchCond index the per-view patched adjacency; -1 means
-	// the node reads the base (respectively freeze-time condensed) spans.
+	// the node reads the base (respectively freeze-time condensed) spans,
+	// and reuseBase in patchCond means the node's condensed spans are
+	// exactly its base-view spans, so it reads those. freeCond lists the
+	// condAdj slots that such a reuse released, for the next real patch.
 	patchBase []int32
 	patchCond []int32
 	baseAdj   []patchAdj
 	condAdj   []patchAdj
+	freeCond  []int32
 
-	// rep is the repaired representative array (condensed view), covering
-	// every node; nil until the first epoch on a nontrivially-condensed
-	// base (reads fall through to the freeze-time condensation).
-	rep []pag.NodeID
-	// groups holds the surviving nontrivial SCCs: representative → sorted
-	// members (representative included). Dissolved groups are removed.
-	groups map[pag.NodeID][]pag.NodeID
+	// addedOf lists each method's delta-added nodes in ID order (its base
+	// nodes are in the shared Base); dissolved holds the representatives
+	// of the SCCs the overlay dissolved into singletons. Together with the
+	// base they give the repaired representative function (Rep).
+	addedOf   map[pag.MethodID][]pag.NodeID
+	dissolved map[pag.NodeID]bool
 
-	// methodNodes indexes every method's nodes (built on first Apply,
-	// extended incrementally); the unit of redefinition and invalidation.
-	methodNodes [][]pag.NodeID
+	overlayEdges  int   // out-direction edge records across baseAdj
+	droppedEdges  int   // cumulative
+	dissolvedSCCs int   // cumulative
+	rebuiltReps   int   // cumulative
+	bytes         int64 // what the overlay holds itself; see Stats.Bytes
 
-	// methodNbrs is the reverse-dependency sketch: for each method, the
-	// set of methods sharing a global edge with it. It bounds the set of
-	// methods that could in principle depend on a touched method — the
-	// ApplyStats report invalidated-vs-dependent against it, making the
-	// "no cascade needed" argument measurable.
-	methodNbrs map[pag.MethodID]map[pag.MethodID]bool
-
-	patchedMethods map[pag.MethodID]bool
-
-	overlayEdges  int // out-direction edge records across baseAdj
-	droppedEdges  int // cumulative
-	dissolvedSCCs int // cumulative
-	rebuiltReps   int // cumulative
+	// buf is the edge scratch the rebuilds of one commit share; commit
+	// drops it at its end.
+	buf []pag.Edge
 
 	// committing is held across Apply's commit phase: true means an epoch
 	// is (or was, if an abort escaped) mid-installation and the overlay's
@@ -117,32 +199,32 @@ type Overlay struct {
 	committing bool
 }
 
-// patchAdj is one patched node's replacement adjacency: full out/in edge
-// lists partitioned local-first, with the split recorded — the same
-// contract as a CSR span.
+// reuseBase marks a patchCond entry whose condensed spans equal the
+// node's base-view spans, edge for edge and in order.
+const reuseBase = -2
+
+// patchAdj is one patched node's replacement adjacency: its out edges
+// then its in edges in one exactly-sized slice, each half partitioned
+// local-first — the same contract as a CSR span. The offsets index
+// edges: local out [0, outSplit), global out [outSplit, outEnd), local in
+// [outEnd, inSplit), global in [inSplit, len).
 type patchAdj struct {
-	out, in           []pag.Edge
-	outSplit, inSplit int32
+	edges                     []pag.Edge
+	outSplit, outEnd, inSplit int32
 }
 
-// NewOverlay starts an empty overlay (epoch 0) over a frozen graph.
-func NewOverlay(g *pag.Graph) (*Overlay, error) {
-	if !g.Frozen() {
-		return nil, fmt.Errorf("delta: overlay: %w", pag.ErrNotFrozen)
-	}
-	cond := g.Condensation()
-	return &Overlay{
-		g:              g,
-		cond:           cond,
-		trivial:        cond.Trivial(),
-		baseNodes:      g.NumNodes(),
-		baseMethods:    g.NumMethods(),
-		baseCallSites:  g.NumCallSites(),
-		patchBase:      makeNegative(g.NumNodes()),
-		patchCond:      makeNegative(g.NumNodes()),
-		patchedMethods: make(map[pag.MethodID]bool),
-	}, nil
+func (a *patchAdj) localOut() []pag.Edge  { return clampSpan(a.edges, 0, a.outSplit) }
+func (a *patchAdj) globalOut() []pag.Edge { return clampSpan(a.edges, a.outSplit, a.outEnd) }
+func (a *patchAdj) localIn() []pag.Edge   { return clampSpan(a.edges, a.outEnd, a.inSplit) }
+func (a *patchAdj) globalIn() []pag.Edge {
+	return clampSpan(a.edges, a.inSplit, int32(len(a.edges)))
 }
+
+// Patched entries derive flags from span emptiness, which is exact for
+// the current edge set (drops included).
+func (a *patchAdj) hasGlobalIn() bool   { return int(a.inSplit) < len(a.edges) }
+func (a *patchAdj) hasGlobalOut() bool  { return a.outSplit < a.outEnd }
+func (a *patchAdj) hasLocalEdges() bool { return a.outSplit > 0 || a.inSplit > a.outEnd }
 
 func makeNegative(n int) []int32 {
 	s := make([]int32, n)
@@ -172,18 +254,29 @@ func (o *Overlay) NumMethods() int { return o.baseMethods + len(o.addedMethods) 
 // NumCallSites returns the total call-site count, added sites included.
 func (o *Overlay) NumCallSites() int { return o.baseCallSites + len(o.addedCallSites) }
 
-// MethodNodes returns method m's nodes, delta-added ones included, from
-// the overlay's method index (read-only; nil for an ID that names no
-// method, NoMethod included — the index does not cover global nodes). ok
-// is false until the first Apply has built the index.
-func (o *Overlay) MethodNodes(m pag.MethodID) (nodes []pag.NodeID, ok bool) {
-	if o.methodNodes == nil {
-		return nil, false
+// MethodNodes returns method m's nodes: its base nodes from the shared
+// index and its delta-added ones, each ascending (read-only; both nil for
+// an ID that names no method, NoMethod included — the index does not
+// cover global nodes).
+func (o *Overlay) MethodNodes(m pag.MethodID) (base, added []pag.NodeID) {
+	if m >= 0 && int(m) < o.baseMethods {
+		base = o.base.methodNodes[o.base.methodStart[m]:o.base.methodStart[m+1]]
 	}
-	if m < 0 || int(m) >= len(o.methodNodes) {
-		return nil, true
+	return base, o.addedOf[m]
+}
+
+// nodesOf yields method m's nodes in MethodNodes order.
+func (o *Overlay) nodesOf(m pag.MethodID) iter.Seq[pag.NodeID] {
+	base, added := o.MethodNodes(m)
+	return func(yield func(pag.NodeID) bool) {
+		for _, ns := range [2][]pag.NodeID{base, added} {
+			for _, n := range ns {
+				if !yield(n) {
+					return
+				}
+			}
+		}
 	}
-	return o.methodNodes[m], true
 }
 
 // MethodInfo returns method metadata, resolving added methods from the
@@ -252,8 +345,7 @@ func clampSpan(edges []pag.Edge, i, j int32) []pag.Edge {
 
 func (o *Overlay) baseLocalOut(n pag.NodeID) []pag.Edge {
 	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.out, 0, a.outSplit)
+		return o.baseAdj[p].localOut()
 	}
 	if int(n) >= o.baseNodes {
 		return nil
@@ -263,8 +355,7 @@ func (o *Overlay) baseLocalOut(n pag.NodeID) []pag.Edge {
 
 func (o *Overlay) baseGlobalOut(n pag.NodeID) []pag.Edge {
 	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.out, a.outSplit, int32(len(a.out)))
+		return o.baseAdj[p].globalOut()
 	}
 	if int(n) >= o.baseNodes {
 		return nil
@@ -274,8 +365,7 @@ func (o *Overlay) baseGlobalOut(n pag.NodeID) []pag.Edge {
 
 func (o *Overlay) baseLocalIn(n pag.NodeID) []pag.Edge {
 	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.in, 0, a.inSplit)
+		return o.baseAdj[p].localIn()
 	}
 	if int(n) >= o.baseNodes {
 		return nil
@@ -285,8 +375,7 @@ func (o *Overlay) baseLocalIn(n pag.NodeID) []pag.Edge {
 
 func (o *Overlay) baseGlobalIn(n pag.NodeID) []pag.Edge {
 	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return clampSpan(a.in, a.inSplit, int32(len(a.in)))
+		return o.baseAdj[p].globalIn()
 	}
 	if int(n) >= o.baseNodes {
 		return nil
@@ -300,10 +389,10 @@ func (o *Overlay) baseGlobalIn(n pag.NodeID) []pag.Edge {
 func (o *Overlay) LocalOut(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
 		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.out, 0, a.outSplit)
+			return o.condAdj[p].localOut()
+		} else if p == -1 {
+			return o.cond.LocalOut(n)
 		}
-		return o.cond.LocalOut(n)
 	}
 	return o.baseLocalOut(n)
 }
@@ -312,10 +401,10 @@ func (o *Overlay) LocalOut(n pag.NodeID, condensed bool) []pag.Edge {
 func (o *Overlay) GlobalOut(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
 		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.out, a.outSplit, int32(len(a.out)))
+			return o.condAdj[p].globalOut()
+		} else if p == -1 {
+			return o.cond.GlobalOut(n)
 		}
-		return o.cond.GlobalOut(n)
 	}
 	return o.baseGlobalOut(n)
 }
@@ -324,10 +413,10 @@ func (o *Overlay) GlobalOut(n pag.NodeID, condensed bool) []pag.Edge {
 func (o *Overlay) LocalIn(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
 		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.in, 0, a.inSplit)
+			return o.condAdj[p].localIn()
+		} else if p == -1 {
+			return o.cond.LocalIn(n)
 		}
-		return o.cond.LocalIn(n)
 	}
 	return o.baseLocalIn(n)
 }
@@ -336,28 +425,25 @@ func (o *Overlay) LocalIn(n pag.NodeID, condensed bool) []pag.Edge {
 func (o *Overlay) GlobalIn(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
 		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return clampSpan(a.in, a.inSplit, int32(len(a.in)))
+			return o.condAdj[p].globalIn()
+		} else if p == -1 {
+			return o.cond.GlobalIn(n)
 		}
-		return o.cond.GlobalIn(n)
 	}
 	return o.baseGlobalIn(n)
 }
 
 // HasGlobalIn reports the PPTA S1 frontier condition under the view.
-// Patched entries derive flags from span emptiness, which is exact for
-// the current edge set (drops included).
 func (o *Overlay) HasGlobalIn(n pag.NodeID, condensed bool) bool {
 	if condensed && !o.trivial {
 		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return int(a.inSplit) < len(a.in)
+			return o.condAdj[p].hasGlobalIn()
+		} else if p == -1 {
+			return o.cond.HasGlobalIn(n)
 		}
-		return o.cond.HasGlobalIn(n)
 	}
 	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return int(a.inSplit) < len(a.in)
+		return o.baseAdj[p].hasGlobalIn()
 	}
 	return int(n) < o.baseNodes && o.g.HasGlobalIn(n)
 }
@@ -366,14 +452,13 @@ func (o *Overlay) HasGlobalIn(n pag.NodeID, condensed bool) bool {
 func (o *Overlay) HasGlobalOut(n pag.NodeID, condensed bool) bool {
 	if condensed && !o.trivial {
 		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return int(a.outSplit) < len(a.out)
+			return o.condAdj[p].hasGlobalOut()
+		} else if p == -1 {
+			return o.cond.HasGlobalOut(n)
 		}
-		return o.cond.HasGlobalOut(n)
 	}
 	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return int(a.outSplit) < len(a.out)
+		return o.baseAdj[p].hasGlobalOut()
 	}
 	return int(n) < o.baseNodes && o.g.HasGlobalOut(n)
 }
@@ -382,28 +467,37 @@ func (o *Overlay) HasGlobalOut(n pag.NodeID, condensed bool) bool {
 func (o *Overlay) HasLocalEdges(n pag.NodeID, condensed bool) bool {
 	if condensed && !o.trivial {
 		if p := o.patchCond[n]; p >= 0 {
-			a := &o.condAdj[p]
-			return a.outSplit > 0 || a.inSplit > 0
+			return o.condAdj[p].hasLocalEdges()
+		} else if p == -1 {
+			return o.cond.HasLocalEdges(n)
 		}
-		return o.cond.HasLocalEdges(n)
 	}
 	if p := o.patchBase[n]; p >= 0 {
-		a := &o.baseAdj[p]
-		return a.outSplit > 0 || a.inSplit > 0
+		return o.baseAdj[p].hasLocalEdges()
 	}
 	return int(n) < o.baseNodes && o.g.HasLocalEdges(n)
 }
 
-// Rep maps n to its representative under the repaired condensation
-// (identity for dissolved members and added nodes).
+// Rep maps n to its representative under the repaired condensation:
+// identity for added nodes and for the members of dissolved SCCs, the
+// freeze-time representative otherwise.
 func (o *Overlay) Rep(n pag.NodeID) pag.NodeID {
-	if o.rep != nil {
-		return o.rep[n]
-	}
 	if o.trivial || int(n) >= o.baseNodes {
 		return n
 	}
-	return o.cond.Rep(n)
+	if r := o.cond.Rep(n); r != n && !o.dissolved[r] {
+		return r
+	}
+	return n
+}
+
+// group returns the sorted members of r's surviving nontrivial SCC
+// (representative included), or nil when r is a singleton.
+func (o *Overlay) group(r pag.NodeID) []pag.NodeID {
+	if o.dissolved[r] {
+		return nil
+	}
+	return o.base.groups[r]
 }
 
 // nodeMethod returns the enclosing method of n (NoMethod for globals).
@@ -442,60 +536,4 @@ func (o *Overlay) hasEdgeBase(e pag.Edge) bool {
 		}
 	}
 	return false
-}
-
-// ensureIndexes lazily builds the O(n) structures the first Apply needs:
-// the method→nodes index, the surviving-SCC group table and repaired rep
-// array (nontrivial condensations only), and the reverse-dependency
-// sketch.
-func (o *Overlay) ensureIndexes() {
-	if o.methodNodes == nil {
-		o.methodNodes = make([][]pag.NodeID, o.NumMethods())
-		for n := 0; n < o.baseNodes; n++ {
-			if m := o.g.Node(pag.NodeID(n)).Method; m != pag.NoMethod {
-				o.methodNodes[m] = append(o.methodNodes[m], pag.NodeID(n))
-			}
-		}
-	}
-	if !o.trivial && o.rep == nil {
-		o.rep = make([]pag.NodeID, o.baseNodes)
-		o.groups = make(map[pag.NodeID][]pag.NodeID)
-		for n := 0; n < o.baseNodes; n++ {
-			r := o.cond.Rep(pag.NodeID(n))
-			o.rep[n] = r
-			if r != pag.NodeID(n) {
-				o.groups[r] = append(o.groups[r], pag.NodeID(n))
-			}
-		}
-		for r, members := range o.groups {
-			members = append(members, r)
-			slices.Sort(members)
-			o.groups[r] = members
-		}
-	}
-	if o.methodNbrs == nil {
-		o.methodNbrs = make(map[pag.MethodID]map[pag.MethodID]bool)
-		for n := 0; n < o.baseNodes; n++ {
-			ms := o.g.Node(pag.NodeID(n)).Method
-			if ms == pag.NoMethod {
-				continue
-			}
-			for _, e := range o.g.GlobalOut(pag.NodeID(n)) {
-				if md := o.g.Node(e.Dst).Method; md != pag.NoMethod && md != ms {
-					o.linkMethods(ms, md)
-				}
-			}
-		}
-	}
-}
-
-func (o *Overlay) linkMethods(a, b pag.MethodID) {
-	if o.methodNbrs[a] == nil {
-		o.methodNbrs[a] = make(map[pag.MethodID]bool, 4)
-	}
-	if o.methodNbrs[b] == nil {
-		o.methodNbrs[b] = make(map[pag.MethodID]bool, 4)
-	}
-	o.methodNbrs[a][b] = true
-	o.methodNbrs[b][a] = true
 }

@@ -93,10 +93,11 @@ func pinnedLayouts(t *testing.T) map[string]*pag.Graph {
 		t.Fatal(err)
 	}
 	gs["evolve/prefix2"] = prefix.G
-	ov, err := delta.NewOverlay(ev.Base.G)
+	ob, err := delta.NewBase(ev.Base.G)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 	for k := 1; k < ev.NumWaves(); k++ {
 		log := ov.NewLog()
 		if err := ev.WaveLog(log, k); err != nil {
@@ -207,10 +208,11 @@ func TestLayoutPins(t *testing.T) {
 // which the engines' budgeted work counts depend on.
 func overlayDigest(t *testing.T, ev *benchgen.EvolveProgram) string {
 	t.Helper()
-	ov, err := delta.NewOverlay(ev.Base.G)
+	ob, err := delta.NewBase(ev.Base.G)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ov := ob.NewOverlay()
 	h := sha256.New()
 	for k := 1; k < ev.NumWaves(); k++ {
 		log := ov.NewLog()

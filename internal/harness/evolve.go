@@ -25,9 +25,8 @@ import (
 //     subsystem has to do on every change.
 //
 // Wall time depends on the machine, so the table also reports the
-// deterministic counters: summaries invalidated per wave (against the
-// sketch-bounded dependent-method count) and the overlay fraction that
-// drives compaction.
+// deterministic counters: summaries invalidated per wave and the overlay
+// fraction that drives compaction.
 
 // ApplyWave advances a live engine by one replay wave: position a log at
 // the engine's current program, fill it with wave k, apply it. The one
@@ -53,7 +52,7 @@ func WriteEvolve(w io.Writer, opts Options) {
 		opts.Scale, opts.Seed, benchgen.DefaultEvolveWaves)
 
 	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "benchmark\twave\tqueries\tapply\tinvalidated\tdependent\toverlay%\toverlay-total\trebuild-total\tspeedup")
+	fmt.Fprintln(tw, "benchmark\twave\tqueries\tapply\tinvalidated\toverlay%\toverlay-total\trebuild-total\tspeedup")
 	for _, name := range benchgen.EvolveBenchmarks {
 		p := benchgen.ProfileByNameMust(name).Scaled(opts.Scale)
 		ev, err := benchgen.GenerateEvolve(p, opts.Seed, benchgen.DefaultEvolveWaves)
@@ -107,21 +106,21 @@ func WriteEvolve(w io.Writer, opts Options) {
 			if res.Compacted {
 				note = " (compacted)"
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%d\t%d\t%.1f\t%s\t%s\t%.1fx%s\n",
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%d\t%.1f\t%s\t%s\t%.1fx%s\n",
 				ev.Name, k, len(queries), fmtDuration(applyDur),
-				res.InvalidatedSummaries, res.DependentMethods, 100*frac,
+				res.InvalidatedSummaries, 100*frac,
 				fmtDuration(overlayDur), fmtDuration(rebuildDur),
 				ratio(rebuildDur, overlayDur), note)
 		}
-		fmt.Fprintf(tw, "%s\ttotal\t\t\t\t\t\t%s\t%s\t%.1fx\n",
+		fmt.Fprintf(tw, "%s\ttotal\t\t\t\t\t%s\t%s\t%.1fx\n",
 			ev.Name, fmtDuration(totOverlay), fmtDuration(totRebuild), ratio(totRebuild, totOverlay))
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "overlay-total = ApplyDelta + cumulative batch on the live engine;")
 	fmt.Fprintln(w, "rebuild-total = build+freeze+condense the prefix + the same batch on a cold engine.")
-	fmt.Fprintln(w, "invalidated = summaries dropped by the per-epoch cache scan; dependent = the")
-	fmt.Fprintln(w, "reverse-dependency sketch's bound on methods a cascading invalidator would drop.")
+	fmt.Fprintln(w, "invalidated = summaries dropped by the per-epoch cache scan (only the methods")
+	fmt.Fprintln(w, "an epoch touched; summaries are method-local, so nothing cascades).")
 }
 
 func ratio(a, b time.Duration) float64 {

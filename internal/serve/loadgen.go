@@ -89,7 +89,7 @@ type Report struct {
 
 	// Verified counts oracle-checked query results; VerifySkipped those
 	// the oracle could not complete (budget) or that the engine aborted.
-	Verified     int
+	Verified      int
 	VerifySkipped int
 
 	Lanes map[string]*LaneStats

@@ -123,13 +123,15 @@ type SummaryCounters struct {
 // MetricsSnapshot is one consistent-enough read of the serving state:
 // lane and tenant counters, the session count, readiness, the
 // engine-level metrics summed across every session (each session's
-// core.Metrics.Snapshot added together) and the summary storage counts.
-// It is what /metrics serves.
+// core.Metrics.Snapshot added together), the summary storage counts and
+// the bytes the sessions' delta overlays hold (delta.Stats.Bytes summed;
+// the shared base is not counted). It is what /metrics serves.
 type MetricsSnapshot struct {
-	Ready     bool                      `json:"ready"`
-	Sessions  int                       `json:"sessions"`
-	Lanes     map[string]LaneCounters   `json:"lanes"`
-	Tenants   map[string]TenantCounters `json:"tenants"`
-	Engine    core.Metrics              `json:"engine"`
-	Summaries SummaryCounters           `json:"summaries"`
+	Ready        bool                      `json:"ready"`
+	Sessions     int                       `json:"sessions"`
+	Lanes        map[string]LaneCounters   `json:"lanes"`
+	Tenants      map[string]TenantCounters `json:"tenants"`
+	Engine       core.Metrics              `json:"engine"`
+	Summaries    SummaryCounters           `json:"summaries"`
+	OverlayBytes int64                     `json:"overlay_bytes"`
 }

@@ -840,3 +840,33 @@ func TestBadQueryBeforeAndAfterApply(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsOverlayBytes: /metrics reports the bytes the sessions'
+// overlays hold — 0 while no session has evolved, growing with every
+// applied wave.
+func TestMetricsOverlayBytes(t *testing.T) {
+	ev := testEvolve(t, 3)
+	srv := newTestServer(t, ev, Config{})
+	sess, err := srv.CreateSession("s1", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreateSession("s2", "t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.MetricsSnapshot().OverlayBytes; got != 0 {
+		t.Fatalf("overlay bytes with no evolved session = %d, want 0", got)
+	}
+	prev := int64(0)
+	for k := 1; k < ev.NumWaves(); k++ {
+		applyWave(t, srv, sess, ev, k)
+		got := srv.MetricsSnapshot().OverlayBytes
+		if got <= prev {
+			t.Fatalf("overlay bytes after wave %d = %d, want > %d", k, got, prev)
+		}
+		if want := sess.Engine().Overlay().Stats().Bytes; got != want {
+			t.Errorf("overlay bytes after wave %d = %d, want the one evolved session's %d", k, got, want)
+		}
+		prev = got
+	}
+}

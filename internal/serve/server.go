@@ -649,6 +649,7 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		visible, private := sess.eng.SummaryCounts()
 		snap.Summaries.Visible += int64(visible)
 		snap.Summaries.Private += int64(private)
+		snap.OverlayBytes += sess.overlayBytes()
 	}
 	return snap
 }

@@ -50,3 +50,14 @@ func (s *Session) Engine() *core.DynSum { return s.eng }
 // Epoch returns how many deltas the session has applied; 0 means the
 // session is clean (still the shared base) and need not be persisted.
 func (s *Session) Epoch() uint64 { return s.epoch.Load() }
+
+// overlayBytes returns what the session's delta overlay holds itself
+// (delta.Stats.Bytes), 0 for a session that never evolved.
+func (s *Session) overlayBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if ov := s.eng.Overlay(); ov != nil {
+		return ov.Stats().Bytes
+	}
+	return 0
+}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the static-analysis gate: go vet plus the repository's own
+# Runs the static-analysis gate: gofmt, go vet plus the repository's own
 # invariant firewall (cmd/dynsumlint — see internal/lint and DESIGN.md
 # §11). Fails on any diagnostic; intentional exceptions belong in the
 # source as `//lint:allow <pass> <reason>` directives, not here.
@@ -7,6 +7,14 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$ROOT"
+
+echo "[lint] gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "[lint] gofmt: the files above are not formatted (make fmt)"
+	exit 1
+fi
 
 echo "[lint] go vet ./..."
 go vet ./...
