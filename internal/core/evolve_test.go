@@ -2,9 +2,11 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"dynsum/internal/benchgen"
+	"dynsum/internal/intstack"
 )
 
 // TestOverlayBytesPerSession is the overlay's memory guard: replaying
@@ -68,4 +70,61 @@ func TestOverlayBytesPerSession(t *testing.T) {
 	// collected in between, its release would offset the overlays' growth.
 	runtime.KeepAlive(ev)
 	runtime.KeepAlive(engines)
+}
+
+// TestSharedDeltaBaseConcurrentApply: engines on one tier replay an
+// evolve from several goroutines at once, so the tier's delta.Base is
+// built and read concurrently; every engine ends with the same overlay
+// and the same answers.
+func TestSharedDeltaBaseConcurrentApply(t *testing.T) {
+	ev, err := benchgen.GenerateEvolve(benchgen.ProfileByNameMust("bloat-cyclic").Scaled(0.005), 7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := NewSummaryTier(ev.Base.G, Config{CompactFraction: -1})
+	ctxs := new(intstack.Table)
+	engines := make([]*DynSum, 4)
+	for i := range engines {
+		engines[i] = tier.NewDynSum(ctxs)
+	}
+	var wg sync.WaitGroup
+	for _, d := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 1; k < ev.NumWaves(); k++ {
+				log, err := d.NewDeltaLog()
+				if err == nil {
+					err = ev.WaveLog(log, k)
+				}
+				if err == nil {
+					_, err = d.ApplyDelta(log)
+				}
+				if err != nil {
+					t.Errorf("wave %d: %v", k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := engines[0].Overlay().Stats()
+	for i, d := range engines[1:] {
+		if got := d.Overlay().Stats(); got != want {
+			t.Errorf("engine %d: overlay stats %+v, want %+v", i+1, got, want)
+		}
+	}
+	qs := ev.DerefsThrough(ev.NumWaves() - 1)
+	if len(qs) == 0 || ev.Base.G.Condensation().Trivial() {
+		t.Fatal("the evolve needs query sites and assign SCCs")
+	}
+	for _, q := range qs {
+		w, errW := engines[0].PointsTo(q.Var)
+		for i, d := range engines[1:] {
+			got, errG := d.PointsTo(q.Var)
+			if (errG == nil) != (errW == nil) || errW == nil && !got.Equal(w) {
+				t.Errorf("engine %d: pts(%d) differs from engine 0", i+1, q.Var)
+			}
+		}
+	}
 }
