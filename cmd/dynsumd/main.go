@@ -11,7 +11,7 @@
 //
 //	dynsumd -addr :7457 prog.pag                # serve a compiled PAG
 //	dynsumd -bench soot-c -scale 0.01           # serve a synthetic benchmark
-//	dynsumd -state-dir /var/lib/dynsumd ...     # persist sessions on drain
+//	dynsumd -state-dir /var/lib/dynsumd ...     # journal deltas, persist sessions on drain
 //	dynsumd -debug-addr localhost:6060 ...      # also serve net/http/pprof there
 //
 // Endpoints:
@@ -21,7 +21,8 @@
 //	POST /v1/apply     {"session":"s1","delta_b64":"<wire-encoded delta.Log>"}
 //	GET  /healthz      liveness (200 while the process runs)
 //	GET  /readyz       readiness (503 once draining)
-//	GET  /metrics      JSON: serve counters, engine metrics summed over sessions, summary storage
+//	GET  /metrics      JSON: serve counters, engine metrics summed over sessions, summary storage,
+//	                   overlay and journal bytes
 //
 // With -debug-addr, a second listener serves the net/http/pprof profiles
 // under /debug/pprof/. It is off by default and never shares the query
@@ -80,7 +81,7 @@ func main() {
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 		quotaRate    = flag.Float64("quota-rate", 0, "per-tenant requests/sec refill (0 = no quotas)")
 		quotaBurst   = flag.Float64("quota-burst", 0, "per-tenant burst size")
-		stateDir     = flag.String("state-dir", "", "persist dirty sessions here on drain")
+		stateDir     = flag.String("state-dir", "", "journal session deltas here as they apply; persist dirty sessions on drain")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM/SIGINT")
 		openWorld    = flag.Bool("openworld", false, "serve bodyless methods under blended blob summaries instead of silently under-approximating")
 		specFile     = flag.String("specs", "", "library points-to spec file, resolved once at startup and applied to every session (implies -openworld)")

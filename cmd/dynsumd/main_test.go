@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
@@ -383,5 +384,181 @@ func TestPprofOnlyOnDebugMux(t *testing.T) {
 		if status, body := get(t, dbg.URL+path); status != http.StatusOK {
 			t.Errorf("debug listener %s: status %d, want 200 (%.80s)", path, status, body)
 		}
+	}
+}
+
+// gatedConfig makes every session's traversal block until gate closes,
+// and signals started at each session's first trace event, so a test can
+// hold requests in flight for as long as it needs.
+func gatedConfig(cfg serve.Config) (serve.Config, chan struct{}, chan struct{}) {
+	gate, started := make(chan struct{}), make(chan struct{}, 16)
+	cfg.Prepare = func(d *core.DynSum) error {
+		d.Tracer = func(core.TraceEvent) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-gate
+		}
+		return nil
+	}
+	return cfg, gate, started
+}
+
+// TestFullLaneIs503: while the one whale worker is held, whale requests
+// fill the dispatcher's hand and the one queue slot, and the next is
+// shed with a typed 503 "overload"; the held ones complete once
+// released.
+func TestFullLaneIs503(t *testing.T) {
+	cfg, gate, started := gatedConfig(serve.Config{Workers: 1, QueueDepth: 1})
+	ts, prog := testDaemonCfg(t, maxBodyBytes, cfg)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate)
+		}
+	}
+	defer release()
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	query := `{"session":"s1","vars":[` + strconv.Itoa(int(prog.Derefs[0].Var)) + `]}`
+	type reply struct {
+		status int
+		body   []byte
+	}
+	const maxSends = 8 // three requests fill the lane; the fourth is shed
+	replies := make(chan reply, maxSends)
+	send := func() {
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(query))
+			if err != nil {
+				replies <- reply{status: -1, body: []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			replies <- reply{resp.StatusCode, body}
+		}()
+	}
+	send()
+	<-started // the worker is held
+	sent := int64(1)
+	for whaleLane(t, ts).Shed == 0 {
+		if sent == maxSends {
+			t.Fatalf("%d whale requests on a one-deep lane and none shed", sent)
+		}
+		send()
+		sent++
+		for lc := whaleLane(t, ts); lc.Admitted+lc.Shed < sent; lc = whaleLane(t, ts) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var shed reply
+	for range sent - whaleLane(t, ts).Admitted {
+		shed = <-replies
+	}
+	if shed.status != http.StatusServiceUnavailable {
+		t.Fatalf("query on a full lane: status %d, want 503 (%s)", shed.status, shed.body)
+	}
+	if kind := typedKind(t, shed.body); kind != "overload" {
+		t.Errorf("kind %q, want overload", kind)
+	}
+	release()
+	for range whaleLane(t, ts).Admitted {
+		if r := <-replies; r.status != http.StatusOK {
+			t.Errorf("held query: status %d, want 200 (%s)", r.status, r.body)
+		}
+	}
+}
+
+// whaleLane reads the whale lane's counters from /metrics.
+func whaleLane(t *testing.T, ts *httptest.Server) serve.LaneCounters {
+	t.Helper()
+	_, body := get(t, ts.URL+"/metrics")
+	var snap serve.MetricsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Lanes["whale"]
+}
+
+// TestDrainWithRequestInFlight: a drain that arrives while a query runs
+// turns /readyz and new queries away with 503 at once, lets the running
+// query finish with its answer, and then returns.
+func TestDrainWithRequestInFlight(t *testing.T) {
+	cfg, gate, started := gatedConfig(serve.Config{})
+	prog := benchgen.Generate(benchgen.ProfileByNameMust("soot-c").Scaled(0.002), 7)
+	srv, err := serve.NewServer(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newHandler(srv, maxBodyBytes))
+	defer ts.Close()
+	if status, body := post(t, ts, "/v1/sessions", `{"id":"s1","tenant":"t"}`); status != http.StatusCreated {
+		t.Fatalf("create session: status %d (%s)", status, body)
+	}
+	v := prog.Derefs[0].Var
+	query := `{"session":"s1","vars":[` + strconv.Itoa(int(v)) + `]}`
+	type reply struct {
+		status int
+		body   []byte
+	}
+	inflight := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(query))
+		if err != nil {
+			inflight <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		inflight <- reply{resp.StatusCode, body}
+	}()
+	<-started
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	for srv.Ready() {
+		time.Sleep(time.Millisecond)
+	}
+	if status, body := get(t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable {
+		t.Errorf("readyz while draining: status %d, want 503 (%s)", status, body)
+	}
+	status, body := post(t, ts, "/v1/query", query)
+	if status != http.StatusServiceUnavailable {
+		t.Errorf("query while draining: status %d, want 503 (%s)", status, body)
+	} else if kind := typedKind(t, body); kind != "overload" {
+		t.Errorf("query while draining: kind %q, want overload", kind)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) with a query still in flight", err)
+	default:
+	}
+	close(gate)
+	r := <-inflight
+	if r.status != http.StatusOK {
+		t.Fatalf("in-flight query: status %d, want 200 (%s)", r.status, r.body)
+	}
+	var out struct {
+		Results []queryResult `json:"results"`
+	}
+	if err := json.Unmarshal(r.body, &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.NewDynSum(prog.G, core.Config{}, nil).PointsTo(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantObjs []int64
+	for _, o := range want.Objects() {
+		wantObjs = append(wantObjs, int64(o))
+	}
+	if len(out.Results) != 1 || out.Results[0].Err != "" || !slices.Equal(out.Results[0].Objects, wantObjs) {
+		t.Errorf("in-flight query reply %s, want objects %v", r.body, wantObjs)
+	}
+	if err := <-drained; err != nil {
+		t.Errorf("drain: %v", err)
 	}
 }

@@ -31,15 +31,10 @@ func main() {
 		return
 	}
 
-	// The source importer resolves module-path imports relative to the
-	// process working directory; anchor it at the module root so the tool
-	// works from any subdirectory.
+	// Patterns resolve at the module root, so the tool lints the same
+	// packages from any subdirectory.
 	root, err := moduleRoot()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dynsumlint:", err)
-		os.Exit(2)
-	}
-	if err := os.Chdir(root); err != nil {
 		fmt.Fprintln(os.Stderr, "dynsumlint:", err)
 		os.Exit(2)
 	}

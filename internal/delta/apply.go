@@ -65,17 +65,19 @@ type Stats struct {
 	RebuiltReps    int // cumulative
 
 	// Bytes is what the overlay holds itself, the shared Base and base
-	// graph excluded: its patch tables, patch headers and edge lists and
-	// its added records, counted by element size (map and allocator
-	// overhead excluded). Apply keeps it as a running count.
+	// graph excluded: its patch indexes, patch headers and edge lists, its
+	// added nodes' flat blocks and its added records, counted by element
+	// size (map and allocator overhead excluded). Apply keeps it as a
+	// running count.
 	Bytes int64
 }
 
 // Element sizes behind Stats.Bytes.
 const (
-	idBytes       = 4 // a NodeID, a MethodID or one patch-table entry
+	idBytes       = 4 // a NodeID, a MethodID, an offset or an index entry
 	edgeBytes     = int64(unsafe.Sizeof(pag.Edge{}))
 	patchBytes    = int64(unsafe.Sizeof(patchAdj{}))
+	blockBytes    = int64(unsafe.Sizeof(addedBlock{}))
 	nodeBytes     = int64(unsafe.Sizeof(pag.Node{}))
 	methodBytes   = int64(unsafe.Sizeof(pag.Method{}))
 	callSiteBytes = int64(unsafe.Sizeof(pag.CallSite{}))
@@ -91,18 +93,28 @@ func (s Stats) OverlayFraction() float64 {
 
 // Stats returns the overlay's cumulative statistics.
 func (o *Overlay) Stats() Stats {
+	// Every added node carries base-view adjacency (its flat-block span
+	// or, once re-patched, a patch of its own); base nodes carry it once
+	// patched.
+	patched := len(o.addedNodes)
 	methods := make(map[pag.MethodID]bool)
-	for n, p := range o.patchBase {
-		if p < 0 {
-			continue
+	for m, ns := range o.addedOf {
+		if len(ns) > 0 {
+			methods[m] = true
 		}
-		if m := o.nodeMethod(pag.NodeID(n)); m != pag.NoMethod {
+	}
+	for n := range o.baseIdx.nodes() {
+		if int(n) >= o.baseNodes {
+			break
+		}
+		patched++
+		if m := o.nodeMethod(n); m != pag.NoMethod {
 			methods[m] = true
 		}
 	}
 	return Stats{
 		Epochs:         o.epoch,
-		PatchedNodes:   len(o.baseAdj), // base patches are never released
+		PatchedNodes:   patched,
 		PatchedMethods: len(methods),
 		AddedMethods:   len(o.addedMethods),
 		AddedNodes:     len(o.addedNodes),
@@ -358,12 +370,8 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 		o.bytes += callSiteBytes + int64(len(cs.Name)) + idBytes*int64(len(cs.Targets))
 	}
 	o.addedNodes = append(growExact(o.addedNodes, len(l.nodes)), l.nodes...)
-	o.patchBase = growExact(o.patchBase, len(l.nodes))
-	o.patchCond = growExact(o.patchCond, len(l.nodes))
 	for i, nd := range l.nodes {
-		o.patchBase = append(o.patchBase, -1)
-		o.patchCond = append(o.patchCond, -1)
-		o.bytes += nodeBytes + int64(len(nd.Name)) + 2*idBytes
+		o.bytes += nodeBytes + int64(len(nd.Name))
 		if nd.Method != pag.NoMethod {
 			o.addedOf[nd.Method] = append(o.addedOf[nd.Method], pag.NodeID(preNodes+i))
 			o.bytes += idBytes
@@ -379,17 +387,28 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 	}
 	o.dissolvedSCCs += len(st.dissolve)
 
-	// 3. Base-view rebuild of the patch set.
+	// 3. Base view: the epoch's added nodes as one flat block, then a
+	// rebuilt patch for every older node of the patch set. Each rebuild
+	// reads only its own node's spans, so the index takes the new
+	// patches in one batch at the end.
+	o.layOutBlock(preNodes, len(l.nodes), st.addedOut, st.addedIn)
 	fresh := 0
 	for n := range st.patch {
-		if o.patchBase[n] < 0 {
+		if int(n) < preNodes && o.baseIdx.get(n) == noEntry {
 			fresh++
 		}
 	}
 	o.baseAdj = growExact(o.baseAdj, fresh)
+	var changes []indexEntry
 	for _, n := range sortedNodes(st.patch) {
-		o.rebuildBase(n, st.dropped, st.addedOut[n], st.addedIn[n])
+		if int(n) >= preNodes {
+			continue // laid out in the block
+		}
+		if e, ok := o.rebuildBase(n, st.dropped, st.addedOut[n], st.addedIn[n]); ok {
+			changes = append(changes, e)
+		}
 	}
+	o.bytes += o.baseIdx.update(changes)
 
 	// 4. Condensation repair, part 2: rebuild the condensed spans whose
 	// contents this epoch invalidated — the repaired representatives of
@@ -417,9 +436,13 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 			// Local neighbours live in the same (dissolved) method and are
 			// already in condSet via the localMethods loop.
 		}
+		changes = changes[:0]
 		for _, r := range sortedNodes(condSet) {
-			o.rebuildCond(r)
+			if e, ok := o.rebuildCond(r); ok {
+				changes = append(changes, e)
+			}
 		}
+		o.bytes += o.condIdx.update(changes)
 		rebuilt = len(condSet)
 		o.rebuiltReps += rebuilt
 	}
@@ -447,11 +470,61 @@ func (o *Overlay) commit(l *Log, st staged) ApplyStats {
 	return stats
 }
 
+// layOutBlock lays the epoch's count added nodes, first..first+count-1,
+// out as one flat block. Each node's spans are what rebuildBase gives a
+// node with no edges yet: its added edges in log order within each
+// partition half.
+func (o *Overlay) layOutBlock(first, count int, addOut, addIn map[pag.NodeID][]pag.Edge) {
+	if count == 0 {
+		return
+	}
+	total := 0
+	for i := 0; i < count; i++ {
+		n := pag.NodeID(first + i)
+		total += len(addOut[n]) + len(addIn[n])
+	}
+	b := addedBlock{
+		first: pag.NodeID(first),
+		off:   make([]int32, 0, 4*count+1),
+		edges: make([]pag.Edge, 0, total),
+	}
+	half := func(adds []pag.Edge) {
+		b.off = append(b.off, int32(len(b.edges)))
+		for _, e := range adds {
+			if e.Kind.IsLocal() {
+				b.edges = append(b.edges, e)
+			}
+		}
+		b.off = append(b.off, int32(len(b.edges)))
+		for _, e := range adds {
+			if e.Kind.IsGlobal() {
+				b.edges = append(b.edges, e)
+			}
+		}
+	}
+	for i := 0; i < count; i++ {
+		n := pag.NodeID(first + i)
+		half(addOut[n])
+		o.overlayEdges += len(addOut[n])
+		half(addIn[n])
+	}
+	b.off = append(b.off, int32(len(b.edges)))
+	// The windows of 64 added nodes that start in this block.
+	windows := (first+count-o.baseNodes+63)>>6 - len(o.blockAt)
+	o.blockAt = growExact(o.blockAt, windows)
+	for range windows {
+		o.blockAt = append(o.blockAt, int32(len(o.blocks)))
+	}
+	o.blocks = append(growExact(o.blocks, 1), b)
+	o.bytes += blockBytes + idBytes*int64(len(b.off)+windows) + edgeBytes*int64(len(b.edges))
+}
+
 // rebuildBase installs n's base-view replacement adjacency: current edges
 // minus dropped plus the epoch's additions, partition preserved. Order is
 // deterministic: surviving edges keep their relative order, added edges
-// append in log order within their partition half.
-func (o *Overlay) rebuildBase(n pag.NodeID, dropped map[pag.Edge]bool, addOut, addIn []pag.Edge) {
+// append in log order within their partition half. A node without a
+// patch yet gets a baseAdj slot, returned as the index entry to install.
+func (o *Overlay) rebuildBase(n pag.NodeID, dropped map[pag.Edge]bool, addOut, addIn []pag.Edge) (indexEntry, bool) {
 	buf := o.buf[:0]
 	build := func(localCur, globalCur, adds []pag.Edge) (split int32) {
 		for _, e := range localCur {
@@ -485,17 +558,23 @@ func (o *Overlay) rebuildBase(n pag.NodeID, dropped map[pag.Edge]bool, addOut, a
 	o.buf = buf
 
 	out := int(a.outEnd)
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		old := &o.baseAdj[p]
 		o.overlayEdges += out - int(old.outEnd)
 		o.bytes += edgeBytes * int64(len(a.edges)-len(old.edges))
 		*old = a
-		return
+		return indexEntry{}, false
 	}
-	o.patchBase[n] = int32(len(o.baseAdj))
+	if int(n) >= o.baseNodes {
+		// An added node leaves its flat block; the block keeps the old
+		// span's bytes, but the edge records it counts are replaced.
+		_, off := o.addedNode(n)
+		out -= int(off[2] - off[0])
+	}
 	o.baseAdj = append(o.baseAdj, a)
 	o.overlayEdges += out
 	o.bytes += patchBytes + edgeBytes*int64(len(a.edges))
+	return indexEntry{n, int32(len(o.baseAdj) - 1)}, true
 }
 
 // rebuildCond installs representative r's condensed-view adjacency: the
@@ -505,8 +584,9 @@ func (o *Overlay) rebuildBase(n pag.NodeID, dropped map[pag.Edge]bool, addOut, a
 // one representative. When the result equals r's base-view spans edge
 // for edge (the common case: a singleton whose neighbours are
 // singletons), r reuses them instead of holding a copy, and a slot it
-// held before is released for the next patch.
-func (o *Overlay) rebuildCond(r pag.NodeID) {
+// held before is released for the next patch. It returns r's new index
+// entry when that differs from its current one.
+func (o *Overlay) rebuildCond(r pag.NodeID) (indexEntry, bool) {
 	members := o.group(r)
 	if members == nil {
 		members = []pag.NodeID{r}
@@ -534,18 +614,22 @@ func (o *Overlay) rebuildCond(r pag.NodeID) {
 	o.buf = buf
 	a.edges = buf // compared in place, copied only if r keeps spans of its own
 
-	p := o.patchCond[r]
+	p := o.condIdx.get(r)
 	if o.sameAsBase(r, &a) {
 		if p >= 0 {
 			o.bytes -= edgeBytes * int64(len(o.condAdj[p].edges))
 			o.condAdj[p] = patchAdj{}
 			o.freeCond = append(o.freeCond, p)
 		}
-		o.patchCond[r] = reuseBase
-		return
+		want := int32(reuseBase)
+		if int(r) >= o.baseNodes {
+			want = noEntry // an added node's default
+		}
+		return indexEntry{r, want}, p != want
 	}
 	a.edges = exactCopy(buf)
 	o.bytes += edgeBytes * int64(len(a.edges))
+	old := p
 	switch {
 	case p >= 0:
 		o.bytes -= edgeBytes * int64(len(o.condAdj[p].edges))
@@ -558,7 +642,7 @@ func (o *Overlay) rebuildCond(r pag.NodeID) {
 		o.bytes += patchBytes
 	}
 	o.condAdj[p] = a
-	o.patchCond[r] = p
+	return indexEntry{r, p}, p != old
 }
 
 // sameAsBase reports whether a's spans equal n's base-view spans edge

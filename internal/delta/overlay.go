@@ -3,6 +3,8 @@ package delta
 import (
 	"fmt"
 	"iter"
+	"math"
+	"math/bits"
 	"slices"
 
 	"dynsum/internal/pag"
@@ -13,14 +15,15 @@ import (
 //
 // Representation. The base graph's CSR arrays are never touched. A node
 // whose adjacency an epoch changes — an endpoint of an added or dropped
-// edge, or a node added by the epoch — becomes *patched*: it gets a
-// per-node replacement adjacency (its current edges minus drops plus adds,
-// still partitioned local-first/global-last), and a dense patch table maps
-// node IDs to these entries with -1 for the untouched majority. An
-// adjacency read is therefore one array load and one predictable branch
-// away from the base layout — the same cost shape as the condensation
-// overlay, which is what lets core's graphView resolve both without the
-// engines changing.
+// edge — becomes *patched*: it gets a per-node replacement adjacency (its
+// current edges minus drops plus adds, still partitioned
+// local-first/global-last). The nodes an epoch adds are laid out as one
+// flat CSR block per epoch instead, and move to a per-node patch only if
+// a later epoch changes them. A patch index per view marks the patched
+// nodes with one bit each and finds a marked node's patch by rank, so an
+// adjacency read of an untouched node is one bit test away from the base
+// layout — the same cost shape as the condensation overlay, which is
+// what lets core's graphView resolve both without the engines changing.
 //
 // Two views are maintained, mirroring the two adjacency modes the engines
 // run in:
@@ -128,21 +131,17 @@ func NewBase(g *pag.Graph) (*Base, error) {
 
 // NewOverlay starts an empty overlay (epoch 0) on the base.
 func (b *Base) NewOverlay() *Overlay {
-	n := b.g.NumNodes()
 	cond := b.g.Condensation()
 	return &Overlay{
 		base:          b,
 		g:             b.g,
 		cond:          cond,
 		trivial:       cond.Trivial(),
-		baseNodes:     n,
+		baseNodes:     b.g.NumNodes(),
 		baseMethods:   b.g.NumMethods(),
 		baseCallSites: b.g.NumCallSites(),
-		patchBase:     makeNegative(n),
-		patchCond:     makeNegative(n),
 		addedOf:       make(map[pag.MethodID][]pag.NodeID),
 		dissolved:     make(map[pag.NodeID]bool),
-		bytes:         2 * idBytes * int64(n),
 	}
 }
 
@@ -165,16 +164,24 @@ type Overlay struct {
 	addedMethods   []pag.Method
 	addedCallSites []pag.CallSite
 
-	// patchBase/patchCond index the per-view patched adjacency; -1 means
-	// the node reads the base (respectively freeze-time condensed) spans,
-	// and reuseBase in patchCond means the node's condensed spans are
-	// exactly its base-view spans, so it reads those. freeCond lists the
-	// condAdj slots that such a reuse released, for the next real patch.
-	patchBase []int32
-	patchCond []int32
-	baseAdj   []patchAdj
-	condAdj   []patchAdj
-	freeCond  []int32
+	// blocks holds each epoch's added nodes as one flat CSR block, in ID
+	// order; blockAt[w] is the block holding added node 64w, where the
+	// search for the blocks of added nodes 64w..64w+63 starts.
+	blocks  []addedBlock
+	blockAt []int32
+
+	// baseIdx/condIdx index the per-view patches. A node with no baseIdx
+	// entry reads its frozen spans (a base node) or its flat block (an
+	// added node). A base node with no condIdx entry reads its
+	// freeze-time condensed spans and an added node its base view; the
+	// entry reuseBase says the node's condensed spans are exactly its
+	// base-view spans, any other entry is a condAdj slot. freeCond lists
+	// the condAdj slots that a reuse released, for the next real patch.
+	baseIdx  patchIndex
+	condIdx  patchIndex
+	baseAdj  []patchAdj
+	condAdj  []patchAdj
+	freeCond []int32
 
 	// addedOf lists each method's delta-added nodes in ID order (its base
 	// nodes are in the shared Base); dissolved holds the representatives
@@ -183,7 +190,7 @@ type Overlay struct {
 	addedOf   map[pag.MethodID][]pag.NodeID
 	dissolved map[pag.NodeID]bool
 
-	overlayEdges  int   // out-direction edge records across baseAdj
+	overlayEdges  int   // out-direction edge records across the base view
 	droppedEdges  int   // cumulative
 	dissolvedSCCs int   // cumulative
 	rebuiltReps   int   // cumulative
@@ -199,9 +206,13 @@ type Overlay struct {
 	committing bool
 }
 
-// reuseBase marks a patchCond entry whose condensed spans equal the
-// node's base-view spans, edge for edge and in order.
-const reuseBase = -2
+// Index entries that name no patch: noEntry (no entry at all) and
+// reuseBase, a condensed entry whose spans equal the node's base-view
+// spans, edge for edge and in order.
+const (
+	noEntry   = -1
+	reuseBase = -2
+)
 
 // patchAdj is one patched node's replacement adjacency: its out edges
 // then its in edges in one exactly-sized slice, each half partitioned
@@ -226,12 +237,143 @@ func (a *patchAdj) hasGlobalIn() bool   { return int(a.inSplit) < len(a.edges) }
 func (a *patchAdj) hasGlobalOut() bool  { return a.outSplit < a.outEnd }
 func (a *patchAdj) hasLocalEdges() bool { return a.outSplit > 0 || a.inSplit > a.outEnd }
 
-func makeNegative(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = -1
+// patchIndex maps the nodes that have an entry in one view to their
+// entries. Bit n of bits marks node n; a marked node's entry is
+// slots[rank[n/64] + the marked nodes below n in its word], so an
+// unmarked node costs one bit test and a marked one a popcount and two
+// loads. update installs a commit's entries in one batch and rebuilds
+// rank and slots.
+type patchIndex struct {
+	bits  []uint64
+	rank  []int32 // marked nodes in the words before each word
+	slots []int32 // the entries, in node order
+}
+
+// indexEntry is one index change: node n's new entry, noEntry to remove
+// its mark.
+type indexEntry struct {
+	n    pag.NodeID
+	slot int32
+}
+
+// get returns n's entry, noEntry when n is unmarked.
+func (x *patchIndex) get(n pag.NodeID) int32 {
+	w := int(n >> 6)
+	if w >= len(x.bits) {
+		return noEntry
 	}
-	return s
+	word, bit := x.bits[w], uint64(1)<<(n&63)
+	if word&bit == 0 {
+		return noEntry
+	}
+	return x.slots[x.rank[w]+int32(bits.OnesCount64(word&(bit-1)))]
+}
+
+// nodes yields the marked nodes in ascending order.
+func (x *patchIndex) nodes() iter.Seq[pag.NodeID] {
+	return func(yield func(pag.NodeID) bool) {
+		for w, word := range x.bits {
+			for ; word != 0; word &= word - 1 {
+				if !yield(pag.NodeID(w<<6 + bits.TrailingZeros64(word))) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// bytes is what the index holds, by element size.
+func (x *patchIndex) bytes() int64 {
+	return 8*int64(len(x.bits)) + idBytes*int64(len(x.rank)+len(x.slots))
+}
+
+// update installs changes, sorted by node with each node at most once,
+// and returns the change in the index's bytes. The bitmap grows only to
+// the highest marked node, and rank and slots are rebuilt exactly sized.
+func (x *patchIndex) update(changes []indexEntry) int64 {
+	if len(changes) == 0 {
+		return 0
+	}
+	before := x.bytes()
+	count, words := len(x.slots), len(x.bits)
+	for _, c := range changes {
+		switch had := x.get(c.n) != noEntry; {
+		case c.slot != noEntry && !had:
+			count++
+			words = max(words, int(c.n>>6)+1)
+		case c.slot == noEntry && had:
+			count--
+		}
+	}
+	// Merge the old entries, in node order, with the changes.
+	slots := make([]int32, 0, count)
+	i, k := 0, 0
+	emit := func(upto pag.NodeID) {
+		for ; i < len(changes) && changes[i].n < upto; i++ {
+			if changes[i].slot != noEntry {
+				slots = append(slots, changes[i].slot)
+			}
+		}
+	}
+	for n := range x.nodes() {
+		emit(n)
+		if i < len(changes) && changes[i].n == n {
+			if changes[i].slot != noEntry {
+				slots = append(slots, changes[i].slot)
+			}
+			i++
+		} else {
+			slots = append(slots, x.slots[k])
+		}
+		k++
+	}
+	emit(math.MaxInt32)
+	x.slots = slots
+
+	if words > len(x.bits) {
+		grown := make([]uint64, words)
+		copy(grown, x.bits)
+		x.bits = grown
+	}
+	for _, c := range changes {
+		if bit := uint64(1) << (c.n & 63); c.slot != noEntry {
+			x.bits[c.n>>6] |= bit
+		} else if int(c.n>>6) < len(x.bits) {
+			x.bits[c.n>>6] &^= bit
+		}
+	}
+	if len(x.rank) != len(x.bits) {
+		x.rank = make([]int32, len(x.bits))
+	}
+	r := int32(0)
+	for w, word := range x.bits {
+		x.rank[w] = r
+		r += int32(bits.OnesCount64(word))
+	}
+	return x.bytes() - before
+}
+
+// addedBlock is one epoch's added nodes as a flat CSR block: node
+// first+i's out then in edges are edges[off[4i]:off[4i+4]], cut at
+// off[4i+1] (local out | global out), off[4i+2] (out | in) and off[4i+3]
+// (local in | global in) — a patchAdj's layout, sharing one edge array.
+type addedBlock struct {
+	first pag.NodeID
+	off   []int32 // 4 per node, plus the end
+	edges []pag.Edge
+}
+
+// addedNode returns the edges of added node n's flat block and n's five
+// offsets into them (see addedBlock). The epoch adding n lays its block
+// out before anything reads n's adjacency.
+func (o *Overlay) addedNode(n pag.NodeID) ([]pag.Edge, *[5]int32) {
+	i := int(o.blockAt[(int(n)-o.baseNodes)>>6])
+	for i+1 < len(o.blocks) && o.blocks[i+1].first <= n {
+		i++
+	}
+	b := &o.blocks[i]
+	j := 4 * int(n-b.first)
+	return b.edges, (*[5]int32)(b.off[j : j+5])
 }
 
 // Graph returns the frozen base graph.
@@ -338,49 +480,58 @@ func clampSpan(edges []pag.Edge, i, j int32) []pag.Edge {
 
 // --- base view ---
 
-// The base accessors guard added-node IDs explicitly: an added node is
-// patched by the epoch that introduces it, but mid-Apply (dedup, drop
-// computation) and for edge-less additions the patch entry may not exist
-// yet, and the base graph's arrays do not cover the ID.
+// A node's base-view spans come from its per-node patch when the index
+// has one, else from its epoch's flat block (an added node) or the
+// frozen CSR arrays (a base node).
 
 func (o *Overlay) baseLocalOut(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		return o.baseAdj[p].localOut()
-	}
-	if int(n) >= o.baseNodes {
-		return nil
+	} else if int(n) >= o.baseNodes {
+		es, off := o.addedNode(n)
+		return clampSpan(es, off[0], off[1])
 	}
 	return o.g.LocalOut(n)
 }
 
 func (o *Overlay) baseGlobalOut(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		return o.baseAdj[p].globalOut()
-	}
-	if int(n) >= o.baseNodes {
-		return nil
+	} else if int(n) >= o.baseNodes {
+		es, off := o.addedNode(n)
+		return clampSpan(es, off[1], off[2])
 	}
 	return o.g.GlobalOut(n)
 }
 
 func (o *Overlay) baseLocalIn(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		return o.baseAdj[p].localIn()
-	}
-	if int(n) >= o.baseNodes {
-		return nil
+	} else if int(n) >= o.baseNodes {
+		es, off := o.addedNode(n)
+		return clampSpan(es, off[2], off[3])
 	}
 	return o.g.LocalIn(n)
 }
 
 func (o *Overlay) baseGlobalIn(n pag.NodeID) []pag.Edge {
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		return o.baseAdj[p].globalIn()
-	}
-	if int(n) >= o.baseNodes {
-		return nil
+	} else if int(n) >= o.baseNodes {
+		es, off := o.addedNode(n)
+		return clampSpan(es, off[3], off[4])
 	}
 	return o.g.GlobalIn(n)
+}
+
+// condSlot returns n's condensed entry: a condAdj slot, reuseBase, or
+// noEntry for a base node that reads its freeze-time condensed spans. An
+// added node without an entry reuses its base view.
+func (o *Overlay) condSlot(n pag.NodeID) int32 {
+	if p := o.condIdx.get(n); p != noEntry || int(n) < o.baseNodes {
+		return p
+	}
+	return reuseBase
 }
 
 // --- public view accessors; condensed selects the repaired condensation ---
@@ -388,9 +539,9 @@ func (o *Overlay) baseGlobalIn(n pag.NodeID) []pag.Edge {
 // LocalOut returns n's outgoing local edges under the requested view.
 func (o *Overlay) LocalOut(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
+		if p := o.condSlot(n); p >= 0 {
 			return o.condAdj[p].localOut()
-		} else if p == -1 {
+		} else if p == noEntry {
 			return o.cond.LocalOut(n)
 		}
 	}
@@ -400,9 +551,9 @@ func (o *Overlay) LocalOut(n pag.NodeID, condensed bool) []pag.Edge {
 // GlobalOut returns n's outgoing global edges under the requested view.
 func (o *Overlay) GlobalOut(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
+		if p := o.condSlot(n); p >= 0 {
 			return o.condAdj[p].globalOut()
-		} else if p == -1 {
+		} else if p == noEntry {
 			return o.cond.GlobalOut(n)
 		}
 	}
@@ -412,9 +563,9 @@ func (o *Overlay) GlobalOut(n pag.NodeID, condensed bool) []pag.Edge {
 // LocalIn returns n's incoming local edges under the requested view.
 func (o *Overlay) LocalIn(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
+		if p := o.condSlot(n); p >= 0 {
 			return o.condAdj[p].localIn()
-		} else if p == -1 {
+		} else if p == noEntry {
 			return o.cond.LocalIn(n)
 		}
 	}
@@ -424,9 +575,9 @@ func (o *Overlay) LocalIn(n pag.NodeID, condensed bool) []pag.Edge {
 // GlobalIn returns n's incoming global edges under the requested view.
 func (o *Overlay) GlobalIn(n pag.NodeID, condensed bool) []pag.Edge {
 	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
+		if p := o.condSlot(n); p >= 0 {
 			return o.condAdj[p].globalIn()
-		} else if p == -1 {
+		} else if p == noEntry {
 			return o.cond.GlobalIn(n)
 		}
 	}
@@ -436,46 +587,55 @@ func (o *Overlay) GlobalIn(n pag.NodeID, condensed bool) []pag.Edge {
 // HasGlobalIn reports the PPTA S1 frontier condition under the view.
 func (o *Overlay) HasGlobalIn(n pag.NodeID, condensed bool) bool {
 	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
+		if p := o.condSlot(n); p >= 0 {
 			return o.condAdj[p].hasGlobalIn()
-		} else if p == -1 {
+		} else if p == noEntry {
 			return o.cond.HasGlobalIn(n)
 		}
 	}
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		return o.baseAdj[p].hasGlobalIn()
+	} else if int(n) >= o.baseNodes {
+		_, off := o.addedNode(n)
+		return off[3] < off[4]
 	}
-	return int(n) < o.baseNodes && o.g.HasGlobalIn(n)
+	return o.g.HasGlobalIn(n)
 }
 
 // HasGlobalOut reports the PPTA S2 frontier condition under the view.
 func (o *Overlay) HasGlobalOut(n pag.NodeID, condensed bool) bool {
 	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
+		if p := o.condSlot(n); p >= 0 {
 			return o.condAdj[p].hasGlobalOut()
-		} else if p == -1 {
+		} else if p == noEntry {
 			return o.cond.HasGlobalOut(n)
 		}
 	}
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		return o.baseAdj[p].hasGlobalOut()
+	} else if int(n) >= o.baseNodes {
+		_, off := o.addedNode(n)
+		return off[1] < off[2]
 	}
-	return int(n) < o.baseNodes && o.g.HasGlobalOut(n)
+	return o.g.HasGlobalOut(n)
 }
 
 // HasLocalEdges reports whether n touches any local edge under the view.
 func (o *Overlay) HasLocalEdges(n pag.NodeID, condensed bool) bool {
 	if condensed && !o.trivial {
-		if p := o.patchCond[n]; p >= 0 {
+		if p := o.condSlot(n); p >= 0 {
 			return o.condAdj[p].hasLocalEdges()
-		} else if p == -1 {
+		} else if p == noEntry {
 			return o.cond.HasLocalEdges(n)
 		}
 	}
-	if p := o.patchBase[n]; p >= 0 {
+	if p := o.baseIdx.get(n); p != noEntry {
 		return o.baseAdj[p].hasLocalEdges()
+	} else if int(n) >= o.baseNodes {
+		_, off := o.addedNode(n)
+		return off[0] < off[1] || off[2] < off[3]
 	}
-	return int(n) < o.baseNodes && o.g.HasLocalEdges(n)
+	return o.g.HasLocalEdges(n)
 }
 
 // Rep maps n to its representative under the repaired condensation:

@@ -12,9 +12,12 @@ import (
 
 // This file drives the condensed patches of one node through every
 // storage transition — freeze-time spans, reuse of the base-view spans,
-// spans of its own, and back to reuse — and checks after every wave that
-// the overlay is valid and that an evolved engine answers exactly like an
-// engine built from scratch on the same program.
+// spans of its own, and back to reuse — and the base view through its
+// own: a base node's first patch, an added node laid out in its epoch's
+// flat block and moved to a patch when a later wave changes it. After
+// every wave it checks that the overlay is valid and that an evolved
+// engine answers exactly like an engine built from scratch on the same
+// program.
 
 // adder is what a wave writes to: a delta.Log, or the graph under
 // construction of the from-scratch reference. Both number added nodes in
@@ -32,10 +35,14 @@ type adder interface {
 //
 // and four waves that move its condensed patches through every state:
 //
-//	1: global H.h with p -> h: p and h reuse their base spans
-//	2: h -> b into A's SCC: h now maps b to a, so it holds its own spans
+//	1: global H.h with p -> h: p and h reuse their base spans; p gets its
+//	   first base-view patch, h sits in wave 1's flat block
+//	2: h -> b into A's SCC: h now maps b to a, so it holds its own
+//	   condensed spans, and h leaves its flat block for a base-view patch
+//	   (patched in both views)
 //	3: local b -> t in A dissolves A's SCC: h, a and G.g reuse again and
-//	   the slots they held are freed
+//	   the slots they held are freed; h's condensed entry goes, since an
+//	   added node reuses by default
 //	4: G.g -> d2 into D's SCC: G.g and d1 get spans of their own, in the
 //	   freed slots
 type reuseFixture struct {
@@ -122,11 +129,20 @@ func TestCondensedPatchReuseTransitions(t *testing.T) {
 	waves := []struct {
 		want         []want
 		slots, freed int
+		// patched and flat list nodes that read a per-node base-view
+		// patch and nodes that do not; entries counts the nodes each
+		// view's index marks.
+		patched, flat []*pag.NodeID
+		entries       [2]int
 	}{
-		{[]want{{&fx.p, delta.ReuseBase}, {&fx.h, delta.ReuseBase}, {&fx.a, freeze}}, 0, 0},
-		{[]want{{&fx.h, own}, {&fx.a, own}, {&fx.glob, freeze}}, 2, 0},
-		{[]want{{&fx.h, delta.ReuseBase}, {&fx.a, delta.ReuseBase}, {&fx.glob, delta.ReuseBase}, {&fx.t, delta.ReuseBase}}, 2, 2},
-		{[]want{{&fx.glob, own}, {&fx.d1, own}, {&fx.h, delta.ReuseBase}}, 2, 0},
+		{[]want{{&fx.p, delta.ReuseBase}, {&fx.h, delta.ReuseBase}, {&fx.a, freeze}}, 0, 0,
+			[]*pag.NodeID{&fx.p}, []*pag.NodeID{&fx.h, &fx.b}, [2]int{1, 1}},
+		{[]want{{&fx.h, own}, {&fx.a, own}, {&fx.glob, freeze}}, 2, 0,
+			[]*pag.NodeID{&fx.p, &fx.h, &fx.b}, nil, [2]int{3, 3}},
+		{[]want{{&fx.h, delta.ReuseBase}, {&fx.a, delta.ReuseBase}, {&fx.glob, delta.ReuseBase}, {&fx.t, delta.ReuseBase}}, 2, 2,
+			[]*pag.NodeID{&fx.h, &fx.b}, []*pag.NodeID{&fx.t, &fx.a}, [2]int{3, 7}},
+		{[]want{{&fx.glob, own}, {&fx.d1, own}, {&fx.h, delta.ReuseBase}}, 2, 0,
+			[]*pag.NodeID{&fx.glob, &fx.d2}, []*pag.NodeID{&fx.t, &fx.d1}, [2]int{5, 8}},
 	}
 	for k, w := range waves {
 		log, err := d.NewDeltaLog()
@@ -149,6 +165,19 @@ func TestCondensedPatchReuseTransitions(t *testing.T) {
 		}
 		if slots, free := delta.CondSlots(ov); slots != w.slots || free != w.freed {
 			t.Errorf("wave %d: %d condensed slots (%d free), want %d (%d free)", k+1, slots, free, w.slots, w.freed)
+		}
+		for _, n := range w.patched {
+			if !delta.BasePatched(ov, *n) {
+				t.Errorf("wave %d: %s reads no base-view patch, want one", k+1, ov.NodeString(*n))
+			}
+		}
+		for _, n := range w.flat {
+			if delta.BasePatched(ov, *n) {
+				t.Errorf("wave %d: %s reads a base-view patch, want none", k+1, ov.NodeString(*n))
+			}
+		}
+		if b, c := delta.IndexEntries(ov); [2]int{b, c} != w.entries {
+			t.Errorf("wave %d: index entries %d base, %d condensed, want %v", k+1, b, c, w.entries)
 		}
 
 		ref := core.NewDynSum(fx.build(t, k+1), cfg, ctxs)

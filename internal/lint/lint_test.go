@@ -1,23 +1,12 @@
 package lint
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
-
-// The source importer resolves dynsum/internal/* relative to the working
-// directory, so every test runs from the module root.
-func TestMain(m *testing.M) {
-	if err := os.Chdir("../.."); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	os.Exit(m.Run())
-}
 
 var wantRE = regexp.MustCompile(`// want "([^"]+)"`)
 
@@ -66,7 +55,7 @@ func TestPassesFireOnTestdata(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.corpus, func(t *testing.T) {
-			dir := filepath.Join("internal", "lint", "testdata", tc.corpus)
+			dir := filepath.Join("testdata", tc.corpus)
 			u, err := LoadDir(dir, "dynsum/internal/lint/testdata/"+tc.corpus)
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +105,7 @@ func TestPassesFireOnTestdata(t *testing.T) {
 // reported rather than silently ignored: a missing pass name, an
 // unknown pass name, and a missing reason.
 func TestMalformedDirectives(t *testing.T) {
-	dir := filepath.Join("internal", "lint", "testdata", "directives")
+	dir := filepath.Join("testdata", "directives")
 	u, err := LoadDir(dir, "dynsum/internal/lint/testdata/directives")
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +173,7 @@ func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree typecheck; skipped in -short (CI runs dynsumlint directly)")
 	}
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	units, err := Load(root, "./...")
+	units, err := Load(filepath.Join("..", ".."), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}

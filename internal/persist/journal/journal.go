@@ -148,6 +148,7 @@ type Journal struct {
 	path string
 	f    *os.File
 	sync SyncPolicy
+	size int64 // header plus whole records appended
 }
 
 // Open opens (creating if needed) the journal at path, scans its records,
@@ -195,6 +196,7 @@ func Open(path string, sync SyncPolicy) (*Journal, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
+	j.size = good
 	return j, recs, nil
 }
 
@@ -216,11 +218,34 @@ func (j *Journal) Append(epoch uint64, payload []byte) error {
 	if _, err := j.f.Write(payload); err != nil {
 		return err
 	}
+	j.size += int64(recordSize + len(payload))
 	faultinject.Fire(faultinject.JournalSync)
 	if j.sync == SyncAlways {
 		return j.f.Sync()
 	}
 	return nil
+}
+
+// Size returns the journal's length in bytes: the header and every
+// record Append wrote whole.
+func (j *Journal) Size() int64 { return j.size }
+
+// Truncate cuts the journal back to size, a length Size returned, so the
+// records appended since are gone — and a torn record too, when an
+// append failed midway. Durable before return regardless of the sync
+// policy, like Reset.
+func (j *Journal) Truncate(size int64) error {
+	if size < int64(headerSize) || size > j.size {
+		return fmt.Errorf("journal: truncate to %d outside [%d, %d]", size, headerSize, j.size)
+	}
+	if err := j.f.Truncate(size); err != nil {
+		return err
+	}
+	if _, err := j.f.Seek(size, io.SeekStart); err != nil {
+		return err
+	}
+	j.size = size
+	return j.f.Sync()
 }
 
 // Reset truncates the journal back to an empty (header-only) file — the
@@ -244,6 +269,7 @@ func (j *Journal) reset() error {
 	if _, err := j.f.Write(hdr[:]); err != nil {
 		return err
 	}
+	j.size = int64(headerSize)
 	return j.f.Sync()
 }
 

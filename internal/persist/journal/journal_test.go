@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dynsum/internal/faultinject"
 )
 
 func openT(t *testing.T, path string) (*Journal, []Record) {
@@ -232,5 +234,62 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestTruncateCutsBackToSize: Truncate to a size Size returned removes
+// the records appended since, a record torn by an append fault included,
+// and the journal appends at the cut; sizes outside the journal are
+// refused.
+func TestTruncateCutsBackToSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	j, _ := openT(t, path)
+	if got := j.Size(); got != int64(headerSize) {
+		t.Fatalf("fresh journal size %d, want %d", got, headerSize)
+	}
+	if err := j.Append(1, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	kept := j.Size()
+	if err := j.Append(2, []byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Truncate(kept); err != nil {
+		t.Fatal(err)
+	}
+
+	// An append torn between header and payload leaves bytes past Size.
+	sched := faultinject.NewSchedule()
+	sched.Arm(faultinject.JournalAppend, 1)
+	faultinject.Activate(sched)
+	func() {
+		defer func() { recover() }()
+		j.Append(2, []byte("torn"))
+	}()
+	faultinject.Deactivate()
+	if fi, err := os.Stat(path); err != nil || fi.Size() == kept {
+		t.Fatalf("torn append left %v bytes (%v), want more than %d", fi.Size(), err, kept)
+	}
+	if err := j.Truncate(kept); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != kept {
+		t.Fatalf("after the cut the file has %v bytes (%v), want %d", fi.Size(), err, kept)
+	}
+
+	for _, bad := range []int64{int64(headerSize) - 1, kept + 1} {
+		if err := j.Truncate(bad); err == nil {
+			t.Errorf("Truncate(%d) on a %d-byte journal succeeded", bad, kept)
+		}
+	}
+	if err := j.Append(2, []byte("replacement")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := openT(t, path)
+	if len(recs) != 2 || string(recs[0].Payload) != "kept" || string(recs[1].Payload) != "replacement" {
+		t.Fatalf("cut journal reopened with %v", recs)
 	}
 }

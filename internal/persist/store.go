@@ -2,7 +2,6 @@ package persist
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"dynsum/internal/core"
@@ -58,22 +57,7 @@ type Store struct {
 // empty journal, both durable before return. prog.G must be frozen. The
 // directory is created if needed; existing store files are overwritten.
 func Create(dir string, prog *pag.Program, opts Options) (*Store, error) {
-	img, err := prog.G.Image()
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	snap := &snapshot{
-		epoch:     0,
-		name:      prog.Name,
-		img:       img,
-		casts:     prog.Casts,
-		derefs:    prog.Derefs,
-		factories: prog.Factories,
-	}
-	if err := writeSnapshot(dir, snap); err != nil {
+	if err := WriteBaseSnapshot(dir, prog); err != nil {
 		return nil, err
 	}
 	jr, recs, err := journal.Open(filepath.Join(dir, journalFile), opts.Sync)

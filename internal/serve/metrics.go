@@ -123,9 +123,11 @@ type SummaryCounters struct {
 // MetricsSnapshot is one consistent-enough read of the serving state:
 // lane and tenant counters, the session count, readiness, the
 // engine-level metrics summed across every session (each session's
-// core.Metrics.Snapshot added together), the summary storage counts and
-// the bytes the sessions' delta overlays hold (delta.Stats.Bytes summed;
-// the shared base is not counted). It is what /metrics serves.
+// core.Metrics.Snapshot added together), the summary storage counts, the
+// bytes the sessions' delta overlays hold (delta.Stats.Bytes summed; the
+// shared base is not counted) and the bytes sessions journaled for
+// applied deltas since start (0 without a StateDir). It is what /metrics
+// serves.
 type MetricsSnapshot struct {
 	Ready        bool                      `json:"ready"`
 	Sessions     int                       `json:"sessions"`
@@ -134,4 +136,5 @@ type MetricsSnapshot struct {
 	Engine       core.Metrics              `json:"engine"`
 	Summaries    SummaryCounters           `json:"summaries"`
 	OverlayBytes int64                     `json:"overlay_bytes"`
+	JournalBytes int64                     `json:"journal_bytes"`
 }

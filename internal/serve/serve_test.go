@@ -843,7 +843,7 @@ func TestBadQueryBeforeAndAfterApply(t *testing.T) {
 
 // TestMetricsOverlayBytes: /metrics reports the bytes the sessions'
 // overlays hold — 0 while no session has evolved, growing with every
-// applied wave.
+// applied wave — and, without a StateDir, journals nothing.
 func TestMetricsOverlayBytes(t *testing.T) {
 	ev := testEvolve(t, 3)
 	srv := newTestServer(t, ev, Config{})
@@ -866,6 +866,9 @@ func TestMetricsOverlayBytes(t *testing.T) {
 		}
 		if want := sess.Engine().Overlay().Stats().Bytes; got != want {
 			t.Errorf("overlay bytes after wave %d = %d, want the one evolved session's %d", k, got, want)
+		}
+		if jb := srv.MetricsSnapshot().JournalBytes; jb != 0 {
+			t.Errorf("journal bytes after wave %d = %d without a StateDir, want 0", k, jb)
 		}
 		prev = got
 	}

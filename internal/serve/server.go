@@ -13,12 +13,13 @@
 // overload is a fast *OverloadError, never queue growth or a stalled
 // caller.
 //
-// Graceful drain: Drain stops admission, lets queued and in-flight work
-// finish under a deadline (cancelling cooperatively past it), then
-// persists every dirty session via persist.SaveReplay — base snapshot
-// plus the session's delta journal — so a drained process restarts with
-// every tenant's state recoverable through the ordinary persist.Open
-// path.
+// Persistence: with a StateDir, each session journals every delta as it
+// applies it. Graceful drain: Drain stops admission, lets queued and
+// in-flight work finish under a deadline (cancelling cooperatively past
+// it), then persists every dirty session — the base snapshot written
+// beside its journal, the journal synced — so a drained process restarts
+// with every tenant's state recoverable through the ordinary
+// persist.Open path.
 package serve
 
 import (
@@ -160,6 +161,9 @@ type Server struct {
 	watchStop chan struct{}
 	watchWG   sync.WaitGroup
 	wg        sync.WaitGroup // dispatchers + workers
+	// journalBytes counts the bytes sessions journaled for applied
+	// epochs since start.
+	journalBytes atomic.Int64
 	// applies counts Apply calls admitted while running. Apply runs on the
 	// caller's goroutine, not a worker, so Drain waits for these too
 	// before persisting — otherwise an apply that raced the drain could
@@ -488,12 +492,14 @@ func (s *Server) complete(r *request, resp *Response, err error) bool {
 }
 
 // Apply applies one delta epoch to a session, serialised against that
-// session's in-flight queries (and only that session's). The log's wire
-// encoding is captured first, so a successful apply leaves the session's
-// replay history complete for drain persistence. A panic during apply —
-// injected or real — surfaces as a typed *PanicError; the engine's own
-// mutator quarantine has already kept the overlay consistent or marked
-// the session broken (core.MutatorPanicError semantics).
+// session's in-flight queries (and only that session's). With a StateDir
+// the log's wire encoding is journaled first (write-ahead) and cut off
+// again if the epoch does not apply, so the session's journal always
+// holds exactly its applied history; a failed append refuses the epoch
+// with the engine untouched. A panic during apply — injected or real —
+// surfaces as a typed *PanicError; the engine's own mutator quarantine
+// has already kept the overlay consistent or marked the session broken
+// (core.MutatorPanicError semantics).
 func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (res core.DeltaResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -518,16 +524,25 @@ func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (r
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	payload := log.AppendBinary(nil)
 	faultinject.Fire(faultinject.ServeSessionApply)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	res, err = sess.eng.ApplyDelta(log)
+	if s.cfg.StateDir == "" {
+		res, err = sess.eng.ApplyDelta(log)
+	} else {
+		var journaled int64
+		res, journaled, err = sess.applyJournaled(s.sessionDir(sess), log)
+		s.journalBytes.Add(journaled)
+	}
 	if err == nil {
-		sess.payloads = append(sess.payloads, payload)
 		sess.epoch.Add(1)
 	}
 	return res, err
+}
+
+// sessionDir is the session's store directory under Config.StateDir.
+func (s *Server) sessionDir(sess *Session) string {
+	return filepath.Join(s.cfg.StateDir, sess.ID)
 }
 
 // Drain gracefully stops the server: admission closes immediately (new
@@ -536,7 +551,8 @@ func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (r
 // running is cancelled cooperatively and anything still queued refused —
 // either way every accepted request completes and every worker exits.
 // Finally each dirty session is persisted to Config.StateDir (when set)
-// as a base snapshot plus delta journal, recoverable with persist.Open.
+// — its base snapshot written and its journal synced — recoverable with
+// persist.Open, and every session's journal is closed.
 // Per-session persistence failures are collected (errors.Join), never
 // allowed to stop the other sessions. Drain returns ErrNotRunning if the
 // server is already draining or closed.
@@ -579,17 +595,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
+// persistDirty persists every dirty session, then syncs and closes every
+// session's journal — a failed persist included, so PersistSession's
+// retry need only write the snapshot.
 func (s *Server) persistDirty() error {
 	if s.cfg.StateDir == "" {
 		return nil
 	}
 	var errs []error
 	for _, sess := range s.Sessions() {
-		if sess.Epoch() == 0 {
-			continue // clean: still the shared base, nothing to persist
+		if sess.Epoch() > 0 { // a clean session is still the shared base
+			if err := s.persistSession(sess); err != nil {
+				errs = append(errs, fmt.Errorf("session %s: %w", sess.ID, err))
+			}
 		}
-		if err := s.persistSession(sess); err != nil {
-			errs = append(errs, fmt.Errorf("session %s: %w", sess.ID, err))
+		sess.mu.Lock()
+		err := sess.closeJournal()
+		sess.mu.Unlock()
+		if err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
@@ -598,8 +622,8 @@ func (s *Server) persistDirty() error {
 // PersistSession persists one session's state immediately — the retry
 // path when Drain reported a per-session persistence failure (e.g. an
 // injected drain fault), and usable for snapshotting a session while the
-// server runs. Caller-visible state: the session directory under
-// StateDir is rewritten whole.
+// server runs: it writes the session directory's base snapshot and syncs
+// the journal its applies wrote.
 func (s *Server) PersistSession(id string) error {
 	if s.cfg.StateDir == "" {
 		return errors.New("serve: no StateDir configured")
@@ -619,9 +643,11 @@ func (s *Server) persistSession(sess *Session) (err error) {
 	}()
 	faultinject.Fire(faultinject.ServeDrain)
 	sess.mu.RLock()
-	payloads := sess.payloads
-	sess.mu.RUnlock()
-	return persist.SaveReplay(filepath.Join(s.cfg.StateDir, sess.ID), s.base, payloads)
+	defer sess.mu.RUnlock()
+	if err := persist.WriteBaseSnapshot(s.sessionDir(sess), s.base); err != nil {
+		return err
+	}
+	return sess.syncJournal()
 }
 
 // MetricsSnapshot returns the serving counters plus engine metrics and
@@ -651,6 +677,7 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		snap.Summaries.Private += int64(private)
 		snap.OverlayBytes += sess.overlayBytes()
 	}
+	snap.JournalBytes = s.journalBytes.Load()
 	return snap
 }
 

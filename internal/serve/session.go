@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"dynsum/internal/core"
+	"dynsum/internal/delta"
+	"dynsum/internal/persist"
+	"dynsum/internal/persist/journal"
 )
 
 // Session is one tenant's private view of the shared program: its own
@@ -33,13 +38,19 @@ type Session struct {
 	mu  sync.RWMutex
 	eng *core.DynSum
 
-	// epoch counts applied deltas; payloads holds their wire encodings in
-	// order (captured before ApplyDelta consumes each log), so draining
-	// persists the session as base snapshot + replay journal without
-	// re-encoding anything. payloads is guarded by mu; epoch is atomic so
-	// dirtiness checks and tests read it without touching the lock.
-	epoch    atomic.Uint64
-	payloads [][]byte
+	// epoch counts applied deltas; it is atomic so dirtiness checks and
+	// tests read it without touching the lock.
+	epoch atomic.Uint64
+
+	// With Config.StateDir set, jr is the session's write-ahead journal:
+	// each delta's wire encoding is appended before the engine applies
+	// it and cut off again if the apply fails, so the journal always
+	// holds exactly the applied history. It is opened at the first apply
+	// and closed by Drain; jrErr is set for good when a cut failed and
+	// the journal may hold an epoch the engine does not. Both are guarded
+	// by mu.
+	jr    *journal.Journal
+	jrErr error
 }
 
 // Engine exposes the session's engine for direct (test/oracle) use.
@@ -60,4 +71,87 @@ func (s *Session) overlayBytes() int64 {
 		return ov.Stats().Bytes
 	}
 	return 0
+}
+
+// applyJournaled applies log to the session's engine with write-ahead
+// journaling: the log's wire encoding is appended as the next epoch,
+// opening the journal in dir at the first apply, and cut off again
+// unless the engine applies the epoch. It returns the bytes the epoch
+// added to the journal. The caller holds mu for writing.
+func (s *Session) applyJournaled(dir string, log *delta.Log) (res core.DeltaResult, journaled int64, err error) {
+	if s.jrErr != nil {
+		return res, 0, s.jrErr
+	}
+	if s.jr == nil {
+		jr, err := persist.OpenReplay(dir)
+		if err != nil {
+			return res, 0, fmt.Errorf("serve: session %s: open journal: %w", s.ID, err)
+		}
+		s.jr = jr
+	}
+	size := s.jr.Size()
+	applied := false
+	defer func() {
+		if applied {
+			return
+		}
+		// Runs on a panic too. A failed cut leaves the journal out of
+		// step with the engine, so the session refuses every later apply
+		// and persist.
+		if cerr := s.jr.Truncate(size); cerr != nil {
+			s.jrErr = fmt.Errorf("serve: session %s: journal holds an epoch that did not apply: %w", s.ID, cerr)
+			err = errors.Join(err, s.jrErr)
+		}
+	}()
+	epoch := s.Epoch() + 1
+	enc := encBufs.Get().(*[]byte)
+	*enc = log.AppendBinary((*enc)[:0])
+	err = s.jr.Append(epoch, *enc)
+	encBufs.Put(enc)
+	if err != nil {
+		return res, 0, fmt.Errorf("serve: session %s: journal epoch %d: %w", s.ID, epoch, err)
+	}
+	if res, err = s.eng.ApplyDelta(log); err != nil {
+		return res, 0, err
+	}
+	applied = true
+	return res, s.jr.Size() - size, nil
+}
+
+// encBufs holds the buffers applies encode deltas into. The journal
+// writes a payload out before Append returns, so a buffer is free again
+// at once; pooling them, rather than keeping one per session, keeps an
+// idle session from holding the largest delta it ever applied.
+var encBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// syncJournal makes the journaled epochs durable. A journal Drain
+// closed was synced then. The caller holds mu.
+func (s *Session) syncJournal() error {
+	if s.jrErr != nil {
+		return s.jrErr
+	}
+	if s.jr == nil {
+		return nil
+	}
+	if err := s.jr.Sync(); err != nil {
+		return fmt.Errorf("serve: session %s: sync journal: %w", s.ID, err)
+	}
+	return nil
+}
+
+// closeJournal syncs and releases the session's journal, if it has one.
+// The caller holds mu for writing.
+func (s *Session) closeJournal() error {
+	if s.jr == nil {
+		return nil
+	}
+	err := s.jr.Sync()
+	if cerr := s.jr.Close(); err == nil {
+		err = cerr
+	}
+	s.jr = nil
+	if err != nil {
+		return fmt.Errorf("serve: session %s: close journal: %w", s.ID, err)
+	}
+	return nil
 }
