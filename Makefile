@@ -38,7 +38,8 @@ test-race:
 examples:
 	@for d in examples/*/; do echo "== $$d"; (cd $$d && $(GO) run .) || exit 1; done
 
-# lint = go vet + the repository's own invariant firewall (cmd/dynsumlint).
+# lint = gofmt + go vet (root and ledger modules) + the repository's own
+# invariant firewall (cmd/dynsumlint).
 .PHONY: lint
 lint:
 	./scripts/lint.sh

@@ -126,8 +126,7 @@ func BenchmarkAblationCache(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var edges int64
 			for i := 0; i < b.N; i++ {
-				d := core.NewDynSum(prog.G, core.Config{}, nil)
-				d.DisableCache = disabled
+				d := core.NewDynSum(prog.G, core.Config{DisableCache: disabled}, nil)
 				clients.NullDeref(prog, d)
 				edges = d.Metrics().EdgesTraversed
 			}

@@ -187,7 +187,7 @@ func openWorldPrepare(prog *pag.Program, enabled bool, specPath string) (func(*c
 		fmt.Fprintf(os.Stderr, "dynsumd: open-world: %d bodyless methods under blended summaries\n", prog.G.NumBodyless())
 	}
 	return func(d *core.DynSum) error {
-		d.EnableOpenWorld(core.PolicyBlended)
+		d.EnableOpenWorld()
 		if resolved != nil {
 			if _, err := d.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
 				return err

@@ -286,7 +286,7 @@ func openWorldBenchStats(scale float64, seed int64) {
 		}
 
 		d := core.NewDynSum(g, core.Config{}, nil)
-		d.EnableOpenWorld(core.PolicyBlended)
+		d.EnableOpenWorld()
 		if _, err := clients.Run("NullDeref", bench.Stripped, d, 1); err != nil {
 			fmt.Fprintln(os.Stderr, "pagstat:", err)
 			os.Exit(1)
@@ -294,7 +294,7 @@ func openWorldBenchStats(scale float64, seed int64) {
 		sites := d.Metrics().Snapshot().BlendedSummaries
 
 		ds := core.NewDynSum(g, core.Config{}, nil)
-		ds.EnableOpenWorld(core.PolicyBlended)
+		ds.EnableOpenWorld()
 		if _, err := ds.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
 			fmt.Fprintln(os.Stderr, "pagstat:", err)
 			os.Exit(1)

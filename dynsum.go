@@ -25,8 +25,10 @@
 //	err = engine.Query(ctx, dst, v, dynsum.EmptyContext)
 //	results := dynsum.BatchPointsTo(ctx, engine, vars, 4)
 //
-// Program changes reach a live engine as delta epochs:
-// engine.NewDeltaLog, then engine.ApplyDelta.
+// An engine's Config is fixed when it is built. What changes a live
+// engine is its mutators, called between queries: program changes arrive
+// as delta epochs (engine.NewDeltaLog, then engine.ApplyDelta), and
+// engine.Compact, engine.EnableOpenWorld and ApplySpecs act likewise.
 package dynsum
 
 import (
@@ -51,7 +53,9 @@ type (
 	// DynSum is the paper's engine (see NewDynSum); its methods are the
 	// engine API.
 	DynSum = core.DynSum
-	// Config carries engine tunables (budget, stack-depth caps).
+	// Config carries engine tunables (budget, stack-depth caps) and the
+	// two ablations (DisableCache, DisableCondense); an engine keeps the
+	// Config it was built with.
 	Config = core.Config
 	// Analysis is the common engine interface.
 	Analysis = core.Analysis
@@ -329,17 +333,11 @@ func (e errUnknownBenchmark) Error() string { return "dynsum: unknown benchmark 
 
 // Open-world analysis (DESIGN.md §15): sound answers on programs with
 // missing method bodies. Mark the missing methods bodyless on the builder
-// (or use the MiniJava 'native' keyword), enable a policy on the engine,
-// and optionally install a spec file describing the missing code's
-// points-to effects.
+// (or use the MiniJava 'native' keyword), call engine.EnableOpenWorld (each
+// bodyless method is then answered by its blended summary: its blob object
+// plus a ⊤-frontier over its boundary), and optionally install a spec file
+// describing the missing code's points-to effects.
 type (
-	// OpenWorldPolicy selects how the engine answers traversals that reach
-	// a bodyless method: Blended (per-method blob summary), Pessimistic
-	// (one global worst-case summary) or SpecOnly (fail with *NoSpecError).
-	OpenWorldPolicy = core.OpenWorldPolicy
-	// NoSpecError fails a PolicySpecOnly query that reached a bodyless
-	// method without an installed spec; the partial set is NOT sound.
-	NoSpecError = core.NoSpecError
 	// SpecFile is a parsed library points-to spec (one flow per line; see
 	// ParseSpecs).
 	SpecFile = openworld.File
@@ -354,13 +352,6 @@ type (
 	// BodylessInfo records the boundary interface (formals, return, blob
 	// nodes) of one bodyless method.
 	BodylessInfo = pag.BodylessInfo
-)
-
-// Open-world policy constants.
-const (
-	PolicyBlended     = core.PolicyBlended
-	PolicyPessimistic = core.PolicyPessimistic
-	PolicySpecOnly    = core.PolicySpecOnly
 )
 
 // ErrOpenWorldDisabled is returned by ApplySpecs before

@@ -92,7 +92,7 @@ func main() {
 	// 2. Blended: sound — each query answer covers the lost objects via the
 	// bodyless methods' blob objects.
 	db := core.NewDynSum(g, core.Config{}, nil)
-	db.EnableOpenWorld(core.PolicyBlended)
+	db.EnableOpenWorld()
 	show("blended", db)
 
 	// 3. Specs: vector.spec lowers to ordinary PAG edges; Vector.add and
@@ -107,7 +107,7 @@ func main() {
 		panic(err)
 	}
 	ds := core.NewDynSum(g, core.Config{}, nil)
-	ds.EnableOpenWorld(core.PolicyBlended)
+	ds.EnableOpenWorld()
 	if _, err := ds.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
 		panic(err)
 	}

@@ -52,7 +52,7 @@ import (
 //
 // Lifetime. Arena space is reclaimed only wholesale: deleteNodes removes
 // keys but leaves their records (a later identical result re-shares them),
-// and clear (Compact, an adjacency-mode flip) drops every segment.
+// and clear (Compact) drops every segment.
 // Per-method invalidation is rare and small (an evolving program
 // invalidates a few entries per edit), so the stranded records are a
 // bounded cost until the next Compact.

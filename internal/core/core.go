@@ -41,21 +41,19 @@ type Config struct {
 	// MaxCtxDepth caps the context stack (pending unmatched call edges).
 	MaxCtxDepth int
 
-	// WriteBackDepth bounds which intermediate PPTA states the memoised
-	// traversal writes back to the summary cache: a state is cached only
-	// if its field stack is at most this deep. Deep-stack states are the
-	// long tail of field-heavy workloads — numerous, rarely revisited, and
-	// each pinning a result slice for the engine's lifetime — so bounding
-	// the depth bounds cache memory without touching the common shallow
-	// states where the reuse lives. The query's start state is always
-	// cached regardless. 0 means the default (8); negative writes back
-	// only start states (the pre-memoisation behaviour).
-	WriteBackDepth int
-	// MaxWriteBacks caps how many intermediate states one PPTA run may
-	// write back (the start state is exempt), bounding the cache growth a
-	// single giant cold traversal can cause. 0 means the default (4096);
-	// negative writes back only start states.
-	MaxWriteBacks int
+	// DisableCache turns off summary reuse: every PPTA runs the flat,
+	// cache-oblivious traversal and nothing is read from or written to
+	// the summary cache. The cache-ablation benchmark uses it to isolate
+	// the value of dynamic summaries, and the memoisation sweeps use it as
+	// their oracle.
+	DisableCache bool
+	// DisableCondense keeps queries on the base (per-node) adjacency even
+	// though the graph carries an SCC-condensed overlay. The condensation
+	// benchmarks and the condensed-vs-base equivalence sweep use it to run
+	// both paths on one graph. Summary keys follow the adjacency
+	// (condensed summaries are keyed by SCC representative), so engines
+	// on one summary tier share one mode: the tier's Config fixes it.
+	DisableCondense bool
 
 	// CompactFraction is the delta-overlay size trigger for automatic
 	// compaction: when an ApplyDelta leaves the overlay holding more than
@@ -66,17 +64,22 @@ type Config struct {
 	CompactFraction float64
 }
 
-// Write-back heuristic defaults: shallow field stacks cover the states
-// batches actually revisit, and 4096 write-backs per query is far above
-// any closure the synthetic suite produces while still bounding a
-// pathological traversal.
+// The write-back heuristic of the memoised PPTA: an intermediate state is
+// written back to the summary cache only if its field stack is at most
+// writeBackDepth deep, and one run writes back at most maxWriteBacks of
+// them (the query's start state is always cached). Deep-stack states are
+// the long tail of field-heavy workloads — numerous, rarely revisited, and
+// each pinning a result for the engine's lifetime — so the depth bound
+// caps cache memory without touching the shallow states where the reuse
+// lives; 4096 write-backs per run is far above any closure the synthetic
+// suite produces while still bounding a pathological traversal.
 const (
-	DefaultWriteBackDepth = 8
-	DefaultMaxWriteBacks  = 4096
+	writeBackDepth = 8
+	maxWriteBacks  = 4096
 )
 
 // WithDefaults returns c with zero fields replaced by the defaults
-// (budget 75,000; both depth caps 64; write-back depth 8, cap 4096).
+// (budget 75,000; both depth caps 64).
 func (c Config) WithDefaults() Config {
 	if c.Budget == 0 {
 		c.Budget = DefaultBudget
@@ -86,12 +89,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxCtxDepth == 0 {
 		c.MaxCtxDepth = 64
-	}
-	if c.WriteBackDepth == 0 {
-		c.WriteBackDepth = DefaultWriteBackDepth
-	}
-	if c.MaxWriteBacks == 0 {
-		c.MaxWriteBacks = DefaultMaxWriteBacks
 	}
 	if c.CompactFraction == 0 {
 		c.CompactFraction = delta.DefaultCompactFraction
@@ -254,9 +251,8 @@ type Metrics struct {
 	// start state included — so each cold run contributes at least one.
 	WrittenBackSummaries int64
 	// BlendedSummaries counts Summarize calls answered by the open-world
-	// blended/pessimistic model (openworld.go) — the "blended-summary
-	// sites" figure pagstat -openworld reports. Zero on closed-world
-	// engines.
+	// blended model (openworld.go) — the "blended-summary sites" figure
+	// pagstat -openworld reports. Zero on closed-world engines.
 	BlendedSummaries int64
 }
 

@@ -189,15 +189,6 @@ func (v graphView) nodeMethod(n pag.NodeID) pag.MethodID {
 	return v.g.Node(n).Method
 }
 
-// nodeKind returns n's kind, resolving delta-added nodes through the
-// overlay (used by the open-world pessimistic model's global-variable scan).
-func (v graphView) nodeKind(n pag.NodeID) pag.NodeKind {
-	if v.ov != nil {
-		return v.ov.Node(n).Kind
-	}
-	return v.g.Node(n).Kind
-}
-
 // RunDriver executes the Algorithm 4 worklist for a points-to query on v
 // in context ctx, delegating local closures to sum. Every global-edge
 // traversal is debited against bud. trace may be nil. cond may be nil

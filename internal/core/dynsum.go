@@ -31,9 +31,10 @@ import (
 // work counters are updated atomically, so PointsTo and Query may be
 // called from many goroutines and BatchPointsToCtx fans a query batch out
 // across a worker pool. The mutating operations (ApplyDelta, Compact,
-// ApplySpecs, EnableOpenWorld, ImportSummaries, setting
-// Tracer, DisableCache or DisableCondense) are not synchronised with
-// in-flight queries; quiesce the engine before calling them.
+// ApplySpecs, EnableOpenWorld, ImportSummaries, setting Tracer) are not
+// synchronised with in-flight queries; quiesce the engine before calling
+// them. The summary cache and adjacency modes (Config.DisableCache,
+// Config.DisableCondense) are fixed when the engine is built.
 type DynSum struct {
 	// metrics must stay the first field: its int64 counters are updated
 	// with sync/atomic, which requires 8-byte alignment that 32-bit
@@ -65,34 +66,11 @@ type DynSum struct {
 	// openworld.go.
 	ow *owModel
 
-	// cacheMode records which adjacency mode (condensed or base) filled
-	// the summary cache: 0 unset, 1 condensed, 2 base. Condensed entries
-	// are keyed by SCC representative and hold representative frontiers,
-	// so they are meaningless to the base path (and vice versa); if the
-	// mode observed at query time differs from the cache's, the engine
-	// detaches from its tier and drops its private entries before the
-	// query runs. Atomic so concurrent first queries may race to set it
-	// without -race findings.
-	cacheMode atomic.Int32
-
 	// Tracer, when set, receives one event per driver tuple and per PPTA
 	// summary computation; the Table 1 reproduction uses it. Events from
 	// concurrent queries arrive on the calling goroutines — install a
 	// tracer only on serially-driven engines, or make it thread-safe.
 	Tracer func(TraceEvent)
-
-	// DisableCache turns off summary reuse; the cache-ablation benchmark
-	// uses it to isolate the value of dynamic summaries.
-	DisableCache bool
-
-	// DisableCondense keeps queries on the base (per-node) adjacency even
-	// when the graph carries an SCC-condensed overlay. The condensation
-	// benchmarks and the condensed-vs-uncondensed equivalence sweep use it
-	// to run both paths on one graph. Toggling it between queries (after
-	// quiescing, like every mutator here) drops the summary cache on the
-	// next query: condensed summaries are representative-keyed and cannot
-	// answer base-path queries, nor the reverse.
-	DisableCondense bool
 }
 
 // TraceEvent describes one step of the driver, mirroring the columns of
@@ -117,23 +95,20 @@ func NewDynSum(g *pag.Graph, cfg Config, ctxs *intstack.Table) *DynSum {
 
 // clean reports whether the engine's summaries are the tier's base
 // values, so its write-backs may go to the tier: it still runs on the
-// tier's graph with no overlay and no open-world model, has never
-// detached, and queries in the tier's adjacency mode. Cleanliness only
-// ever ends — an overlay or open-world model is never removed, and
-// Compact and mode flips detach — so a clean engine's private table stays
-// empty and the tier entries it sees never hide a private one.
+// tier's graph with no overlay and no open-world model, and has never
+// detached. Cleanliness only ever ends — an overlay or open-world model is
+// never removed, and Compact detaches — so a clean engine's private table
+// stays empty and the tier entries it sees never hide a private one.
 func (d *DynSum) clean() bool {
-	v := d.cache
-	return d.ov == nil && d.ow == nil && d.g == v.tier.g &&
-		!v.detached.Load() && d.cacheMode.Load() == v.tier.mode.Load()
+	return d.ov == nil && d.ow == nil && d.g == d.cache.tier.g && !d.cache.detached.Load()
 }
 
 // condensation returns the graph's SCC-condensed overlay, or nil when
-// DisableCondense is set. Everything downstream — the
+// Config.DisableCondense is set. Everything downstream — the
 // driver expansion, the PPTA traversal and the summary-cache keys — hangs
 // off this one choice, so the two paths can never mix within a query.
 func (d *DynSum) condensation() *pag.Condensation {
-	if d.DisableCondense {
+	if d.cfg.DisableCondense {
 		return nil
 	}
 	return d.g.Condensation()
@@ -229,13 +204,13 @@ func (d *DynSum) indexedMethodNodes(ms []pag.MethodID, nodes bitset) bool {
 // footprint was cached by the traversal that created it (write-backs
 // cover every state a completed run visited, DESIGN.md §9). Nodes with
 // no local edges need no PPTA at all and count as warm. With
-// DisableCache nothing is ever warm.
+// Config.DisableCache nothing is ever warm.
 //
 // Like the query entry points, the probe reads the overlay pointer and
 // the cache; callers must order it against mutators exactly as they
 // order queries (the serve layer holds its per-session read lock).
 func (d *DynSum) SummaryCached(v pag.NodeID) bool {
-	if d.DisableCache {
+	if d.cfg.DisableCache {
 		return false
 	}
 	gv := graphView{g: d.g, cond: d.condensation(), ov: d.ov}
@@ -272,7 +247,7 @@ func (d *DynSum) Query(ctx context.Context, dst *PointsToSet, v pag.NodeID, cc i
 }
 
 // pointsToInto is the single query path PointsTo, Query, the batch
-// workers and RetryPolicy funnel through: it resolves the adjacency mode,
+// workers and RetryPolicy funnel through: it resolves the adjacency,
 // arms the budget with the governing context (nil for PointsTo), and runs
 // the driver inside the panic-quarantine boundary — quarantineRelease is
 // the only way the borrowed Scratch leaves this function, pooled on normal
@@ -288,25 +263,11 @@ func (d *DynSum) pointsToInto(ctx context.Context, dst *PointsToSet, v pag.NodeI
 		atomic.AddInt64(&d.metrics.Failed, 1)
 		return cerr
 	}
-	cond := d.condensation()
-	mode := int32(1)
-	if cond == nil {
-		mode = 2
-	}
-	if old := d.cacheMode.Load(); old != mode {
-		if old != 0 {
-			// The adjacency mode flipped (DisableCondense toggled after
-			// warm use): cached summaries are keyed for the other mode.
-			d.cache.detach()
-		}
-		d.cacheMode.Store(mode)
-		d.cache.tier.mode.CompareAndSwap(0, mode)
-	}
 	sc := getScratch()
 	sc.bud = Budget{Limit: budget}
 	sc.bud.arm(ctx)
 	defer quarantineRelease(sc, &d.metrics, graphView{g: d.g, ov: d.ov}.numNodes(), v, cc, &err)
-	err = runDriverInto(d.g, cond, d.ov, d.ctxs, d.cfg, (*dynSummarizer)(d), v, cc, &sc.bud, &d.metrics, d.Tracer, dst, sc)
+	err = runDriverInto(d.g, d.condensation(), d.ov, d.ctxs, d.cfg, (*dynSummarizer)(d), v, cc, &sc.bud, &d.metrics, d.Tracer, dst, sc)
 	sc.completed = true
 	return err
 }
@@ -329,7 +290,7 @@ func (ds *dynSummarizer) SliceFields(fs intstack.ID) []intstack.Sym {
 // cached sub-summaries into the closure instead of re-expanding their
 // states, and on success its queued per-state write-backs are committed as
 // one batch — so a single cold query warms the cache for every state it
-// visited, not just its own start. With DisableCache both halves are
+// visited, not just its own start. With Config.DisableCache both halves are
 // bypassed and the flat single-result traversal runs instead (nothing
 // read, nothing written).
 //
@@ -345,14 +306,11 @@ func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *
 	n = gv.rep(n)
 	if d.ow != nil {
 		// Open-world hook: states in actively-bodyless methods are served
-		// their blended summary (or fail under SpecOnly) before the
-		// closed-world machinery sees them. See openworld.go.
-		if r, handled, err := d.owSummarize(gv, n); handled {
-			if err != nil {
-				return Summary{}, false, err
-			}
+		// their blended summary before the closed-world machinery sees
+		// them. See openworld.go.
+		if r, ok := d.ow.active[gv.nodeMethod(n)]; ok {
 			atomic.AddInt64(&d.metrics.BlendedSummaries, 1)
-			return r, true, nil
+			return *r, true, nil
 		}
 	}
 	if !gv.hasLocalEdges(n) {
@@ -361,7 +319,7 @@ func (ds *dynSummarizer) Summarize(n pag.NodeID, fs intstack.ID, st State, bud *
 	}
 	key := pptaState{node: n, fs: fs, st: st}
 
-	if d.DisableCache {
+	if d.cfg.DisableCache {
 		r, err := runPPTA(gv, d.fields, key, d.cfg, bud, &d.metrics, sc)
 		if err != nil {
 			return Summary{}, false, err

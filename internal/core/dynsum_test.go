@@ -6,8 +6,10 @@ import (
 	"slices"
 	"testing"
 
+	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
+	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
 )
 
@@ -199,8 +201,7 @@ func TestDynSumHeapContexts(t *testing.T) {
 
 func TestDynSumCacheDisable(t *testing.T) {
 	f := fixture.BuildFigure2()
-	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-	d.DisableCache = true
+	d := core.NewDynSum(f.Prog.G, core.Config{DisableCache: true}, nil)
 	if _, err := d.PointsTo(f.S1); err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +301,71 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestImportSummariesOtherModeImportsNothing: an engine's adjacency mode
+// is fixed by its Config, and condensed summaries are keyed by SCC
+// representative, so a snapshot keyed for the other mode must import
+// nothing: the engine then answers, and counts its work, exactly like a
+// fresh one. A snapshot of the engine's own mode imports whole, and one
+// naming no valid mode is refused.
+func TestImportSummariesOtherModeImportsNothing(t *testing.T) {
+	prog := benchgen.Generate(benchgen.CyclicProfiles[0].Scaled(0.004), 3)
+	if prog.G.Condensation().Trivial() {
+		t.Fatal("fixture has no assign SCCs; both modes would key alike")
+	}
+	var vars []pag.NodeID
+	for _, d := range prog.Derefs {
+		vars = append(vars, d.Var)
+	}
+	ctxs := new(intstack.Table)
+	for _, src := range []core.Config{{}, {DisableCondense: true}} {
+		other := core.Config{DisableCondense: !src.DisableCondense}
+		warm := core.NewDynSum(prog.G, src, ctxs)
+		for _, v := range vars {
+			warm.PointsTo(v) //nolint:errcheck // warming only
+		}
+		snap := warm.ExportSummaries()
+		if snap == nil {
+			t.Fatalf("src %+v: warm engine exported nothing", src)
+		}
+
+		same := core.NewDynSum(prog.G, src, ctxs)
+		if err := same.ImportSummaries(snap); err != nil {
+			t.Fatalf("src %+v: same-mode import: %v", src, err)
+		}
+		if got, want := same.SummaryCount(), warm.SummaryCount(); got != want {
+			t.Errorf("src %+v: same-mode import holds %d summaries, want %d", src, got, want)
+		}
+
+		d := core.NewDynSum(prog.G, other, ctxs)
+		if err := d.ImportSummaries(snap); err != nil {
+			t.Fatalf("src %+v: other-mode import: %v", src, err)
+		}
+		if got := d.SummaryCount(); got != 0 {
+			t.Errorf("src %+v: other-mode import holds %d summaries, want 0", src, got)
+		}
+		fresh := core.NewDynSum(prog.G, other, ctxs)
+		for _, v := range vars {
+			a, errA := d.PointsTo(v)
+			b, errB := fresh.PointsTo(v)
+			if !errors.Is(errA, errB) || !a.Equal(b) {
+				t.Errorf("src %+v: pts(%s) = %v (%v) after the import, %v (%v) fresh",
+					src, prog.G.NodeString(v), a, errA, b, errB)
+			}
+		}
+		if got, want := d.Metrics().Snapshot(), fresh.Metrics().Snapshot(); got != want {
+			t.Errorf("src %+v: metrics after the import %v, fresh %v", src, &got, &want)
+		}
+
+		for _, mode := range []int32{0, 3} {
+			bad := *snap
+			bad.CacheMode = mode
+			if err := core.NewDynSum(prog.G, other, ctxs).ImportSummaries(&bad); err == nil {
+				t.Errorf("src %+v: snapshot with cache mode %d imported", src, mode)
+			}
+		}
+	}
+}
+
 // abortFixture builds a frozen program with, in one method, a benign short
 // assign chain (the warm-up query) and a victim variable whose closure
 // blows the configured limit: a 60-variable assign chain for the budget
@@ -380,9 +446,8 @@ func TestAbortLeavesCacheByteIdentical(t *testing.T) {
 			if tc.depth {
 				cfg = core.Config{MaxFieldDepth: 8}
 			}
+			cfg.DisableCache, cfg.DisableCondense = tc.disableCache, tc.disableCond
 			d := core.NewDynSum(g, cfg, nil)
-			d.DisableCache = tc.disableCache
-			d.DisableCondense = tc.disableCond
 
 			if _, err := d.PointsTo(warmVar); err != nil {
 				t.Fatalf("warm-up query failed: %v", err)

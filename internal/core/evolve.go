@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"dynsum/internal/delta"
 	"dynsum/internal/pag"
@@ -20,6 +21,12 @@ import (
 
 // ErrNotEvolved is returned by Compact when the engine carries no overlay.
 var ErrNotEvolved = errors.New("core: engine has no delta overlay to compact")
+
+// ErrAutoCompact marks an ApplyDelta error from the automatic Compact
+// that followed an applied epoch: the engine keeps the epoch, on the
+// overlay the failed Compact left in place. Every other ApplyDelta error
+// means the epoch did not apply.
+var ErrAutoCompact = errors.New("core: epoch applied, auto-compaction failed")
 
 // DeltaResult reports what one applied epoch did: the overlay-level
 // ApplyStats plus the engine-level consequences (summaries invalidated for
@@ -73,7 +80,8 @@ func (d *DynSum) ensureOverlay() error {
 // keep their shared summaries), and exactly the touched methods' cached
 // summaries are invalidated in one scan of the cache. When the
 // overlay's size crosses Config.CompactFraction of the base graph, the
-// epoch finishes with an automatic Compact.
+// epoch finishes with an automatic Compact; if that fails, the epoch
+// stays applied and the error matches ErrAutoCompact.
 func (d *DynSum) ApplyDelta(l *delta.Log) (res DeltaResult, err error) {
 	// Quarantine boundary: Apply stages every change read-only before its
 	// commit point, so a panic it lets escape means the overlay (and the
@@ -100,17 +108,17 @@ func (d *DynSum) ApplyDelta(l *delta.Log) (res DeltaResult, err error) {
 	res = DeltaResult{ApplyStats: st}
 	res.InvalidatedSummaries = d.invalidateMethods(st.TouchedMethods)
 	if frac := d.cfg.CompactFraction; frac > 0 && st.OverlayFraction > frac {
-		if err := d.Compact(); err != nil {
-			return res, err
+		if err = d.Compact(); err == nil {
+			res.Compacted = true // Compact refreshed the open-world model
+			return res, nil
 		}
-		res.Compacted = true
-	} else {
-		// The epoch may have delivered a body to a bodyless method (or new
-		// boundary edges to one): rebuild the open-world model against the
-		// patched adjacency. Compact refreshes itself.
-		d.refreshOpenWorld()
+		err = fmt.Errorf("%w: %w", ErrAutoCompact, err)
 	}
-	return res, nil
+	// The epoch may have delivered a body to a bodyless method (or new
+	// boundary edges to one): rebuild the open-world model against the
+	// patched adjacency.
+	d.refreshOpenWorld()
+	return res, err
 }
 
 // Compact merges the engine's overlay into a fresh frozen, re-condensed

@@ -103,8 +103,7 @@ func TestInternedAnswersMatchUncached(t *testing.T) {
 		prog.G.Freeze()
 		cfg := Config{Budget: 200_000}
 		interned := NewDynSum(prog.G, cfg, nil)
-		plain := NewDynSum(prog.G, cfg, interned.Ctxs())
-		plain.DisableCache = true
+		plain := NewDynSum(prog.G, Config{Budget: 200_000, DisableCache: true}, interned.Ctxs())
 		for pass := 0; pass < 2; pass++ { // second pass hits shared arrays
 			for _, v := range fixture.AllLocals(prog) {
 				a, errA := interned.PointsTo(v)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
@@ -43,73 +42,28 @@ import (
 // exactly like any other summary, which is what keeps InvalidateMethod and
 // delta evolution composing unchanged.
 
-// OpenWorldPolicy selects how queries treat bodyless methods without specs.
-type OpenWorldPolicy int32
-
-const (
-	// PolicyBlended answers each bodyless method with its own blended
-	// summary: blob object plus ⊤-frontier over the method's boundary.
-	PolicyBlended OpenWorldPolicy = iota
-	// PolicyPessimistic answers every bodyless method with the union of
-	// all blended summaries plus a ⊤-frontier over every global variable:
-	// unknown code is assumed to exchange values with any other unknown
-	// code and any static. Maximally conservative, maximally imprecise.
-	PolicyPessimistic
-	// PolicySpecOnly refuses blended approximation: reaching a bodyless
-	// method without an installed spec fails the query with *NoSpecError.
-	PolicySpecOnly
-)
-
-func (p OpenWorldPolicy) String() string {
-	switch p {
-	case PolicyBlended:
-		return "blended"
-	case PolicyPessimistic:
-		return "pessimistic"
-	case PolicySpecOnly:
-		return "speconly"
-	}
-	return fmt.Sprintf("OpenWorldPolicy(%d)", int32(p))
-}
-
-// NoSpecError is returned (wrapped in the query error) when a
-// PolicySpecOnly traversal reaches a bodyless method that has no installed
-// spec. The partial points-to set accumulated so far is NOT sound — the
-// caller must treat the query as unanswered.
-type NoSpecError struct {
-	Method pag.MethodID
-	Name   string
-}
-
-func (e *NoSpecError) Error() string {
-	return fmt.Sprintf("core: open-world query reached bodyless method %s (id %d) with no installed spec", e.Name, e.Method)
-}
-
 // owModel is the engine's open-world state, rebuilt by refreshOpenWorld
 // under the engine's usual mutator quiescence contract and read lock-free
 // by queries.
 type owModel struct {
-	policy OpenWorldPolicy
 	// specd holds the methods whose exact spec edges are installed; they
-	// are excluded from blended treatment under every policy.
+	// are excluded from blended treatment.
 	specd map[pag.MethodID]bool
 	// active maps each still-bodyless, unspec'd method to its shared
 	// blended summary (read-only once published).
 	active map[pag.MethodID]*Summary
-	// pess is the one shared pessimistic summary; nil unless the policy is
-	// PolicyPessimistic.
-	pess *Summary
 }
 
 // ErrOpenWorldDisabled is returned by ApplySpecs before EnableOpenWorld.
 var ErrOpenWorldDisabled = errors.New("core: open world not enabled on this engine")
 
-// EnableOpenWorld switches the engine into open-world mode under the given
-// policy. specd names methods whose exact spec edges were already installed
+// EnableOpenWorld switches the engine into open-world mode: every
+// bodyless method without a spec is answered by its blended summary.
+// specd names methods whose exact spec edges were already installed
 // pre-freeze (internal/openworld.Resolve); specs installed later go through
 // ApplySpecs. A mutator: quiesce the engine first.
-func (d *DynSum) EnableOpenWorld(policy OpenWorldPolicy, specd ...pag.MethodID) {
-	ow := &owModel{policy: policy, specd: make(map[pag.MethodID]bool, len(specd))}
+func (d *DynSum) EnableOpenWorld(specd ...pag.MethodID) {
+	ow := &owModel{specd: make(map[pag.MethodID]bool, len(specd))}
 	for _, m := range specd {
 		ow.specd[m] = true
 	}
@@ -203,10 +157,6 @@ func (d *DynSum) refreshOpenWorld() {
 		}
 	}
 	ow.active = active
-	ow.pess = nil
-	if ow.policy == PolicyPessimistic {
-		ow.pess = buildPessimistic(gv, d.g, active)
-	}
 }
 
 // owHasBody reports whether a marked-bodyless method has (re)gained local
@@ -222,56 +172,4 @@ func owHasBody(gv graphView, info pag.BodylessInfo) bool {
 		return true
 	}
 	return gv.hasLocalEdges(info.BlobVar) || gv.hasLocalEdges(info.BlobObj)
-}
-
-// buildPessimistic unions every active blended summary and adds the
-// ⊤-frontier over all global variables (unknown code may read or write any
-// static). Deterministic: methods in ascending order, nodes in scan order.
-func buildPessimistic(gv graphView, g *pag.Graph, active map[pag.MethodID]*Summary) *Summary {
-	p := &Summary{}
-	for _, m := range g.BodylessMethods() {
-		if r, ok := active[m]; ok {
-			p.Objects = append(p.Objects, r.Objects...)
-			p.Frontier = append(p.Frontier, r.Frontier...)
-		}
-	}
-	total := gv.numNodes()
-	for i := 0; i < total; i++ {
-		id := pag.NodeID(i)
-		if gv.nodeKind(id) != pag.Global {
-			continue
-		}
-		if gv.hasGlobalIn(id) {
-			p.Frontier = append(p.Frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S1})
-		}
-		if gv.hasGlobalOut(id) {
-			p.Frontier = append(p.Frontier, FrontierState{Node: id, Fs: intstack.Wild, St: S2})
-		}
-	}
-	return p
-}
-
-// owSummarize serves the open-world summary for a state at node n, already
-// rep-mapped. handled is false when n's method is not actively bodyless —
-// the caller proceeds with the closed-world path.
-func (d *DynSum) owSummarize(gv graphView, n pag.NodeID) (sum Summary, handled bool, err error) {
-	ow := d.ow
-	m := gv.nodeMethod(n)
-	r, ok := ow.active[m]
-	if !ok {
-		return Summary{}, false, nil
-	}
-	switch ow.policy {
-	case PolicySpecOnly:
-		name := ""
-		if int(m) < d.g.NumMethods() {
-			name = d.g.MethodInfo(m).Name
-		} else if d.ov != nil {
-			name = d.ov.MethodInfo(m).Name
-		}
-		return Summary{}, true, &NoSpecError{Method: m, Name: name}
-	case PolicyPessimistic:
-		return *ow.pess, true, nil
-	}
-	return *r, true, nil
 }

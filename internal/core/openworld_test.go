@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"errors"
 	"testing"
 
 	"dynsum/internal/core"
@@ -73,39 +72,37 @@ func buildOWFixture(t *testing.T) *owFixture {
 // engineMode is one cell of the four-mode matrix the open-world model must
 // serve identically: summary cache on/off × condensed/base adjacency.
 type engineMode struct {
-	name                string
-	noCache, noCondense bool
+	name string
+	cfg  core.Config
 }
 
 func engineModes() []engineMode {
 	return []engineMode{
-		{"cache+condensed", false, false},
-		{"cache+base", false, true},
-		{"nocache+condensed", true, false},
-		{"nocache+base", true, true},
+		{"cache+condensed", core.Config{}},
+		{"cache+base", core.Config{DisableCondense: true}},
+		{"nocache+condensed", core.Config{DisableCache: true}},
+		{"nocache+base", core.Config{DisableCache: true, DisableCondense: true}},
 	}
 }
 
 // strippedEngine builds the open-world counterpart (Lib bodies deleted,
 // frozen) and an engine over it.
-func (fx *owFixture) strippedEngine(t *testing.T, mode engineMode, policy core.OpenWorldPolicy) (*pag.Graph, *core.DynSum) {
+func (fx *owFixture) strippedEngine(t *testing.T, mode engineMode) (*pag.Graph, *core.DynSum) {
 	t.Helper()
 	stripped, err := openworld.StripBodies(fx.oracle, []pag.MethodID{fx.get, fx.mk})
 	if err != nil {
 		t.Fatalf("StripBodies: %v", err)
 	}
 	stripped.Freeze()
-	d := core.NewDynSum(stripped, core.Config{}, nil)
-	d.DisableCache = mode.noCache
-	d.DisableCondense = mode.noCondense
-	d.EnableOpenWorld(policy)
+	d := core.NewDynSum(stripped, mode.cfg, nil)
+	d.EnableOpenWorld()
 	return stripped, d
 }
 
 func TestOpenWorldBlendedSoundness(t *testing.T) {
 	fx := buildOWFixture(t)
 	for _, mode := range engineModes() {
-		stripped, d := fx.strippedEngine(t, mode, core.PolicyBlended)
+		stripped, d := fx.strippedEngine(t, mode)
 		getInfo, _ := stripped.Bodyless(fx.get)
 		mkInfo, _ := stripped.Bodyless(fx.mk)
 
@@ -150,46 +147,10 @@ func TestOpenWorldBlendedSoundness(t *testing.T) {
 	}
 }
 
-func TestOpenWorldSpecOnlyRefuses(t *testing.T) {
-	fx := buildOWFixture(t)
-	_, d := fx.strippedEngine(t, engineModes()[0], core.PolicySpecOnly)
-	_, err := d.PointsTo(fx.r1)
-	var nse *core.NoSpecError
-	if !errors.As(err, &nse) {
-		t.Fatalf("PointsTo(r1) = %v, want *NoSpecError", err)
-	}
-	if nse.Method != fx.get || nse.Name != "Lib.get" {
-		t.Fatalf("NoSpecError = %+v", nse)
-	}
-	// Queries that never reach a bodyless method still succeed.
-	if _, err := d.PointsTo(fx.a); err != nil {
-		t.Fatalf("PointsTo(a): %v", err)
-	}
-}
-
-func TestOpenWorldPessimisticSuperset(t *testing.T) {
-	fx := buildOWFixture(t)
-	stripped, d := fx.strippedEngine(t, engineModes()[0], core.PolicyPessimistic)
-	getInfo, _ := stripped.Bodyless(fx.get)
-	mkInfo, _ := stripped.Bodyless(fx.mk)
-	pts, err := d.PointsTo(fx.r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pessimistic merges all blended summaries: r1 sees both blobs and the
-	// oracle object.
-	for _, want := range []pag.NodeID{fx.o2, getInfo.BlobObj, mkInfo.BlobObj} {
-		if !pts.HasObject(want) {
-			t.Errorf("pessimistic pts(r1) misses %s: %s",
-				stripped.NodeString(want), pts.FormatObjects(stripped))
-		}
-	}
-}
-
 func TestOpenWorldApplySpecsExact(t *testing.T) {
 	fx := buildOWFixture(t)
 	for _, mode := range engineModes() {
-		stripped, d := fx.strippedEngine(t, mode, core.PolicySpecOnly)
+		stripped, d := fx.strippedEngine(t, mode)
 
 		specs, err := openworld.DeriveSpecs(fx.oracle, stripped)
 		if err != nil {
@@ -238,7 +199,7 @@ func TestOpenWorldApplySpecsExact(t *testing.T) {
 // answers resume without specs.
 func TestOpenWorldBodyArrives(t *testing.T) {
 	fx := buildOWFixture(t)
-	_, d := fx.strippedEngine(t, engineModes()[0], core.PolicyBlended)
+	_, d := fx.strippedEngine(t, engineModes()[0])
 
 	if got := len(d.OpenWorldActive()); got != 2 {
 		t.Fatalf("active = %d, want 2", got)

@@ -28,8 +28,9 @@ type SummaryEntry struct {
 }
 
 // SummarySnapshot is the exportable state of an engine's summary cache:
-// the adjacency mode that keyed it, the field-stack intern table as
-// (parent, symbol) cell pairs in ID order, and the entries themselves.
+// the adjacency mode that keyed it (1 condensed, 2 base), the field-stack
+// intern table as (parent, symbol) cell pairs in ID order, and the
+// entries themselves.
 // Re-pushing the cell pairs in order onto a fresh table reproduces every
 // ID exactly (hash-consing assigns IDs densely in interning order), which
 // is what lets entry keys survive the round trip unchanged.
@@ -47,11 +48,7 @@ type SummarySnapshot struct {
 // the cache's arenas. Returns nil when the cache is cold (nothing worth
 // persisting).
 func (d *DynSum) ExportSummaries() *SummarySnapshot {
-	mode := d.cacheMode.Load()
-	if mode == 0 {
-		return nil
-	}
-	s := &SummarySnapshot{CacheMode: mode}
+	s := &SummarySnapshot{CacheMode: d.adjacencyMode()}
 	for id := intstack.ID(1); int(id) <= d.fields.Len(); id++ {
 		sym, _ := d.fields.Peek(id)
 		s.StackParents = append(s.StackParents, int32(d.fields.Pop(id)))
@@ -74,11 +71,22 @@ func (d *DynSum) ExportSummaries() *SummarySnapshot {
 	return s
 }
 
+// adjacencyMode is the adjacency mode that keys the engine's summaries, in
+// SummarySnapshot.CacheMode's encoding.
+func (d *DynSum) adjacencyMode() int32 {
+	if d.cfg.DisableCondense {
+		return 2
+	}
+	return 1
+}
+
 // ImportSummaries restores an exported cache into this engine. The engine
 // must be freshly built (empty cache, empty field table — so its tier must
 // be fresh too, as NewDynSum's is): the snapshot's stack cells are
 // re-interned to reproduce its field-stack IDs, which only works from
-// ID 1. A clean engine files the entries in its tier, any other in its
+// ID 1. A snapshot keyed for the other adjacency mode imports nothing:
+// its keys and frontiers name nodes this engine's queries never probe.
+// A clean engine files the entries in its tier, any other in its
 // private table. Every entry is range-checked against the engine's
 // current view before insertion — a snapshot from a different program
 // yields an error, never a cache entry that indexes out of bounds.
@@ -92,6 +100,9 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 	}
 	if s.CacheMode != 1 && s.CacheMode != 2 {
 		return fmt.Errorf("core: summary snapshot has invalid cache mode %d", s.CacheMode)
+	}
+	if s.CacheMode != d.adjacencyMode() {
+		return nil
 	}
 	if len(s.StackParents) != len(s.StackSyms) {
 		return fmt.Errorf("core: summary snapshot stack table is ragged (%d parents, %d symbols)",
@@ -143,8 +154,6 @@ func (d *DynSum) ImportSummaries(s *SummarySnapshot) error {
 			}
 		}
 	}
-	d.cacheMode.Store(s.CacheMode)
-	d.cache.tier.mode.CompareAndSwap(0, s.CacheMode)
 	clean := d.clean()
 	for _, e := range s.Entries {
 		d.cache.put(pptaState{node: e.Node, fs: e.Fs, st: State(e.St)}, e.Objs, e.Frontier, clean)

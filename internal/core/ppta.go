@@ -418,7 +418,7 @@ func (sc *Scratch) memoExpand(gv graphView, fields *intstack.Table, s pptaState,
 // and queues the write-back entries permitted by the heuristic. At this
 // point every extra-SCC successor has a completed result, so the recorded
 // closure is exact — the soundness condition for caching it.
-func (sc *Scratch) completeSCC(root int32, fields *intstack.Table, cfg Config) {
+func (sc *Scratch) completeSCC(root int32, fields *intstack.Table) {
 	mstart := len(sc.mtstack)
 	for {
 		mstart--
@@ -490,8 +490,8 @@ func (sc *Scratch) completeSCC(root int32, fields *intstack.Table, cfg Config) {
 	// result once, only if the whole traversal succeeds.
 	for _, mi := range members {
 		if mi != 0 {
-			if len(sc.pendKeys) >= cfg.MaxWriteBacks ||
-				fields.Depth(sc.mstates[mi].st.fs) > cfg.WriteBackDepth {
+			if len(sc.pendKeys) >= maxWriteBacks ||
+				fields.Depth(sc.mstates[mi].st.fs) > writeBackDepth {
 				continue
 			}
 		}
@@ -566,7 +566,7 @@ func runPPTAMemo(gv graphView, fields *intstack.Table, cache *summaryView, start
 		sc.mframes = sc.mframes[:fi]
 		low := sc.mstates[cur].low
 		if low == cur {
-			sc.completeSCC(cur, fields, cfg)
+			sc.completeSCC(cur, fields)
 		}
 		if fi > 0 {
 			p := sc.mframes[fi-1].idx

@@ -48,9 +48,13 @@ import (
 // summary may differ from the base value (§10 leaves stale true→false
 // flags in untouched methods on purpose). Invalidation clears the
 // engine's bits for tier entries in the touched methods and drops the
-// matching private entries; detaching (Compact, an adjacency-mode flip)
-// clears every bit, after which the engine runs on its private table
-// alone.
+// matching private entries; detaching (Compact) clears every bit, after
+// which the engine runs on its private table alone.
+//
+// A tier is built for one graph and Config, so all of its engines share
+// one summary cache and adjacency mode (Config.DisableCache,
+// Config.DisableCondense): condensed summaries are keyed by SCC
+// representative and could not answer a base-adjacency query.
 
 // SummaryTier is the summary storage shared by every engine built on it
 // (NewDynSum builds each engine a tier of its own; a server builds one
@@ -59,11 +63,6 @@ import (
 type SummaryTier struct {
 	g   *pag.Graph
 	cfg Config
-
-	// mode is the adjacency mode of the tier's entries (DynSum.cacheMode's
-	// encoding): set by the first engine to run a query, after which only
-	// engines in the same mode write to the tier.
-	mode atomic.Int32
 
 	fields  intstack.Table // field stacks of every engine on the tier
 	stripes [summaryShards]tierStripe

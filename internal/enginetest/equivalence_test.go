@@ -26,6 +26,29 @@ import (
 // and the suite visits hundreds of queries.
 var bigBudget = core.Config{Budget: 150_000}
 
+// engineMode is one cell of the engine-mode matrix the sweeps cover: the
+// summary cache on or off × condensed or base adjacency, as the two
+// Config fields that select them.
+type engineMode struct {
+	name string
+	cfg  core.Config
+}
+
+// engineModes is the whole matrix. The evolve sweep replays its first
+// three cells; the fault, persistence, tier and open-world sweeps all four.
+var engineModes = []engineMode{
+	{"memo+condensed", core.Config{}},
+	{"memo+base", core.Config{DisableCondense: true}},
+	{"nomemo+condensed", core.Config{DisableCache: true}},
+	{"nomemo+base", core.Config{DisableCache: true, DisableCondense: true}},
+}
+
+// with returns cfg switched to mode m.
+func (m engineMode) with(cfg core.Config) core.Config {
+	cfg.DisableCache, cfg.DisableCondense = m.cfg.DisableCache, m.cfg.DisableCondense
+	return cfg
+}
+
 // seedSpan returns how many random-program seeds a sweep visits: the full
 // count by default (CI runs the exhaustive ~20s suite), a small fixed
 // subset under -short so the developer loop stays fast while every

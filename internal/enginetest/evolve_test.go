@@ -21,22 +21,12 @@ import (
 // condensation repair, and targeted summary invalidation all sit between
 // the two engines being compared.
 
-// evolveVariants are the engine modes replayed side by side: the full
-// fast path, the base-adjacency path (condensation disabled), and the
+// evolveModes are the engine modes replayed side by side: the full fast
+// path, the base-adjacency path (condensation disabled), and the
 // cache-disabled oracle configuration.
-type evolveVariant struct {
-	name            string
-	disableCondense bool
-	disableCache    bool
-}
+var evolveModes = engineModes[:3]
 
-var evolveVariants = []evolveVariant{
-	{"memo+condensed", false, false},
-	{"memo+base", true, false},
-	{"nocache+condensed", false, true},
-}
-
-// replayEquivalence replays ev on one engine per variant, and after every
+// replayEquivalence replays ev on one engine per mode, and after every
 // wave compares each against a from-scratch engine on the rebuilt prefix.
 // queryVars selects the per-wave query batch from the prefix program.
 func replayEquivalence(t *testing.T, tag string, ev *benchgen.EvolveProgram,
@@ -45,12 +35,9 @@ func replayEquivalence(t *testing.T, tag string, ev *benchgen.EvolveProgram,
 	ctxs := new(intstack.Table)
 	cfg := bigBudget
 	cfg.CompactFraction = -1 // keep the overlay live across all waves
-	engines := make([]*core.DynSum, len(evolveVariants))
-	for i, v := range evolveVariants {
-		d := core.NewDynSum(ev.Base.G, cfg, ctxs)
-		d.DisableCondense = v.disableCondense
-		d.DisableCache = v.disableCache
-		engines[i] = d
+	engines := make([]*core.DynSum, len(evolveModes))
+	for i, mode := range evolveModes {
+		engines[i] = core.NewDynSum(ev.Base.G, mode.with(cfg), ctxs)
 	}
 	// Structural firewall: the overlay must keep the frozen base arrays
 	// byte-untouched across every epoch; fingerprint them once, post-freeze.
@@ -61,21 +48,21 @@ func replayEquivalence(t *testing.T, tag string, ev *benchgen.EvolveProgram,
 			for i, d := range engines {
 				log, err := d.NewDeltaLog()
 				if err != nil {
-					t.Fatalf("%s wave %d %s: NewDeltaLog: %v", tag, k, evolveVariants[i].name, err)
+					t.Fatalf("%s wave %d %s: NewDeltaLog: %v", tag, k, evolveModes[i].name, err)
 				}
 				if err := ev.WaveLog(log, k); err != nil {
-					t.Fatalf("%s wave %d %s: WaveLog: %v", tag, k, evolveVariants[i].name, err)
+					t.Fatalf("%s wave %d %s: WaveLog: %v", tag, k, evolveModes[i].name, err)
 				}
 				if _, err := d.ApplyDelta(log); err != nil {
-					t.Fatalf("%s wave %d %s: ApplyDelta: %v", tag, k, evolveVariants[i].name, err)
+					t.Fatalf("%s wave %d %s: ApplyDelta: %v", tag, k, evolveModes[i].name, err)
 				}
 				if ov := d.Overlay(); ov != nil {
 					if err := check.Overlay(ov, ev.Base.G, baseFP); err != nil {
-						t.Fatalf("%s wave %d %s: overlay validation: %v", tag, k, evolveVariants[i].name, err)
+						t.Fatalf("%s wave %d %s: overlay validation: %v", tag, k, evolveModes[i].name, err)
 					}
 				}
 				if err := check.Cache(d); err != nil {
-					t.Fatalf("%s wave %d %s: cache validation: %v", tag, k, evolveVariants[i].name, err)
+					t.Fatalf("%s wave %d %s: cache validation: %v", tag, k, evolveModes[i].name, err)
 				}
 			}
 		}
@@ -93,7 +80,7 @@ func replayEquivalence(t *testing.T, tag string, ev *benchgen.EvolveProgram,
 			want, errW := ref.PointsTo(v)
 			for i, d := range engines {
 				got, errG := d.PointsTo(v)
-				compareOn(t, fmt.Sprintf("%s wave %d %s", tag, k, evolveVariants[i].name),
+				compareOn(t, fmt.Sprintf("%s wave %d %s", tag, k, evolveModes[i].name),
 					prefix.G, v, got, want, errG, errW, true)
 			}
 		}

@@ -25,18 +25,6 @@ import (
 // additionally assert the pre-mutation state survives untouched and the
 // aborted operation can simply be retried.
 
-// faultVariants are the engine modes the query-path sweep covers.
-var faultVariants = []struct {
-	name            string
-	disableCache    bool
-	disableCondense bool
-}{
-	{"memo+condensed", false, false},
-	{"memo+base", false, true},
-	{"nomemo+condensed", true, false},
-	{"nomemo+base", true, true},
-}
-
 // queryPoints are the injection points a query can cross.
 var queryPoints = []faultinject.Point{
 	faultinject.PPTAExpand,
@@ -100,13 +88,10 @@ func TestQueryFaultCrashConsistency(t *testing.T) {
 		t.Fatal("empty query batch")
 	}
 
-	for _, variant := range faultVariants {
-		t.Run(variant.name, func(t *testing.T) {
+	for _, mode := range engineModes {
+		t.Run(mode.name, func(t *testing.T) {
 			newEngine := func() *core.DynSum {
-				d := core.NewDynSum(prog.G, bigBudget, new(intstack.Table))
-				d.DisableCache = variant.disableCache
-				d.DisableCondense = variant.disableCondense
-				return d
+				return core.NewDynSum(prog.G, mode.with(bigBudget), new(intstack.Table))
 			}
 
 			// Never-faulted oracle answers.

@@ -19,21 +19,6 @@ import (
 // ID-stable, so a query var names the same node in both programs and the
 // comparison is direct.
 
-// owEngineMode is one cell of the cache × condensation matrix.
-type owEngineMode struct {
-	name                string
-	noCache, noCondense bool
-}
-
-func owEngineModes() []owEngineMode {
-	return []owEngineMode{
-		{"cache+condensed", false, false},
-		{"cache+base", false, true},
-		{"nocache+condensed", true, false},
-		{"nocache+base", true, true},
-	}
-}
-
 // owProfiles returns the sweep's workloads: the full OpenWorldProfiles
 // list by default, a 4-entry cross-section (both bases, both deletion
 // strategies, mixed fractions) under -short.
@@ -118,12 +103,10 @@ func TestOpenWorldSoundnessSweep(t *testing.T) {
 		queries := dedupQueries(queryVars(bench.Oracle))
 
 		total, skipped := 0, 0
-		for _, mode := range owEngineModes() {
+		for _, mode := range engineModes {
 			for _, withSpecs := range []bool{false, true} {
-				d := core.NewDynSum(bench.Stripped.G, bigBudget, new(intstack.Table))
-				d.DisableCache = mode.noCache
-				d.DisableCondense = mode.noCondense
-				d.EnableOpenWorld(core.PolicyBlended)
+				d := core.NewDynSum(bench.Stripped.G, mode.with(bigBudget), new(intstack.Table))
+				d.EnableOpenWorld()
 				tag := fmt.Sprintf("%s/%s/blended", ow.Name(), mode.name)
 				if withSpecs {
 					tag = fmt.Sprintf("%s/%s/specs", ow.Name(), mode.name)
@@ -218,11 +201,9 @@ func TestOpenWorldBodyArrivalSweep(t *testing.T) {
 	oracle := core.NewDynSum(prog.G, bigBudget, ctxs)
 	queries := dedupQueries(queryVars(prog))
 
-	for _, mode := range owEngineModes() {
-		d := core.NewDynSum(sg, bigBudget, new(intstack.Table))
-		d.DisableCache = mode.noCache
-		d.DisableCondense = mode.noCondense
-		d.EnableOpenWorld(core.PolicyBlended)
+	for _, mode := range engineModes {
+		d := core.NewDynSum(sg, mode.with(bigBudget), new(intstack.Table))
+		d.EnableOpenWorld()
 
 		// Phase 1: blended answers are supersets.
 		info, _ := sg.Bodyless(target)

@@ -46,19 +46,10 @@ func persistFixture(t *testing.T) *benchgen.EvolveProgram {
 	return ev
 }
 
-func persistOpts(variant struct {
-	name            string
-	disableCache    bool
-	disableCondense bool
-}, ctxs *intstack.Table) persist.Options {
-	cfg := bigBudget
+func persistOpts(mode engineMode, ctxs *intstack.Table) persist.Options {
+	cfg := mode.with(bigBudget)
 	cfg.CompactFraction = -1
-	return persist.Options{
-		Config:          cfg,
-		Ctxs:            ctxs,
-		DisableCache:    variant.disableCache,
-		DisableCondense: variant.disableCondense,
-	}
+	return persist.Options{Config: cfg, Ctxs: ctxs}
 }
 
 // epochVars is the query batch at epoch e: the deref sites loaded so far.
@@ -83,8 +74,6 @@ func buildOracles(t *testing.T, ev *benchgen.EvolveProgram, opts persist.Options
 	t.Helper()
 	oracles := make([]epochOracle, ev.NumWaves())
 	d := core.NewDynSum(ev.Base.G, opts.Config, opts.Ctxs)
-	d.DisableCache = opts.DisableCache
-	d.DisableCondense = opts.DisableCondense
 	for e := 0; e < ev.NumWaves(); e++ {
 		if e > 0 {
 			log, err := d.NewDeltaLog()
@@ -177,10 +166,10 @@ func crashScenario(t *testing.T, dir string, ev *benchgen.EvolveProgram, opts pe
 // CheckIntegrity must pass.
 func TestPersistCrashRecoverySweep(t *testing.T) {
 	ev := persistFixture(t)
-	for _, variant := range faultVariants {
-		t.Run(variant.name, func(t *testing.T) {
+	for _, mode := range engineModes {
+		t.Run(mode.name, func(t *testing.T) {
 			ctxs := new(intstack.Table)
-			opts := persistOpts(variant, ctxs)
+			opts := persistOpts(mode, ctxs)
 			oracles := buildOracles(t, ev, opts)
 
 			// Counting run: learn how often this mode crosses each point.

@@ -22,18 +22,6 @@ import (
 // each own a private tier (core.NewDynSum) — the same answers, the same
 // errors and the same Metrics, field by field — in every engine mode.
 
-// tierModes are the engine modes the tier sweep covers.
-var tierModes = []struct {
-	name            string
-	disableCache    bool
-	disableCondense bool
-}{
-	{"memo+condensed", false, false},
-	{"memo+base", false, true},
-	{"nomemo+condensed", true, false},
-	{"nomemo+base", true, true},
-}
-
 // tierRole is one engine's delta schedule. An engine with applyEvery n
 // catches up on every wave it has missed at waves divisible by n (and at
 // the last wave), one ApplyDelta per wave; 0 never evolves, so the engine
@@ -76,17 +64,13 @@ func tierSweep(t *testing.T, tag string, cfg core.Config, ev *benchgen.EvolvePro
 		}
 		prefixes[k] = p
 	}
-	for _, mode := range tierModes {
+	for _, mode := range engineModes {
 		ctxs := new(intstack.Table)
-		tier := core.NewSummaryTier(ev.Base.G, cfg)
+		mcfg := mode.with(cfg)
+		tier := core.NewSummaryTier(ev.Base.G, mcfg)
 		engines := make([]*tierEngine, len(tierRoles))
 		for i, role := range tierRoles {
-			e := &tierEngine{role: role, shared: tier.NewDynSum(ctxs), twin: core.NewDynSum(ev.Base.G, cfg, ctxs)}
-			for _, d := range []*core.DynSum{e.shared, e.twin} {
-				d.DisableCache = mode.disableCache
-				d.DisableCondense = mode.disableCondense
-			}
-			engines[i] = e
+			engines[i] = &tierEngine{role: role, shared: tier.NewDynSum(ctxs), twin: core.NewDynSum(ev.Base.G, mcfg, ctxs)}
 		}
 		for k := 0; k < ev.NumWaves(); k++ {
 			wtag := fmt.Sprintf("%s %s wave %d", tag, mode.name, k)

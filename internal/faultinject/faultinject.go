@@ -81,9 +81,10 @@ const (
 	// request is owned by the server and must still be completed with a
 	// typed error.
 	ServeDispatch
-	// ServeSessionApply fires in the serve layer's Apply, after the
-	// delta log is encoded but before the engine's ApplyDelta runs — the
-	// session must stay at its previous epoch.
+	// ServeSessionApply fires in the serve layer's Apply before the
+	// session's lock is taken, so before the delta is journaled or the
+	// engine's ApplyDelta runs — the session must stay at its previous
+	// epoch.
 	ServeSessionApply
 	// ServeDrain fires during graceful drain, once per dirty session
 	// immediately before that session is persisted — other sessions'

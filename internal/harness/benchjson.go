@@ -180,11 +180,12 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 		prog := benchgen.Generate(p.Scaled(opts.Scale), opts.Seed)
 		for _, mode := range []string{"condensed", "base"} {
 			var edges, summaries int64
+			cfg := opts.config()
+			cfg.DisableCondense = mode == "base"
 			r := measure(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d := core.NewDynSum(prog.G, opts.config(), nil)
-					d.DisableCondense = mode == "base"
+					d := core.NewDynSum(prog.G, cfg, nil)
 					if _, err := clients.Run("NullDeref", prog, d, 1); err != nil {
 						b.Fatal(err)
 					}
@@ -250,8 +251,9 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			panic(err)
 		}
 		for _, mode := range []string{"condensed", "base"} {
-			d := core.NewDynSum(cyc.G, opts.config(), nil)
-			d.DisableCondense = mode == "base"
+			cfg := opts.config()
+			cfg.DisableCondense = mode == "base"
+			d := core.NewDynSum(cyc.G, cfg, nil)
 			wdst := core.NewPointsToSet()
 			if err := d.Query(nil, wdst, qv, intstack.Empty); err != nil {
 				panic(err)

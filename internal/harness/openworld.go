@@ -116,17 +116,17 @@ func owSweep(eng *core.DynSum, queries []pag.NodeID, oracleSets map[pag.NodeID]*
 }
 
 // openWorldEngines builds the three sweep engines for one workload. The
-// specs engine runs under PolicyBlended with the derived spec edges
+// specs engine runs in open-world mode with the derived spec edges
 // applied, so exact rules serve spec'd methods and blended blobs cover the
 // derivation's fallbacks.
 func openWorldEngines(bench *benchgen.OpenWorldBench, cfg core.Config) (oracle, blended, specs *core.DynSum, resolved *openworld.Resolved, err error) {
 	oracle = core.NewDynSum(bench.Oracle.G, cfg, nil)
 
 	blended = core.NewDynSum(bench.Stripped.G, cfg, nil)
-	blended.EnableOpenWorld(core.PolicyBlended)
+	blended.EnableOpenWorld()
 
 	specs = core.NewDynSum(bench.Stripped.G, cfg, nil)
-	specs.EnableOpenWorld(core.PolicyBlended)
+	specs.EnableOpenWorld()
 	resolved, err = openworld.Resolve(bench.Stripped.G, bench.Specs)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -280,7 +280,7 @@ func appendOpenWorldRecords(snap *BenchSnapshot, opts Options) {
 
 		rec = sweep(func() *core.DynSum {
 			d := core.NewDynSum(bench.Stripped.G, opts.config(), nil)
-			d.EnableOpenWorld(core.PolicyBlended)
+			d.EnableOpenWorld()
 			return d
 		})
 		rec.Name = fmt.Sprintf("openworld/%s/blended", name)
@@ -288,7 +288,7 @@ func appendOpenWorldRecords(snap *BenchSnapshot, opts Options) {
 
 		rec = sweep(func() *core.DynSum {
 			d := core.NewDynSum(bench.Stripped.G, opts.config(), nil)
-			d.EnableOpenWorld(core.PolicyBlended)
+			d.EnableOpenWorld()
 			if _, err := d.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
 				panic(err)
 			}

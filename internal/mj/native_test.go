@@ -78,7 +78,7 @@ func TestNativeOpenWorldQuery(t *testing.T) {
 	blob, _ := prog.G.Bodyless(get)
 
 	d := core.NewDynSum(prog.G, core.Config{}, nil)
-	d.EnableOpenWorld(core.PolicyBlended)
+	d.EnableOpenWorld()
 	pts, err := d.PointsTo(r)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestNativeOpenWorldQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := core.NewDynSum(prog.G, core.Config{}, nil)
-	ds.EnableOpenWorld(core.PolicyBlended)
+	ds.EnableOpenWorld()
 	if _, err := ds.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
 		t.Fatal(err)
 	}

@@ -149,6 +149,10 @@ type Journal struct {
 	f    *os.File
 	sync SyncPolicy
 	size int64 // header plus whole records appended
+	// broken is set when a Truncate failed: the file may still hold
+	// the records it was to cut, so Append and Sync refuse with it until
+	// a Reset rewrites the file.
+	broken error
 }
 
 // Open opens (creating if needed) the journal at path, scans its records,
@@ -204,6 +208,9 @@ func Open(path string, sync SyncPolicy) (*Journal, []Record, error) {
 // returning. The header and payload are written separately: a crash (or
 // injected fault) in between leaves exactly the torn tail Scan truncates.
 func (j *Journal) Append(epoch uint64, payload []byte) error {
+	if j.broken != nil {
+		return j.broken
+	}
 	if len(payload) > MaxRecordLen {
 		return fmt.Errorf("journal: record payload %d bytes exceeds MaxRecordLen %d", len(payload), int64(MaxRecordLen))
 	}
@@ -233,19 +240,26 @@ func (j *Journal) Size() int64 { return j.size }
 // Truncate cuts the journal back to size, a length Size returned, so the
 // records appended since are gone — and a torn record too, when an
 // append failed midway. Durable before return regardless of the sync
-// policy, like Reset.
+// policy, like Reset. When the cut itself fails, the file may still hold
+// those records: every later Append and Sync fails with the cut's error
+// until a Reset succeeds.
 func (j *Journal) Truncate(size int64) error {
 	if size < int64(headerSize) || size > j.size {
 		return fmt.Errorf("journal: truncate to %d outside [%d, %d]", size, headerSize, j.size)
 	}
-	if err := j.f.Truncate(size); err != nil {
-		return err
+	err := j.f.Truncate(size)
+	if err == nil {
+		_, err = j.f.Seek(size, io.SeekStart)
 	}
-	if _, err := j.f.Seek(size, io.SeekStart); err != nil {
-		return err
+	if err == nil {
+		j.size = size
+		err = j.f.Sync()
 	}
-	j.size = size
-	return j.f.Sync()
+	if err != nil {
+		j.broken = fmt.Errorf("journal: cut to %d bytes failed, %s may hold records past it: %w", size, j.path, err)
+		return j.broken
+	}
+	return nil
 }
 
 // Reset truncates the journal back to an empty (header-only) file — the
@@ -270,7 +284,11 @@ func (j *Journal) reset() error {
 		return err
 	}
 	j.size = int64(headerSize)
-	return j.f.Sync()
+	if err := j.f.Sync(); err != nil {
+		return err
+	}
+	j.broken = nil
+	return nil
 }
 
 // Sync flushes appended records to stable storage regardless of the
@@ -280,6 +298,9 @@ func (j *Journal) reset() error {
 func (j *Journal) Sync() error {
 	if j.f == nil {
 		return os.ErrClosed
+	}
+	if j.broken != nil {
+		return j.broken
 	}
 	return j.f.Sync()
 }

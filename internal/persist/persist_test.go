@@ -9,6 +9,8 @@ import (
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
+	"dynsum/internal/delta"
+	"dynsum/internal/faultinject"
 	"dynsum/internal/fixture"
 	"dynsum/internal/intstack"
 	"dynsum/internal/pag"
@@ -141,7 +143,8 @@ func TestSnapshotPreservesNontrivialCondensation(t *testing.T) {
 
 // TestCompactPersistsSummaries: a warmed store compacts; reopening must
 // come back with the summary cache already populated and identical
-// answers.
+// answers — unless the reopen runs on the other adjacency mode, which
+// must start cold.
 func TestCompactPersistsSummaries(t *testing.T) {
 	prog := frozenProgram(22)
 	dir := t.TempDir()
@@ -174,23 +177,22 @@ func TestCompactPersistsSummaries(t *testing.T) {
 	}
 	comparePts(t, "warm reopen", vars, re.Engine(), st.Engine())
 
-	// SkipSummaries must leave the cache out.
-	cold := Options{Config: bigBudget, Ctxs: ctxs, SkipSummaries: true}
-	st2, err := Open(dir, cold)
+	// The snapshot's summaries are keyed by SCC representative: reopened
+	// on the base adjacency, the store imports none of them and answers
+	// like a fresh base-adjacency engine.
+	baseCfg := bigBudget
+	baseCfg.DisableCondense = true
+	base, err := Open(dir, Options{Config: baseCfg, Ctxs: ctxs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	if err := st2.Compact(); err != nil {
-		t.Fatal(err)
+	defer base.Close()
+	if got := base.Engine().SummaryCount(); got != 0 {
+		t.Errorf("condensed snapshot reopened on the base adjacency with %d summaries", got)
 	}
-	re2, err := Open(dir, cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if got := re2.Engine().SummaryCount(); got != 0 {
-		t.Errorf("SkipSummaries snapshot reopened with %d summaries", got)
+	comparePts(t, "base-adjacency reopen", vars, base.Engine(), core.NewDynSum(prog.G, baseCfg, ctxs))
+	if err := base.Engine().CheckIntegrity(); err != nil {
+		t.Errorf("base-adjacency reopen: CheckIntegrity: %v", err)
 	}
 }
 
@@ -264,6 +266,133 @@ func TestAppendReopenReplaysJournal(t *testing.T) {
 		t.Fatalf("recovered epoch %d, want %d", re.Epoch(), wantEpoch)
 	}
 	comparePts(t, "journal replay", vars, re.Engine(), oracle)
+}
+
+// waveLog builds wave k's delta log against st's engine.
+func waveLog(t *testing.T, st *Store, ev *benchgen.EvolveProgram, k int) *delta.Log {
+	t.Helper()
+	log, err := st.Engine().NewDeltaLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.WaveLog(log, k); err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// checkAppliedThrough checks that st's epoch, its journal and its engine
+// all stand at wave k: the engine answers like one built from scratch on
+// the wave-k prefix, and a reopen of dir recovers epoch k and answers
+// like the live store.
+func checkAppliedThrough(t *testing.T, dir string, opts Options, st *Store, ev *benchgen.EvolveProgram, k int) {
+	t.Helper()
+	if st.Epoch() != uint64(k) {
+		t.Fatalf("store epoch %d, want %d", st.Epoch(), k)
+	}
+	var vars []pag.NodeID
+	for _, d := range ev.DerefsThrough(k) {
+		vars = append(vars, d.Var)
+	}
+	prefix, err := ev.BuildPrefix(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comparePts(t, "live store vs scratch", vars, st.Engine(), core.NewDynSum(prefix.G, opts.Config, opts.Ctxs))
+	re, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if re.Epoch() != uint64(k) {
+		t.Fatalf("recovered epoch %d, want %d", re.Epoch(), k)
+	}
+	comparePts(t, "reopened vs live", vars, re.Engine(), st.Engine())
+}
+
+// TestAppendKeepsEpochOfFailedAutoCompact: an epoch whose automatic
+// Compact fails stays applied, so Append journals it, counts it and
+// reports the failure; the next Append and a reopen carry on from it.
+func TestAppendKeepsEpochOfFailedAutoCompact(t *testing.T) {
+	ev, err := benchgen.GenerateEvolve(benchgen.ProfileByNameMust("soot-c").Scaled(0.004), 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bigBudget
+	cfg.CompactFraction = 1e-9 // every epoch compacts
+	opts := Options{Config: cfg, Ctxs: new(intstack.Table)}
+	dir := t.TempDir()
+	st, err := Create(dir, ev.Base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sched := faultinject.NewSchedule()
+	sched.Arm(faultinject.CompactRebuild, 1)
+	faultinject.Activate(sched)
+	_, err = st.Append(waveLog(t, st, ev, 1))
+	faultinject.Deactivate()
+	if !errors.Is(err, core.ErrAutoCompact) {
+		t.Fatalf("Append under a compaction fault = %v, want ErrAutoCompact", err)
+	}
+	if st.Engine().Overlay() == nil {
+		t.Fatal("the failed compaction dropped the overlay")
+	}
+	checkAppliedThrough(t, dir, opts, st, ev, 1)
+	if _, err := st.Append(waveLog(t, st, ev, 2)); err != nil {
+		t.Fatalf("Append wave 2: %v", err)
+	}
+	if st.Engine().Compactions() == 0 {
+		t.Error("wave 2 did not compact")
+	}
+	checkAppliedThrough(t, dir, opts, st, ev, 2)
+}
+
+// TestAppendJournalFaultLeavesStore: a journal write that dies inside
+// Append, torn or whole, leaves the engine, the epoch and the journal as
+// they were, so the next Append journals the same epoch number and a
+// reopen answers like the live store.
+func TestAppendJournalFaultLeavesStore(t *testing.T) {
+	ev, err := benchgen.GenerateEvolve(benchgen.ProfileByNameMust("soot-c").Scaled(0.004), 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []faultinject.Point{faultinject.JournalAppend, faultinject.JournalSync} {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := bigBudget
+			cfg.CompactFraction = -1
+			opts := Options{Config: cfg, Ctxs: new(intstack.Table)}
+			dir := t.TempDir()
+			st, err := Create(dir, ev.Base, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			log := waveLog(t, st, ev, 1)
+			sched := faultinject.NewSchedule()
+			sched.Arm(p, 1)
+			faultinject.Activate(sched)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						if _, ok := faultinject.AsFault(r); !ok {
+							panic(r)
+						}
+					}
+				}()
+				st.Append(log) //nolint:errcheck // the fault panics
+				t.Error("Append survived the journal fault")
+			}()
+			faultinject.Deactivate()
+			checkAppliedThrough(t, dir, opts, st, ev, 0)
+			for k := 1; k <= 2; k++ {
+				if _, err := st.Append(waveLog(t, st, ev, k)); err != nil {
+					t.Fatalf("Append wave %d: %v", k, err)
+				}
+			}
+			checkAppliedThrough(t, dir, opts, st, ev, 2)
+		})
+	}
 }
 
 // TestCompactRotatesJournal: after Compact the journal is empty, the
@@ -555,7 +684,7 @@ func TestStorePreservesBodyless(t *testing.T) {
 		}
 	}
 
-	st.Engine().EnableOpenWorld(core.PolicyBlended)
-	re.Engine().EnableOpenWorld(core.PolicyBlended)
+	st.Engine().EnableOpenWorld()
+	re.Engine().EnableOpenWorld()
 	comparePts(t, "openworld reopen", queryVars(prog, 40), re.Engine(), st.Engine())
 }

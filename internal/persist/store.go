@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 
 	"dynsum/internal/core"
 	"dynsum/internal/delta"
@@ -11,23 +13,18 @@ import (
 	"dynsum/internal/persist/journal"
 )
 
-// Options configures a Store. The zero value is usable: fsync on every
-// journal append, default engine config, summaries persisted on Compact.
+// Options configures a Store. The zero value is usable: default engine
+// config. The journal fsyncs every append, and Compact persists the
+// summary cache.
 type Options struct {
-	// Sync selects the journal's fsync policy (default SyncAlways).
-	Sync journal.SyncPolicy
 	// Config is the engine configuration. Replay determinism: reopen with
 	// the same Config the store appended under, or auto-compaction
 	// thresholds may replay differently (harmless for answers, but the
-	// engine's compaction count will differ from the dead process's).
+	// engine's compaction count will differ from the dead process's). A
+	// snapshot's summaries are keyed for the adjacency mode they were
+	// computed in; reopened under the other DisableCondense, the engine
+	// starts cold.
 	Config core.Config
-	// DisableCache / DisableCondense carry the engine ablation toggles
-	// through a reopen.
-	DisableCache    bool
-	DisableCondense bool
-	// SkipSummaries leaves the summary cache out of snapshots written by
-	// Compact, trading warm-start time for snapshot size.
-	SkipSummaries bool
 	// Ctxs optionally shares a context-stack table with other engines so
 	// their points-to sets are directly comparable (see core.NewDynSum);
 	// nil gives the engine a private table.
@@ -60,7 +57,7 @@ func Create(dir string, prog *pag.Program, opts Options) (*Store, error) {
 	if err := WriteBaseSnapshot(dir, prog); err != nil {
 		return nil, err
 	}
-	jr, recs, err := journal.Open(filepath.Join(dir, journalFile), opts.Sync)
+	jr, recs, err := journal.Open(filepath.Join(dir, journalFile), journal.SyncAlways)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +70,7 @@ func Create(dir string, prog *pag.Program, opts Options) (*Store, error) {
 		}
 	}
 	s := &Store{dir: dir, opts: opts, prog: prog, jr: jr}
-	s.eng = s.newEngine(prog.G)
+	s.eng = core.NewDynSum(prog.G, opts.Config, opts.Ctxs)
 	return s, nil
 }
 
@@ -103,12 +100,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	s := &Store{dir: dir, opts: opts, prog: prog, epoch: snap.epoch}
-	s.eng = s.newEngine(g)
+	s.eng = core.NewDynSum(g, opts.Config, opts.Ctxs)
 	if err := s.eng.ImportSummaries(snap.cache); err != nil {
 		return nil, corruptSection("cache", err)
 	}
 
-	jr, recs, err := journal.Open(filepath.Join(dir, journalFile), opts.Sync)
+	jr, recs, err := journal.Open(filepath.Join(dir, journalFile), journal.SyncAlways)
 	if err != nil {
 		return nil, err
 	}
@@ -143,33 +140,63 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Append applies one epoch of program changes and journals it: the log is
-// encoded (logs are single-use — ApplyDelta consumes them), applied to
-// the engine, then appended to the journal under the next epoch number.
-// When Append returns nil the epoch is as durable as the sync policy
-// promises; on error the journal holds at worst a torn tail that
-// recovery truncates, so an unacknowledged epoch never replays.
-func (s *Store) Append(l *delta.Log) (core.DeltaResult, error) {
-	payload := l.AppendBinary(nil)
-	res, err := s.eng.ApplyDelta(l)
+// ApplyJournaled applies l to eng as the given epoch with write-ahead
+// journaling: l's wire encoding is appended to jr as that epoch's record
+// first, then the engine applies it, and the record is cut off again
+// unless the engine keeps the epoch — on an error or a panic — so jr
+// holds exactly the applied history. applied reports whether the engine
+// kept the epoch: it is true with a nil error, and also when the epoch
+// applied but its auto-compaction failed (core.ErrAutoCompact). A crash
+// between the journal write and the cut leaves a record the engine never
+// acknowledged, which recovery may replay. A failed cut leaves jr
+// refusing further appends (journal.Truncate).
+func ApplyJournaled(jr *journal.Journal, epoch uint64, eng *core.DynSum, l *delta.Log) (res core.DeltaResult, applied bool, err error) {
+	size := jr.Size()
+	defer func() {
+		if !applied {
+			if cerr := jr.Truncate(size); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
+		}
+	}()
+	enc := encBufs.Get().(*[]byte)
+	*enc = l.AppendBinary((*enc)[:0])
+	err = jr.Append(epoch, *enc)
+	encBufs.Put(enc)
 	if err != nil {
-		return res, err
+		return res, false, fmt.Errorf("persist: journal epoch %d: %w", epoch, err)
 	}
-	s.rebindProgram()
-	if err := s.jr.Append(s.epoch+1, payload); err != nil {
-		return res, fmt.Errorf("persist: epoch %d applied in memory but not journaled: %w", s.epoch+1, err)
+	res, err = eng.ApplyDelta(l)
+	return res, err == nil || errors.Is(err, core.ErrAutoCompact), err
+}
+
+// encBufs holds the buffers ApplyJournaled encodes deltas into. The
+// journal writes a payload out before Append returns, so a buffer is free
+// again at once; pooling them, rather than keeping one per journal, keeps
+// an idle session from holding the largest delta it ever applied.
+var encBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Append applies one epoch of program changes and journals it under the
+// next epoch number, write-ahead (ApplyJournaled). When Append returns
+// nil the epoch is durable. An epoch whose auto-compaction failed stays
+// applied and journaled, and the error matches core.ErrAutoCompact; on
+// any other error the engine and the journal are as they were.
+func (s *Store) Append(l *delta.Log) (core.DeltaResult, error) {
+	res, applied, err := ApplyJournaled(s.jr, s.epoch+1, s.eng, l)
+	if applied {
+		s.epoch++
+		s.rebindProgram()
 	}
-	s.epoch++
-	return res, nil
+	return res, err
 }
 
 // Compact rotates the store: the engine's overlay (if any) is merged into
 // a fresh frozen graph, a new snapshot at the current epoch is installed
-// atomically — including the summary cache, unless Options.SkipSummaries
-// — and the journal is reset. A crash anywhere in between recovers: before
-// the rename the old snapshot and full journal still replay; after the
-// rename but before the reset, the stale journal records carry epochs at
-// or below the new snapshot's and are skipped.
+// atomically — including the summary cache — and the journal is reset.
+// A crash anywhere in between recovers: before the rename the old
+// snapshot and full journal still replay; after the rename but before the
+// reset, the stale journal records carry epochs at or below the new
+// snapshot's and are skipped.
 func (s *Store) Compact() error {
 	if s.eng.Overlay() != nil {
 		if err := s.eng.Compact(); err != nil {
@@ -188,9 +215,7 @@ func (s *Store) Compact() error {
 		casts:     s.prog.Casts,
 		derefs:    s.prog.Derefs,
 		factories: s.prog.Factories,
-	}
-	if !s.opts.SkipSummaries {
-		snap.cache = s.eng.ExportSummaries()
+		cache:     s.eng.ExportSummaries(),
 	}
 	if err := writeSnapshot(s.dir, snap); err != nil {
 		return err
@@ -238,11 +263,4 @@ func (s *Store) Close() error {
 	jr := s.jr
 	s.jr = nil
 	return jr.Close()
-}
-
-func (s *Store) newEngine(g *pag.Graph) *core.DynSum {
-	eng := core.NewDynSum(g, s.opts.Config, s.opts.Ctxs)
-	eng.DisableCache = s.opts.DisableCache
-	eng.DisableCondense = s.opts.DisableCondense
-	return eng
 }

@@ -160,6 +160,74 @@ func TestWriteAheadJournal(t *testing.T) {
 	checkServed(t, srv, sess, ev, 3, "after wave 3")
 }
 
+// TestFailedAutoCompactKeepsEpoch: an epoch whose automatic Compact
+// fails stays applied, so Apply reports the failure while the session's
+// epoch, its journal and its engine all move on to it; the next apply
+// compacts, and the persisted session reopens to the live answers.
+func TestFailedAutoCompactKeepsEpoch(t *testing.T) {
+	ev := testEvolve(t, 3)
+	stateDir := t.TempDir()
+	cfg := testEngineCfg
+	cfg.CompactFraction = 1e-9 // every epoch compacts
+	srv := newTestServer(t, ev, Config{StateDir: stateDir, Engine: cfg})
+	sess, err := srv.CreateSession("s", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEpoch := func(k int, when string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(stateDir, sess.ID, "journal.dsum"))
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		recs, _, err := journal.Scan(data)
+		if err != nil || len(recs) != k || sess.Epoch() != uint64(k) {
+			t.Fatalf("%s: %d journal records (%v) at epoch %d, want %d", when, len(recs), err, sess.Epoch(), k)
+		}
+		checkServed(t, srv, sess, ev, k, when)
+	}
+
+	sched := faultinject.NewSchedule()
+	sched.Arm(faultinject.CompactRebuild, 1)
+	faultinject.Activate(sched)
+	_, err = srv.Apply(context.Background(), sess.ID, waveLog(t, sess, ev, 1))
+	faultinject.Deactivate()
+	if !errors.Is(err, core.ErrAutoCompact) {
+		t.Fatalf("apply under a compaction fault = %v, want ErrAutoCompact", err)
+	}
+	checkEpoch(1, "after a failed auto-compaction")
+
+	if _, err := srv.Apply(context.Background(), sess.ID, waveLog(t, sess, ev, 2)); err != nil {
+		t.Fatalf("apply wave 2: %v", err)
+	}
+	if sess.Engine().Compactions() == 0 {
+		t.Error("wave 2 did not compact")
+	}
+	checkEpoch(2, "after wave 2")
+
+	if err := srv.PersistSession(sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	st, err := persist.Open(filepath.Join(stateDir, sess.ID), persist.Options{Config: cfg, Ctxs: srv.Ctxs()})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st.Close()
+	for _, q := range queryVars(ev, 2) {
+		want, err := queryCtx(sess.Engine(), q.Var, q.Ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := queryCtx(st.Engine(), q.Var, q.Ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("var %d: recovered answer diverges from the live session", q.Var)
+		}
+	}
+}
+
 // TestAppliesHoldOnlyOverlays is the serve layer's memory guard: applies
 // on a server without a StateDir grow the live heap by no more than the
 // sessions' overlays hold (delta.Stats.Bytes) plus a small allowance, so

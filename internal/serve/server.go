@@ -496,9 +496,11 @@ func (s *Server) complete(r *request, resp *Response, err error) bool {
 // the log's wire encoding is journaled first (write-ahead) and cut off
 // again if the epoch does not apply, so the session's journal always
 // holds exactly its applied history; a failed append refuses the epoch
-// with the engine untouched. A panic during apply — injected or real —
-// surfaces as a typed *PanicError; the engine's own mutator quarantine
-// has already kept the overlay consistent or marked the session broken
+// with the engine untouched. An epoch whose auto-compaction failed stays
+// applied (and journaled), and the error matches core.ErrAutoCompact. A
+// panic during apply — injected or real — surfaces as a typed
+// *PanicError; the engine's own mutator quarantine has already kept the
+// overlay consistent or marked the session broken
 // (core.MutatorPanicError semantics).
 func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (res core.DeltaResult, err error) {
 	defer func() {
@@ -527,14 +529,16 @@ func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (r
 	faultinject.Fire(faultinject.ServeSessionApply)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	var applied bool
 	if s.cfg.StateDir == "" {
 		res, err = sess.eng.ApplyDelta(log)
+		applied = err == nil || errors.Is(err, core.ErrAutoCompact)
 	} else {
 		var journaled int64
-		res, journaled, err = sess.applyJournaled(s.sessionDir(sess), log)
+		res, applied, journaled, err = sess.applyJournaled(s.sessionDir(sess), log)
 		s.journalBytes.Add(journaled)
 	}
-	if err == nil {
+	if applied {
 		sess.epoch.Add(1)
 	}
 	return res, err
