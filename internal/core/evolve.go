@@ -28,6 +28,10 @@ var ErrNotEvolved = errors.New("core: engine has no delta overlay to compact")
 // means the epoch did not apply.
 var ErrAutoCompact = errors.New("core: epoch applied, auto-compaction failed")
 
+// EpochApplied reports whether an ApplyDelta that returned err kept its
+// epoch: it did on success and when only the auto-compaction failed.
+func EpochApplied(err error) bool { return err == nil || errors.Is(err, ErrAutoCompact) }
+
 // DeltaResult reports what one applied epoch did: the overlay-level
 // ApplyStats plus the engine-level consequences (summaries invalidated for
 // the touched methods, whether auto-compaction ran).

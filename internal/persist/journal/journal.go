@@ -262,6 +262,10 @@ func (j *Journal) Truncate(size int64) error {
 	return nil
 }
 
+// Err returns the error of a failed Truncate that every Append and Sync
+// refuses with, nil while the journal is sound.
+func (j *Journal) Err() error { return j.broken }
+
 // Reset truncates the journal back to an empty (header-only) file — the
 // rotation step after a new snapshot has been installed. Durable before
 // return regardless of the sync policy.

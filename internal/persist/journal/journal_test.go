@@ -293,3 +293,52 @@ func TestTruncateCutsBackToSize(t *testing.T) {
 		t.Fatalf("cut journal reopened with %v", recs)
 	}
 }
+
+// TestFailedTruncateRefusesUntilReset: a cut that fails may leave the
+// records it was to remove in the file, so Err reports it and every
+// Append and Sync refuses with it until a Reset rewrites the file.
+func TestFailedTruncateRefusesUntilReset(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	j, _ := openT(t, path)
+	kept := j.Size()
+	if err := j.Append(1, []byte("not-applied")); err != nil {
+		t.Fatal(err)
+	}
+	rw := j.f
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	j.f = ro // a read-only handle cannot cut the file
+	if err := j.Truncate(kept); err == nil {
+		t.Fatal("Truncate through a read-only handle succeeded")
+	}
+	j.f = rw
+	cut := j.Err()
+	if cut == nil {
+		t.Fatal("Err is nil after a failed cut")
+	}
+	if err := j.Append(2, []byte("next")); err != cut {
+		t.Errorf("Append after a failed cut = %v, want %v", err, cut)
+	}
+	if err := j.Sync(); err != cut {
+		t.Errorf("Sync after a failed cut = %v, want %v", err, cut)
+	}
+	if err := j.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if j.Err() != nil {
+		t.Fatalf("Err after Reset = %v", j.Err())
+	}
+	if err := j.Append(1, []byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := openT(t, path)
+	if len(recs) != 1 || string(recs[0].Payload) != "fresh" {
+		t.Fatalf("reset journal reopened with %v", recs)
+	}
+}

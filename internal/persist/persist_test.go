@@ -348,6 +348,56 @@ func TestAppendKeepsEpochOfFailedAutoCompact(t *testing.T) {
 	checkAppliedThrough(t, dir, opts, st, ev, 2)
 }
 
+// TestOpenKeepsEpochOfFailedAutoCompact: an epoch whose automatic
+// Compact fails during replay is still applied, so Open recovers every
+// journaled epoch and answers like the live store.
+func TestOpenKeepsEpochOfFailedAutoCompact(t *testing.T) {
+	ev, err := benchgen.GenerateEvolve(benchgen.ProfileByNameMust("soot-c").Scaled(0.004), 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bigBudget
+	cfg.CompactFraction = -1
+	opts := Options{Config: cfg, Ctxs: new(intstack.Table)}
+	dir := t.TempDir()
+	st, err := Create(dir, ev.Base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for k := 1; k <= 2; k++ {
+		if _, err := st.Append(waveLog(t, st, ev, k)); err != nil {
+			t.Fatalf("Append wave %d: %v", k, err)
+		}
+	}
+
+	reopts := opts
+	reopts.Config.CompactFraction = 1e-9 // every replayed epoch compacts
+	sched := faultinject.NewSchedule()
+	sched.Arm(faultinject.CompactRebuild, 1)
+	faultinject.Activate(sched)
+	re, err := Open(dir, reopts)
+	faultinject.Deactivate()
+	if err != nil {
+		t.Fatalf("Open with a compaction fault in replay: %v", err)
+	}
+	defer re.Close()
+	if n := sched.Arrivals(faultinject.CompactRebuild); n != 2 {
+		t.Fatalf("replay reached the compaction %d times, want 2", n)
+	}
+	if re.Epoch() != 2 {
+		t.Fatalf("recovered epoch %d, want 2", re.Epoch())
+	}
+	if re.Engine().Compactions() == 0 {
+		t.Error("replaying wave 2 did not compact")
+	}
+	var vars []pag.NodeID
+	for _, d := range ev.DerefsThrough(2) {
+		vars = append(vars, d.Var)
+	}
+	comparePts(t, "reopened vs live", vars, re.Engine(), st.Engine())
+}
+
 // TestAppendJournalFaultLeavesStore: a journal write that dies inside
 // Append, torn or whole, leaves the engine, the epoch and the journal as
 // they were, so the next Append journals the same epoch number and a

@@ -124,7 +124,9 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, &CorruptJournalError{Path: jr.Path(), Record: i, Offset: -1,
 				Reason: fmt.Sprintf("undecodable delta log: %v", err)}
 		}
-		if _, err := s.eng.ApplyDelta(l); err != nil {
+		// An epoch whose auto-compaction fails during replay is still
+		// applied, on the overlay the failed Compact left in place.
+		if _, err := s.eng.ApplyDelta(l); !core.EpochApplied(err) {
 			jr.Close()
 			return nil, &CorruptJournalError{Path: jr.Path(), Record: i, Offset: -1,
 				Reason: fmt.Sprintf("delta log does not replay: %v", err)}
@@ -167,7 +169,7 @@ func ApplyJournaled(jr *journal.Journal, epoch uint64, eng *core.DynSum, l *delt
 		return res, false, fmt.Errorf("persist: journal epoch %d: %w", epoch, err)
 	}
 	res, err = eng.ApplyDelta(l)
-	return res, err == nil || errors.Is(err, core.ErrAutoCompact), err
+	return res, core.EpochApplied(err), err
 }
 
 // encBufs holds the buffers ApplyJournaled encodes deltas into. The

@@ -228,6 +228,53 @@ func TestFailedAutoCompactKeepsEpoch(t *testing.T) {
 	}
 }
 
+// TestFailedCutRefusesPersist: when an apply fails and the cut of its
+// journal record fails too, the journal may hold an epoch the engine
+// never applied. The session then refuses every later apply and every
+// persist, PersistSession after Drain included, so a directory that
+// would replay that epoch is never reported persisted.
+func TestFailedCutRefusesPersist(t *testing.T) {
+	ev := testEvolve(t, 3)
+	srv := newTestServer(t, ev, Config{StateDir: t.TempDir()})
+	sess, err := srv.CreateSession("s", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := srv.Apply(ctx, sess.ID, waveLog(t, sess, ev, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// Close the journal's file beneath the session: the next append
+	// fails, and so does the cut that undoes it.
+	sess.mu.Lock()
+	sess.jr.Close()
+	sess.mu.Unlock()
+	for i := 1; i <= 2; i++ {
+		if _, err := srv.Apply(ctx, sess.ID, waveLog(t, sess, ev, 2)); err == nil {
+			t.Fatalf("apply %d after a failed cut succeeded", i)
+		}
+	}
+	sess.mu.RLock()
+	cut := sess.jr.Err()
+	sess.mu.RUnlock()
+	if cut == nil {
+		t.Fatal("the failed cut left the journal accepting appends")
+	}
+	if sess.Epoch() != 1 {
+		t.Fatalf("session at epoch %d after refused applies, want 1", sess.Epoch())
+	}
+	checkServed(t, srv, sess, ev, 1, "after a failed cut")
+	if err := srv.PersistSession(sess.ID); err == nil {
+		t.Fatal("PersistSession after a failed cut succeeded")
+	}
+	if err := srv.Drain(ctx); err == nil {
+		t.Fatal("Drain persisted a session whose cut failed")
+	}
+	if err := srv.PersistSession(sess.ID); !errors.Is(err, cut) {
+		t.Fatalf("PersistSession after Drain = %v, want the failed cut %v", err, cut)
+	}
+}
+
 // TestAppliesHoldOnlyOverlays is the serve layer's memory guard: applies
 // on a server without a StateDir grow the live heap by no more than the
 // sessions' overlays hold (delta.Stats.Bytes) plus a small allowance, so

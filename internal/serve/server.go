@@ -532,7 +532,7 @@ func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (r
 	var applied bool
 	if s.cfg.StateDir == "" {
 		res, err = sess.eng.ApplyDelta(log)
-		applied = err == nil || errors.Is(err, core.ErrAutoCompact)
+		applied = core.EpochApplied(err)
 	} else {
 		var journaled int64
 		res, applied, journaled, err = sess.applyJournaled(s.sessionDir(sess), log)

@@ -46,8 +46,10 @@ type Session struct {
 	// it and cut off again if the apply fails, so the journal always
 	// holds exactly the applied history (a failed cut makes it refuse
 	// every later append and sync). It is opened at the first apply and
-	// closed by Drain, and guarded by mu.
-	jr *journal.Journal
+	// closed by Drain; jrErr keeps a failed cut's error past the close,
+	// so a persist after Drain is refused too. Both are guarded by mu.
+	jr    *journal.Journal
+	jrErr error
 }
 
 // Engine exposes the session's engine for direct (test/oracle) use.
@@ -92,12 +94,13 @@ func (s *Session) applyJournaled(dir string, log *delta.Log) (res core.DeltaResu
 }
 
 // syncJournal makes the journaled epochs durable. A journal Drain
-// closed was synced then. The caller holds mu.
+// closed was synced then, unless a cut had failed. The caller holds mu.
 func (s *Session) syncJournal() error {
-	if s.jr == nil {
-		return nil
+	err := s.jrErr
+	if s.jr != nil {
+		err = s.jr.Sync()
 	}
-	if err := s.jr.Sync(); err != nil {
+	if err != nil {
 		return fmt.Errorf("serve: session %s: sync journal: %w", s.ID, err)
 	}
 	return nil
@@ -109,6 +112,7 @@ func (s *Session) closeJournal() error {
 	if s.jr == nil {
 		return nil
 	}
+	s.jrErr = s.jr.Err()
 	err := s.jr.Sync()
 	if cerr := s.jr.Close(); err == nil {
 		err = cerr
