@@ -41,8 +41,8 @@ func realMain() int {
 		budget       = flag.Int("budget", 75000, "per-query traversal budget")
 		batches      = flag.Int("batches", 10, "query batches for figures 4 and 5")
 		benchCSV     = flag.String("bench", "", "comma-separated benchmark subset (default: all nine)")
-		asCSV        = flag.Bool("csv", false, "emit CSV instead of text tables (tables 3-4, figures 4-5)")
-		ablations    = flag.Bool("ablations", false, "run the cache/locality/k-limit ablations")
+		asCSV        = flag.Bool("csv", false, "emit CSV instead of text (a selection of one table only)")
+		ablations    = flag.Bool("ablations", false, "run the cache, locality, k-limit and condensation/memoisation ablations")
 		parallel     = flag.Bool("parallel", false, "run the batch-query parallel-speedup sweep")
 		evolve       = flag.Bool("evolve", false, "run the dynamic-evolution experiment (delta overlay vs rebuild-from-scratch)")
 		openWorld    = flag.Bool("openworld", false, "run the open-world evaluation (blended summaries and specs vs the full-body oracle)")
@@ -110,68 +110,46 @@ func realMain() int {
 		return 0
 	}
 
+	var sel []harness.Experiment
+	pick := func(on bool, es ...harness.Experiment) {
+		if on || *all {
+			sel = append(sel, es...)
+		}
+	}
+	pick(*table == 1, harness.Table1)
+	pick(*table == 2, harness.Table2)
+	pick(*table == 3, harness.Table3)
+	pick(*table == 4, harness.Table4)
+	pick(*figure == 4, harness.Figure4)
+	pick(*figure == 5, harness.Figure5)
+	pick(*ablations, harness.Ablations...)
+	pick(*parallel, harness.Parallel)
+	pick(*evolve, harness.Evolve)
+	pick(*openWorld, harness.OpenWorld)
+	if len(sel) == 0 {
+		fmt.Fprintln(os.Stderr, "nothing selected: use -all, -table N or -figure N")
+		flag.Usage()
+		return 2
+	}
+	if *asCSV && len(sel) != 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -csv needs a selection of one table; this one has %d\n", len(sel))
+		return 2
+	}
+
 	w := os.Stdout
-	if *asCSV {
-		var err error
-		switch {
-		case *table == 3:
-			err = harness.WriteTable3CSV(w, opts)
-		case *table == 4:
-			err = harness.WriteTable4CSV(w, opts)
-		case *figure == 4:
-			err = harness.WriteFigure4CSV(w, opts)
-		case *figure == 5:
-			err = harness.WriteFigure5CSV(w, opts)
-		default:
-			fmt.Fprintln(os.Stderr, "experiments: -csv needs -table 3|4 or -figure 4|5")
-			return 2
+	for _, e := range sel {
+		t, err := e(opts)
+		if err != nil {
+			return fail(err)
+		}
+		if *asCSV {
+			err = t.WriteCSV(w)
+		} else if err = t.WriteText(w); err == nil {
+			_, err = fmt.Fprintln(w)
 		}
 		if err != nil {
 			return fail(err)
 		}
-		return 0
-	}
-	ran := false
-	run := func(id int, want int, f func()) {
-		if *all || id == want {
-			f()
-			fmt.Fprintln(w)
-			ran = true
-		}
-	}
-	run(*table, 1, func() { harness.WriteTable1(w) })
-	run(*table, 2, func() { harness.WriteTable2(w) })
-	run(*table, 3, func() { harness.WriteTable3(w, opts) })
-	run(*table, 4, func() { harness.WriteTable4(w, opts) })
-	run(*figure, 4, func() { harness.WriteFigure4(w, opts) })
-	run(*figure, 5, func() { harness.WriteFigure5(w, opts) })
-	if *ablations || *all {
-		harness.WriteAblations(w, opts)
-		fmt.Fprintln(w)
-		ran = true
-	}
-	if *parallel || *all {
-		harness.WriteParallel(w, opts)
-		fmt.Fprintln(w)
-		ran = true
-	}
-	if *evolve || *all {
-		harness.WriteEvolve(w, opts)
-		fmt.Fprintln(w)
-		ran = true
-	}
-	if *openWorld || *all {
-		if err := harness.WriteOpenWorld(w, opts); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(w)
-		ran = true
-	}
-
-	if !ran {
-		fmt.Fprintln(os.Stderr, "nothing selected: use -all, -table N or -figure N")
-		flag.Usage()
-		return 2
 	}
 	return 0
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/csv"
 	"errors"
 	"os"
 	"os/exec"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -48,5 +51,53 @@ func TestTable1(t *testing.T) {
 	}
 	if !strings.Contains(out, "Table 1: DYNSUM traversals answering the points-to queries for s1 and s2") {
 		t.Errorf("no Table 1 heading:\n%s", out)
+	}
+}
+
+// TestCSVMatchesText: every one-table selection emits CSV that parses,
+// whose header is the header line of the same selection's text table.
+func TestCSVMatchesText(t *testing.T) {
+	cells := regexp.MustCompile(`\s{2,}`)
+	for _, sel := range [][]string{
+		{"-table", "1"}, {"-table", "2"}, {"-table", "3"}, {"-table", "4"},
+		{"-figure", "4"}, {"-figure", "5"}, {"-parallel"}, {"-evolve"}, {"-openworld"},
+	} {
+		t.Run(strings.Join(sel, ""), func(t *testing.T) {
+			args := append([]string{"-scale", "0.005"}, sel...)
+			code, text := run(t, args...)
+			if code != 0 {
+				t.Fatalf("text: exit %d:\n%s", code, text)
+			}
+			code, out := run(t, append(args, "-csv")...)
+			if code != 0 {
+				t.Fatalf("csv: exit %d:\n%s", code, out)
+			}
+			recs, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+			if err != nil {
+				t.Fatalf("invalid CSV: %v\n%s", err, out)
+			}
+			if len(recs) < 2 {
+				t.Fatalf("CSV has %d records:\n%s", len(recs), out)
+			}
+			for _, line := range strings.Split(text, "\n") {
+				if slices.Equal(cells.Split(strings.TrimSpace(line), -1), recs[0]) {
+					return
+				}
+			}
+			t.Errorf("no text line is the CSV header %q:\n%s", recs[0], text)
+		})
+	}
+}
+
+// TestCSVNeedsOneTable: -csv refuses a selection of several tables, and
+// an empty selection is refused with or without it.
+func TestCSVNeedsOneTable(t *testing.T) {
+	for _, args := range [][]string{
+		{"-csv", "-ablations"}, {"-csv", "-table", "1", "-figure", "4"}, {"-csv", "-all"},
+		{"-csv"}, {}, {"-table", "5"},
+	} {
+		if code, out := run(t, args...); code != 2 {
+			t.Errorf("%q: exit %d, want 2:\n%s", args, code, out)
+		}
 	}
 }

@@ -251,8 +251,8 @@ type Metrics struct {
 	// start state included — so each cold run contributes at least one.
 	WrittenBackSummaries int64
 	// BlendedSummaries counts Summarize calls answered by the open-world
-	// blended model (openworld.go) — the "blended-summary sites" figure
-	// pagstat -openworld reports. Zero on closed-world engines.
+	// blended model (openworld.go) — the "blended" column of the
+	// experiments -openworld table. Zero on closed-world engines.
 	BlendedSummaries int64
 }
 

@@ -50,7 +50,8 @@ type ApplyStats struct {
 	OverlayFraction float64
 }
 
-// Stats is the overlay's cumulative state, for pagstat and the harness.
+// Stats is the overlay's cumulative state: the evolve experiment reports
+// it, and a serving session reads its Bytes.
 type Stats struct {
 	Epochs         int
 	PatchedNodes   int // nodes carrying base-view overlay adjacency
@@ -683,37 +684,13 @@ func exactCopy(edges []pag.Edge) []pag.Edge {
 // cache, because the fresh condensation may choose different
 // representatives.
 func (o *Overlay) Compact() (*pag.Graph, error) {
-	g := o.g
-	ng := pag.NewGraph()
-	for c := 0; c < g.NumClasses(); c++ {
-		ci := g.ClassInfo(pag.ClassID(c))
-		ng.AddClass(ci.Name, ci.Parent)
-	}
-	for f := 0; f < g.NumFields(); f++ {
-		ng.AddField(g.FieldName(pag.FieldID(f)))
-	}
-	for m := 0; m < o.NumMethods(); m++ {
-		mi := o.MethodInfo(pag.MethodID(m))
-		ng.AddMethod(mi.Name, mi.Class)
-	}
-	for cs := 0; cs < o.NumCallSites(); cs++ {
-		info := o.CallSiteInfo(pag.CallSiteID(cs))
-		id := ng.AddCallSite(info.Caller, info.Name)
-		for _, t := range info.Targets {
-			ng.AddCallTarget(id, t)
-		}
-	}
-	total := o.NumNodes()
-	for n := 0; n < total; n++ {
-		nd := o.Node(pag.NodeID(n))
-		ng.AddNode(nd.Kind, nd.Method, nd.Class, nd.Name)
-	}
+	ng := pag.CopyTables(o)
 	// Crash-consistency probe: the rebuild so far has only touched ng —
 	// the overlay and its base graph are read-only throughout Compact, so
 	// an abort here (or anywhere else in the rebuild) must leave the
 	// pre-compaction engine fully usable.
 	faultinject.Fire(faultinject.CompactRebuild)
-	for n := 0; n < total; n++ {
+	for n := range o.NumNodes() {
 		for _, e := range o.baseLocalOut(pag.NodeID(n)) {
 			ng.AddEdge(e)
 		}
@@ -723,7 +700,7 @@ func (o *Overlay) Compact() (*pag.Graph, error) {
 	}
 	// The rebuild preserves method and node IDs, so the open-world
 	// bodyless-method table transfers verbatim.
-	if err := ng.AdoptBodyless(g); err != nil {
+	if err := ng.AdoptBodyless(o.g); err != nil {
 		return nil, err
 	}
 	ng.ResolveDerived()

@@ -387,6 +387,18 @@ func (o *Overlay) NewLog() *Log {
 	return NewLog(o.NumMethods(), o.NumNodes(), o.NumCallSites())
 }
 
+// NumClasses returns the base graph's class count: epochs add no classes.
+func (o *Overlay) NumClasses() int { return o.g.NumClasses() }
+
+// ClassInfo returns the base graph's metadata of class c.
+func (o *Overlay) ClassInfo(c pag.ClassID) pag.Class { return o.g.ClassInfo(c) }
+
+// NumFields returns the base graph's field count: epochs add no fields.
+func (o *Overlay) NumFields() int { return o.g.NumFields() }
+
+// FieldName returns the base graph's name of field f.
+func (o *Overlay) FieldName(f pag.FieldID) string { return o.g.FieldName(f) }
+
 // NumNodes returns the total node count, added nodes included.
 func (o *Overlay) NumNodes() int { return o.baseNodes + len(o.addedNodes) }
 

@@ -187,13 +187,26 @@ var wantLayouts = map[string]string{
 	"rand/9":                    "8be4e4f1cdde6cc6",
 }
 
-// TestLayoutPins: every pinned program still lays out exactly as pinned.
+// TestLayoutPins: every pinned program still lays out exactly as pinned,
+// and restored/<name>, the program rebuilt from its Image and FieldOrder
+// as a snapshot restores it, lays out exactly as the original.
 func TestLayoutPins(t *testing.T) {
 	gs := pinnedLayouts(t)
 	for name, g := range gs {
 		got := layoutDigest(t, g)
 		if want, ok := wantLayouts[name]; !ok || got != want {
 			t.Errorf("%q: layout digest %s, pinned %q", name, got, want)
+		}
+		img, err := g.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := pag.FromImage(img, g.FieldOrder())
+		if err != nil {
+			t.Fatalf("restored/%s: %v", name, err)
+		}
+		if rd := layoutDigest(t, restored); rd != got {
+			t.Errorf("%q: layout digest %s, original %s", "restored/"+name, rd, got)
 		}
 	}
 	if len(gs) != len(wantLayouts) {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/clients"
@@ -26,35 +25,21 @@ type CacheAblationResult struct {
 }
 
 // Factor returns how much work the cache saves (without / with).
-func (r CacheAblationResult) Factor() float64 {
-	if r.EdgesWith == 0 {
-		return 0
-	}
-	return float64(r.EdgesWithout) / float64(r.EdgesWith)
-}
+func (r CacheAblationResult) Factor() float64 { return ratio(r.EdgesWithout, r.EdgesWith) }
 
 // RunCacheAblation measures DYNSUM with the cache enabled and disabled.
 func RunCacheAblation(opts Options, bench, client string) CacheAblationResult {
 	opts = opts.WithDefaults()
-	p, ok := profileScaled(opts, bench)
-	if !ok {
-		panic("harness: unknown benchmark " + bench)
-	}
-	prog := opts.generate(p)
-	res := CacheAblationResult{Bench: bench, Client: client}
-
-	on := core.NewDynSum(prog.G, opts.config(), nil)
-	timedClient(client, prog, on)
-	res.EdgesWith = on.Metrics().EdgesTraversed
-	res.PPTAVisitsWith = on.Metrics().PPTAVisits
-
+	prog := opts.program(bench)
 	noCache := opts.config()
 	noCache.DisableCache = true
-	off := core.NewDynSum(prog.G, noCache, nil)
-	timedClient(client, prog, off)
-	res.EdgesWithout = off.Metrics().EdgesTraversed
-	res.PPTAVisitsWithout = off.Metrics().PPTAVisits
-	return res
+	on := runClient(client, prog, core.NewDynSum(prog.G, opts.config(), nil)).Metrics
+	off := runClient(client, prog, core.NewDynSum(prog.G, noCache, nil)).Metrics
+	return CacheAblationResult{
+		Bench: bench, Client: client,
+		EdgesWith: on.EdgesTraversed, EdgesWithout: off.EdgesTraversed,
+		PPTAVisitsWith: on.PPTAVisits, PPTAVisitsWithout: off.PPTAVisits,
+	}
 }
 
 // LocalityPoint is one point of the locality sweep: the REFINEPTS/DYNSUM
@@ -79,16 +64,13 @@ func RunLocalitySweep(opts Options, bench, client string, percents []float64) []
 		prof := base.WithLocality(pct).Scaled(opts.Scale)
 		prog := benchgen.Generate(prof, opts.Seed)
 
-		dyn := core.NewDynSum(prog.G, opts.config(), nil)
-		ref := refine.NewRefinePts(prog.G, opts.config(), nil)
-		timedClient(client, prog, dyn)
-		timedClient(client, prog, ref)
-
-		pt := LocalityPoint{LocalityPct: pct, ActualPct: prog.G.Stats().Locality()}
-		if d := dyn.Metrics().EdgesTraversed; d > 0 {
-			pt.WorkRatio = float64(ref.Metrics().EdgesTraversed) / float64(d)
-		}
-		out = append(out, pt)
+		dyn := runClient(client, prog, core.NewDynSum(prog.G, opts.config(), nil))
+		ref := runClient(client, prog, refine.NewRefinePts(prog.G, opts.config(), nil))
+		out = append(out, LocalityPoint{
+			LocalityPct: pct,
+			ActualPct:   prog.G.Stats().Locality(),
+			WorkRatio:   ratio(ref.Metrics.EdgesTraversed, dyn.Metrics.EdgesTraversed),
+		})
 	}
 	return out
 }
@@ -106,55 +88,95 @@ type GammaPoint struct {
 // unclear" (paper §5.3).
 func RunGammaSweep(opts Options, bench, client string, gammas []int) []GammaPoint {
 	opts = opts.WithDefaults()
-	p, ok := profileScaled(opts, bench)
-	if !ok {
-		panic("harness: unknown benchmark " + bench)
-	}
-	prog := opts.generate(p)
+	prog := opts.program(bench)
 	var out []GammaPoint
 	for _, k := range gammas {
 		e := stasum.New(prog.G, opts.config(), nil, stasum.WithMaxGamma(k))
-		timedClient(client, prog, e)
+		r := runClient(client, prog, e)
 		out = append(out, GammaPoint{
 			Gamma:         k,
 			Summaries:     e.SummaryCount(),
 			OfflineVisits: e.OfflineVisits,
-			FailedQueries: e.Metrics().Failed,
+			FailedQueries: r.Metrics.Failed,
 		})
 	}
 	return out
 }
 
-// WriteAblations renders all three ablations.
-func WriteAblations(w io.Writer, opts Options) {
-	opts = opts.WithDefaults()
-	bench := "soot-c"
-	if len(opts.Benchmarks) > 0 {
-		bench = opts.Benchmarks[0]
-	}
+// Ablations are the four ablation tables `experiments -ablations` prints.
+var Ablations = []Experiment{CacheAblation, LocalityAblation, GammaAblation, CondenseAblation}
 
-	fmt.Fprintf(w, "Ablation 1: DYNSUM summary cache (%s)\n", bench)
-	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "client\tedges(cache on)\tedges(cache off)\tsavings")
+// ablationBench is the benchmark the first three ablations run on: the
+// first selected one, soot-c by default.
+func ablationBench(opts Options) string {
+	if len(opts.Benchmarks) > 0 {
+		return opts.Benchmarks[0]
+	}
+	return "soot-c"
+}
+
+// CacheAblation tabulates RunCacheAblation for every client.
+func CacheAblation(opts Options) (Table, error) {
+	bench := ablationBench(opts)
+	t := Table{
+		Title:  []string{fmt.Sprintf("Ablation 1: DYNSUM summary cache (%s)", bench)},
+		Header: []string{"client", "edges(cache on)", "edges(cache off)", "savings(x)"},
+	}
 	for _, client := range clients.Names() {
 		r := RunCacheAblation(opts, bench, client)
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.2fx\n", client, r.EdgesWith, r.EdgesWithout, r.Factor())
+		t.addf("%s\t%d\t%d\t%.2f", client, r.EdgesWith, r.EdgesWithout, r.Factor())
 	}
-	tw.Flush()
+	return t, nil
+}
 
-	fmt.Fprintf(w, "\nAblation 2: locality sweep (%s, SafeCast)\n", bench)
-	tw = newTabWriter(w)
-	fmt.Fprintln(tw, "target locality\tactual\tREFINEPTS/DYNSUM edges")
+// LocalityAblation tabulates RunLocalitySweep on SafeCast.
+func LocalityAblation(opts Options) (Table, error) {
+	bench := ablationBench(opts)
+	t := Table{
+		Title:  []string{fmt.Sprintf("Ablation 2: locality sweep (%s, SafeCast)", bench)},
+		Header: []string{"target locality%", "actual%", "REFINEPTS/DYNSUM edges"},
+	}
 	for _, pt := range RunLocalitySweep(opts, bench, "SafeCast", []float64{60, 75, 90}) {
-		fmt.Fprintf(tw, "%.0f%%\t%.1f%%\t%.2fx\n", pt.LocalityPct, pt.ActualPct, pt.WorkRatio)
+		t.addf("%.0f\t%.1f\t%.2f", pt.LocalityPct, pt.ActualPct, pt.WorkRatio)
 	}
-	tw.Flush()
+	return t, nil
+}
 
-	fmt.Fprintf(w, "\nAblation 3: STASUM k-limit sweep (%s, SafeCast)\n", bench)
-	tw = newTabWriter(w)
-	fmt.Fprintln(tw, "gamma\tsummaries\toffline visits\tfailed queries")
-	for _, pt := range RunGammaSweep(opts, bench, "SafeCast", []int{1, 2, 4, 8, 16}) {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\n", pt.Gamma, pt.Summaries, pt.OfflineVisits, pt.FailedQueries)
+// GammaAblation tabulates RunGammaSweep on SafeCast.
+func GammaAblation(opts Options) (Table, error) {
+	bench := ablationBench(opts)
+	t := Table{
+		Title:  []string{fmt.Sprintf("Ablation 3: STASUM k-limit sweep (%s, SafeCast)", bench)},
+		Header: []string{"gamma", "summaries", "offline visits", "failed queries"},
 	}
-	tw.Flush()
+	for _, pt := range RunGammaSweep(opts, bench, "SafeCast", []int{1, 2, 4, 8, 16}) {
+		t.addf("%d\t%d\t%d\t%d", pt.Gamma, pt.Summaries, pt.OfflineVisits, pt.FailedQueries)
+	}
+	return t, nil
+}
+
+// CondenseAblation reports, for every selected benchmark profile and its
+// cyclic and diamond variants, the freeze-time SCC condensation and the
+// memoisation counters of a cold NullDeref run: spliced counts cached
+// sub-summaries merged into in-flight traversals, written-back the fresh
+// cache entries those traversals inserted (start states included).
+func CondenseAblation(opts Options) (Table, error) {
+	opts = opts.WithDefaults()
+	t := Table{
+		Title: []string{fmt.Sprintf("Ablation 4: SCC condensation and memoisation (scale %.3f, cold NullDeref run)", opts.Scale)},
+		Header: []string{"benchmark", "sccs", "largest", "nodes", "reps", "node-red%", "local-edges",
+			"condensed", "edge-red%", "spliced", "written-back"},
+	}
+	for _, ps := range [][]benchgen.Profile{benchgen.Profiles, benchgen.CyclicProfiles, benchgen.DiamondProfiles} {
+		for _, p := range opts.selected(ps) {
+			prog := benchgen.Generate(p, opts.Seed)
+			s := prog.G.CondenseStats()
+			m := runClient("NullDeref", prog, core.NewDynSum(prog.G, opts.config(), nil)).Metrics
+			t.addf("%s\t%d\t%d\t%d\t%d\t%.1f\t%d\t%d\t%.1f\t%d\t%d",
+				p.Name, s.SCCs, s.LargestSCC, s.Nodes, s.Reps, s.NodeReduction(),
+				s.LocalEdges, s.CondensedLocalEdges, s.LocalEdgeReduction(),
+				m.SplicedSummaries, m.WrittenBackSummaries)
+		}
+	}
+	return t, nil
 }

@@ -60,10 +60,12 @@ func TestGammaSweep(t *testing.T) {
 }
 
 func TestWriteAblationsRender(t *testing.T) {
-	var sb strings.Builder
-	WriteAblations(&sb, testOpts)
-	out := sb.String()
-	for _, want := range []string{"Ablation 1", "Ablation 2", "Ablation 3", "locality sweep", "k-limit"} {
+	var out string
+	for _, e := range Ablations {
+		out += renderText(t, e, testOpts)
+	}
+	for _, want := range []string{"Ablation 1", "Ablation 2", "Ablation 3", "locality sweep", "k-limit",
+		"Ablation 4", "written-back"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}

@@ -3,10 +3,14 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +19,7 @@ import (
 	"dynsum/internal/core"
 	"dynsum/internal/fixture"
 	"dynsum/internal/intstack"
+	"dynsum/internal/pag"
 	"dynsum/internal/persist"
 	"dynsum/internal/serve"
 )
@@ -151,22 +156,7 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 		p := benchgen.ProfileByNameMust(bench).Scaled(opts.Scale)
 		prog := benchgen.Generate(p, opts.Seed)
 		for _, client := range clients.Names() {
-			var edges, summaries int64
-			r := measure(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					d := core.NewDynSum(prog.G, opts.config(), nil)
-					if _, err := clients.Run(client, prog, d, 1); err != nil {
-						b.Fatal(err)
-					}
-					m := d.Metrics().Snapshot()
-					edges = m.EdgesTraversed
-					summaries = int64(d.SummaryCount())
-				}
-			})
-			rec := record(fmt.Sprintf("table4/%s/%s/DYNSUM", bench, client), opts.Scale, r)
-			rec.EdgesTraversed = edges
-			rec.SummariesCached = summaries
+			rec, _ := coldRecord(fmt.Sprintf("table4/%s/%s/DYNSUM", bench, client), opts.Scale, prog, opts.config(), client)
 			snap.Records = append(snap.Records, rec)
 		}
 	}
@@ -179,24 +169,9 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 	for _, p := range benchgen.CyclicProfiles {
 		prog := benchgen.Generate(p.Scaled(opts.Scale), opts.Seed)
 		for _, mode := range []string{"condensed", "base"} {
-			var edges, summaries int64
 			cfg := opts.config()
 			cfg.DisableCondense = mode == "base"
-			r := measure(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					d := core.NewDynSum(prog.G, cfg, nil)
-					if _, err := clients.Run("NullDeref", prog, d, 1); err != nil {
-						b.Fatal(err)
-					}
-					m := d.Metrics().Snapshot()
-					edges = m.EdgesTraversed
-					summaries = int64(d.SummaryCount())
-				}
-			})
-			rec := record(fmt.Sprintf("condense/%s/NullDeref/%s", p.Name, mode), opts.Scale, r)
-			rec.EdgesTraversed = edges
-			rec.SummariesCached = summaries
+			rec, _ := coldRecord(fmt.Sprintf("condense/%s/NullDeref/%s", p.Name, mode), opts.Scale, prog, cfg, "NullDeref")
 			snap.Records = append(snap.Records, rec)
 		}
 	}
@@ -215,26 +190,9 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 	for _, bench := range coldBenches {
 		p := benchgen.ProfileByNameMust(bench).Scaled(opts.Scale)
 		prog := benchgen.Generate(p, opts.Seed)
-		var edges, visits, computed, cached int64
-		r := measure(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d := core.NewDynSum(prog.G, opts.config(), nil)
-				if _, err := clients.Run("NullDeref", prog, d, 1); err != nil {
-					b.Fatal(err)
-				}
-				m := d.Metrics().Snapshot()
-				edges = m.EdgesTraversed
-				visits = m.PPTAVisits
-				computed = m.Summaries
-				cached = int64(d.SummaryCount())
-			}
-		})
-		rec := record(fmt.Sprintf("cold/%s/NullDeref", bench), opts.Scale, r)
-		rec.EdgesTraversed = edges
-		rec.PPTAVisits = visits
-		rec.SummariesComputed = computed
-		rec.SummariesCached = cached
+		rec, m := coldRecord(fmt.Sprintf("cold/%s/NullDeref", bench), opts.Scale, prog, opts.config(), "NullDeref")
+		rec.PPTAVisits = m.PPTAVisits
+		rec.SummariesComputed = m.Summaries
 		snap.Records = append(snap.Records, rec)
 	}
 
@@ -293,29 +251,20 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 		if err != nil {
 			panic(err)
 		}
-		dst := core.NewPointsToSet()
 		var invalidated int64
 		var frac float64
 		r := measure(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d := core.NewDynSum(ev.Base.G, opts.config(), nil)
-				inv := 0
-				frac = 0
-				for k := 0; k < ev.NumWaves(); k++ {
-					if k > 0 {
-						res, err := ApplyWave(d, ev, k)
-						if err != nil {
-							b.Fatal(err)
-						}
-						inv += res.InvalidatedSummaries
-						frac = res.OverlayFraction
-					}
-					for _, q := range ev.DerefsThrough(k) {
-						d.Query(nil, dst, q.Var, intstack.Empty)
-					}
+				invalidated, frac = 0, 0
+				_, err := replayEvolve(ev, opts.config(), func(_ *core.DynSum, _ int, res core.DeltaResult, _, _ time.Duration) error {
+					invalidated += int64(res.InvalidatedSummaries)
+					frac = res.OverlayFraction
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				invalidated = int64(inv)
 			}
 		})
 		rec := record("evolve/"+ev.Name+"/overlay", opts.Scale, r)
@@ -327,13 +276,8 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < ev.NumWaves(); k++ {
-					prefix, err := ev.BuildPrefix(k)
-					if err != nil {
+					if err := rebuildWave(ev, k, opts.config()); err != nil {
 						b.Fatal(err)
-					}
-					d := core.NewDynSum(prefix.G, opts.config(), nil)
-					for _, q := range ev.DerefsThrough(k) {
-						d.Query(nil, dst, q.Var, intstack.Empty)
 					}
 				}
 			}
@@ -426,7 +370,8 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 		if err := srv.Drain(context.Background()); err != nil {
 			panic(err)
 		}
-		for lane, ls := range rep.Lanes {
+		for _, lane := range slices.Sorted(maps.Keys(rep.Lanes)) {
+			ls := rep.Lanes[lane]
 			if ls.Completed == 0 && ls.Shed == 0 {
 				continue
 			}
@@ -483,21 +428,97 @@ func RunBenchJSON(opts Options) BenchSnapshot {
 	return snap
 }
 
+// coldRecord measures one cold client run (runClient on a fresh DYNSUM
+// engine) as the op of record name, carrying its edge counter and cache
+// population, and returns the run's counters for records that carry more.
+func coldRecord(name string, scale float64, prog *pag.Program, cfg core.Config, client string) (BenchRecord, core.Metrics) {
+	var m core.Metrics
+	var cached int
+	r := measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := core.NewDynSum(prog.G, cfg, nil)
+			m, cached = runClient(client, prog, d).Metrics, d.SummaryCount()
+		}
+	})
+	rec := record(name, scale, r)
+	rec.EdgesTraversed = m.EdgesTraversed
+	rec.SummariesCached = int64(cached)
+	return rec, m
+}
+
+// OpenWorldBenchProfiles lists the workloads the bench-JSON emitter
+// measures — one whole-method and one leaf-biased deletion per base row at
+// the middle fraction, keeping the snapshot's runtime bounded while both
+// deletion strategies stay on the regression radar.
+var OpenWorldBenchProfiles = []string{"avrora-ow25", "avrora-owleaf25", "luindex-ow25", "luindex-owleaf25"}
+
+// appendOpenWorldRecords measures the openworld/<bench>/{oracle,blended,
+// specs} trajectory records: one op = a fresh engine answering the full
+// query sweep.
+func appendOpenWorldRecords(snap *BenchSnapshot, opts Options) {
+	for _, name := range OpenWorldBenchProfiles {
+		ow, ok := benchgen.OpenWorldProfileByName(name)
+		if !ok {
+			panic("harness: unknown open-world bench profile " + name)
+		}
+		bench, resolved, err := generateOpenWorld(ow, opts)
+		if err != nil {
+			panic(err)
+		}
+		queries := allQueryVars(bench.Oracle)
+		dst := core.NewPointsToSet()
+		for _, mode := range openWorldModes {
+			var m core.Metrics
+			r := measure(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					d, err := openWorldEngine(mode, bench, resolved, opts.config())
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, v := range queries {
+						dst.Reset()
+						d.Query(nil, dst, v, intstack.Empty) // budget failures are part of the workload
+					}
+					m = d.Metrics().Snapshot()
+				}
+			})
+			rec := record(fmt.Sprintf("openworld/%s/%s", name, mode), opts.Scale, r)
+			rec.EdgesTraversed = m.EdgesTraversed
+			rec.BlendedSummaries = m.BlendedSummaries
+			snap.Records = append(snap.Records, rec)
+		}
+	}
+}
+
+// comparedCounters are the per-op figures CompareBenchFile checks against
+// the baseline: the wall clock and every deterministic counter a record
+// carries. For each, higher is worse.
+var comparedCounters = []struct {
+	name string
+	of   func(BenchRecord) float64
+}{
+	{"ns/op", func(r BenchRecord) float64 { return r.NsPerOp }},
+	{"edges_traversed", func(r BenchRecord) float64 { return float64(r.EdgesTraversed) }},
+	{"ppta_visits", func(r BenchRecord) float64 { return float64(r.PPTAVisits) }},
+	{"summaries_computed", func(r BenchRecord) float64 { return float64(r.SummariesComputed) }},
+	{"summaries_cached", func(r BenchRecord) float64 { return float64(r.SummariesCached) }},
+	{"invalidated_summaries", func(r BenchRecord) float64 { return float64(r.InvalidatedSummaries) }},
+	{"blended_summaries", func(r BenchRecord) float64 { return float64(r.BlendedSummaries) }},
+}
+
 // CompareBenchFile reads a snapshot file and reports current-vs-baseline
-// regressions: a warning per record whose ns_per_op or edges_traversed
-// exceeds its baseline by more than tolerance (a ratio; 0.2 = 20%). The
-// CI bench job runs this against the committed snapshot and surfaces the
-// warnings without failing the build — wall-clock numbers are machine-
-// dependent, but a >20% jump in the deterministic edge counter is a real
-// algorithmic regression signal.
+// regressions: a warning per record and compared counter that exceeds
+// its baseline by more than tolerance (a ratio; 0.2 = 20%). The CI bench
+// job runs this against the committed snapshot and surfaces the warnings
+// without failing the build — wall-clock numbers are machine-dependent,
+// but a >20% jump in a deterministic counter is a real algorithmic
+// regression signal.
 func CompareBenchFile(w io.Writer, path string, tolerance float64) (warnings int, err error) {
-	data, err := os.ReadFile(path)
+	file, err := readBenchFile(path)
 	if err != nil {
 		return 0, err
-	}
-	var file BenchFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return 0, fmt.Errorf("parse %s: %w", path, err)
 	}
 	if file.Baseline == nil {
 		fmt.Fprintf(w, "%s: no baseline section; nothing to compare\n", path)
@@ -520,22 +541,12 @@ func CompareBenchFile(w io.Writer, path string, tolerance float64) (warnings int
 			continue
 		}
 		compared++
-		if b.NsPerOp > 0 && cur.NsPerOp > b.NsPerOp*(1+tolerance) {
-			warnings++
-			fmt.Fprintf(w, "WARNING %s: ns/op %.0f -> %.0f (+%.0f%%)\n",
-				cur.Name, b.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/b.NsPerOp-1))
-		}
-		if b.EdgesTraversed > 0 && float64(cur.EdgesTraversed) > float64(b.EdgesTraversed)*(1+tolerance) {
-			warnings++
-			fmt.Fprintf(w, "WARNING %s: edges_traversed %d -> %d (+%.0f%%)\n",
-				cur.Name, b.EdgesTraversed, cur.EdgesTraversed,
-				100*(float64(cur.EdgesTraversed)/float64(b.EdgesTraversed)-1))
-		}
-		if b.PPTAVisits > 0 && float64(cur.PPTAVisits) > float64(b.PPTAVisits)*(1+tolerance) {
-			warnings++
-			fmt.Fprintf(w, "WARNING %s: ppta_visits %d -> %d (+%.0f%%)\n",
-				cur.Name, b.PPTAVisits, cur.PPTAVisits,
-				100*(float64(cur.PPTAVisits)/float64(b.PPTAVisits)-1))
+		for _, c := range comparedCounters {
+			was, now := c.of(b), c.of(cur)
+			if was > 0 && now > was*(1+tolerance) {
+				warnings++
+				fmt.Fprintf(w, "WARNING %s: %s %.0f -> %.0f (+%.0f%%)\n", cur.Name, c.name, was, now, 100*(now/was-1))
+			}
 		}
 	}
 	if skipped > 0 {
@@ -545,24 +556,37 @@ func CompareBenchFile(w io.Writer, path string, tolerance float64) (warnings int
 	return warnings, nil
 }
 
+// readBenchFile reads and parses a snapshot file.
+func readBenchFile(path string) (*BenchFile, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var file BenchFile
+	if err := json.Unmarshal(data, &file); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return &file, nil
+}
+
 // WriteBenchJSONFile measures the trajectory workloads and writes path.
 // If path already holds a snapshot, its baseline section is preserved
 // (or, when absent, its current section becomes the baseline), so the
-// committed file records before/after numbers across a change.
+// committed file records before/after numbers across a change. A file
+// that exists but cannot be read or parsed is an error, and is left as
+// it is: overwriting it would lose its baseline.
 func WriteBenchJSONFile(path string, opts Options) error {
 	file := BenchFile{Schema: 1}
-	if data, err := os.ReadFile(path); err == nil {
-		var old BenchFile
-		if json.Unmarshal(data, &old) == nil {
-			switch {
-			case old.Baseline != nil:
-				file.Baseline = old.Baseline
-				file.Note = old.Note
-			case len(old.Current.Records) > 0:
-				prev := old.Current
-				file.Baseline = &prev
-			}
-		}
+	old, err := readBenchFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist): // a first run: no baseline yet
+	case err != nil:
+		return err
+	case old.Baseline != nil:
+		file.Baseline = old.Baseline
+		file.Note = old.Note
+	case len(old.Current.Records) > 0:
+		file.Baseline = &old.Current
 	}
 	file.Current = RunBenchJSON(opts)
 	out, err := json.MarshalIndent(&file, "", "  ")

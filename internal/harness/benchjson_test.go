@@ -93,12 +93,14 @@ func TestCompareBenchFile(t *testing.T) {
 			{Name: "b", NsPerOp: 100, EdgesTraversed: 1000},
 			{Name: "c", NsPerOp: 100, EdgesTraversed: 1000},
 			{Name: "d", NsPerOp: 100, PPTAVisits: 1000},
+			{Name: "e", NsPerOp: 100, SummariesComputed: 10, SummariesCached: 10, InvalidatedSummaries: 10, BlendedSummaries: 10},
 		}},
 		Current: BenchSnapshot{Records: []BenchRecord{
-			{Name: "a", NsPerOp: 300, EdgesTraversed: 1000},  // ns regression
-			{Name: "b", NsPerOp: 100, EdgesTraversed: 5000},  // edges regression
-			{Name: "c", NsPerOp: 50, EdgesTraversed: 500},    // improvement
-			{Name: "d", NsPerOp: 100, PPTAVisits: 4000},      // ppta regression
+			{Name: "a", NsPerOp: 300, EdgesTraversed: 1000}, // ns regression
+			{Name: "b", NsPerOp: 100, EdgesTraversed: 5000}, // edges regression
+			{Name: "c", NsPerOp: 50, EdgesTraversed: 500},   // improvement
+			{Name: "d", NsPerOp: 100, PPTAVisits: 4000},     // ppta regression
+			{Name: "e", NsPerOp: 100, SummariesComputed: 20, SummariesCached: 20, InvalidatedSummaries: 20, BlendedSummaries: 20},
 			{Name: "new", NsPerOp: 9999, EdgesTraversed: 99}, // no baseline
 		}},
 	}
@@ -114,10 +116,12 @@ func TestCompareBenchFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warnings != 3 {
-		t.Errorf("warnings = %d, want 3\n%s", warnings, buf.String())
+	if warnings != 7 {
+		t.Errorf("warnings = %d, want 7\n%s", warnings, buf.String())
 	}
-	for _, want := range []string{"WARNING a:", "WARNING b:", "WARNING d: ppta_visits"} {
+	for _, want := range []string{"WARNING a:", "WARNING b:", "WARNING d: ppta_visits",
+		"WARNING e: summaries_computed 10 -> 20", "WARNING e: summaries_cached", "WARNING e: invalidated_summaries",
+		"WARNING e: blended_summaries"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("missing expected warning %q:\n%s", want, buf.String())
 		}
@@ -178,6 +182,24 @@ func TestWriteBenchJSONFileKeepsBaseline(t *testing.T) {
 	mustRead(t, path, &third)
 	if third.Baseline == nil || third.Baseline.Tool != "sentinel" {
 		t.Error("existing baseline was not preserved")
+	}
+}
+
+// TestWriteBenchJSONFileRefusesMalformed: a snapshot file that does not
+// parse is reported and left as it is, not overwritten with a fresh
+// baseline-less snapshot.
+func TestWriteBenchJSONFileRefusesMalformed(t *testing.T) {
+	stubBench(t)
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	const malformed = `{"schema": 1, "baseline": {"records": [`
+	if err := os.WriteFile(path, []byte(malformed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBenchJSONFile(path, Options{Scale: 0.005, Seed: 1}); err == nil {
+		t.Error("malformed snapshot file accepted")
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != malformed {
+		t.Errorf("malformed snapshot file changed: %q, %v", data, err)
 	}
 }
 

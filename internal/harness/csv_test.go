@@ -2,58 +2,58 @@ package harness
 
 import (
 	"encoding/csv"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func parseCSV(t *testing.T, out string) [][]string {
+// renderCSV runs e, renders its table as CSV and parses it back.
+func renderCSV(t *testing.T, e Experiment, opts Options) (Table, [][]string) {
 	t.Helper()
-	recs, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	tab, err := e(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tab.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
 	if err != nil {
 		t.Fatalf("invalid CSV: %v", err)
 	}
-	return recs
+	if !slices.Equal(recs[0], tab.Header) {
+		t.Errorf("CSV header %v, table header %v", recs[0], tab.Header)
+	}
+	return tab, recs
 }
 
 func TestTable3CSV(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteTable3CSV(&sb, testOpts); err != nil {
-		t.Fatal(err)
-	}
-	recs := parseCSV(t, sb.String())
+	_, recs := renderCSV(t, Table3, testOpts)
 	if len(recs) != 4 { // header + 3 benches
 		t.Fatalf("records = %d, want 4", len(recs))
 	}
-	if recs[0][0] != "bench" || len(recs[1]) != len(recs[0]) {
-		t.Errorf("bad header/row shape: %v / %v", recs[0], recs[1])
+	if recs[0][0] != "Benchmark" || recs[1][0] != "soot-c" {
+		t.Errorf("bad header/first row: %v / %v", recs[0], recs[1])
 	}
 }
 
 func TestTable4CSV(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteTable4CSV(&sb, testOpts); err != nil {
-		t.Fatal(err)
-	}
-	recs := parseCSV(t, sb.String())
+	tab, recs := renderCSV(t, Table4, testOpts)
 	if len(recs) != 1+3*3*3 { // header + benches x clients x engines
 		t.Fatalf("records = %d, want 28", len(recs))
+	}
+	if len(tab.Footer) != 3 {
+		t.Errorf("footer = %q, want one average line per client", tab.Footer)
 	}
 }
 
 func TestFigureCSVs(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteFigure4CSV(&sb, testOpts); err != nil {
-		t.Fatal(err)
-	}
-	f4 := parseCSV(t, sb.String())
+	_, f4 := renderCSV(t, Figure4, testOpts)
 	if len(f4) < 10 {
 		t.Errorf("figure4 records = %d, want >= 10", len(f4))
 	}
-	sb.Reset()
-	if err := WriteFigure5CSV(&sb, testOpts); err != nil {
-		t.Fatal(err)
-	}
-	f5 := parseCSV(t, sb.String())
+	_, f5 := renderCSV(t, Figure5, testOpts)
 	if len(f5) < 10 {
 		t.Errorf("figure5 records = %d, want >= 10", len(f5))
 	}

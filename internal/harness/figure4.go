@@ -2,9 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
-	"dynsum/internal/benchgen"
+	"dynsum/internal/clients"
 	"dynsum/internal/core"
 	"dynsum/internal/refine"
 )
@@ -29,98 +28,49 @@ var Figure4Benchmarks = []string{"soot-c", "bloat", "jython"}
 // RunFigure4 produces the batch series for one benchmark and client.
 func RunFigure4(opts Options, bench, client string) Figure4Series {
 	opts = opts.WithDefaults()
-	p, ok := profileScaled(opts, bench)
-	if !ok {
-		panic("harness: unknown benchmark " + bench)
-	}
-	prog := opts.generate(p)
-	n := queryCount(prog, client)
-	per := n / opts.Batches
-	if per == 0 {
-		per = 1
-	}
+	prog := opts.program(bench)
 
 	dyn := core.NewDynSum(prog.G, opts.config(), nil)
 	ref := refine.NewRefinePts(prog.G, opts.config(), nil)
 
 	series := Figure4Series{Bench: bench, Client: client}
 	var prevDyn, prevRef int64
-	for b := 0; b < opts.Batches; b++ {
-		lo, hi := b*per, (b+1)*per
-		if b == opts.Batches-1 {
-			hi = n // the last batch takes the remainder, as in the paper
-		}
-		if lo >= n {
-			break
-		}
-		batch := subProgram(prog, client, lo, hi)
+	for _, batch := range batches(prog, client, opts.Batches) {
+		rRef := runClient(client, batch, ref)
+		rDyn := runClient(client, batch, dyn)
 
-		tRef, _, mRef := timedClient(client, batch, ref)
-		tDyn, _, mDyn := timedClient(client, batch, dyn)
+		refEdges := rRef.Metrics.EdgesTraversed - prevRef
+		dynEdges := rDyn.Metrics.EdgesTraversed - prevDyn
+		prevRef, prevDyn = rRef.Metrics.EdgesTraversed, rDyn.Metrics.EdgesTraversed
 
-		refEdges := mRef.EdgesTraversed - prevRef
-		dynEdges := mDyn.EdgesTraversed - prevDyn
-		prevRef, prevDyn = mRef.EdgesTraversed, mDyn.EdgesTraversed
-
-		norm, work := 0.0, 0.0
-		if tRef > 0 {
-			norm = float64(tDyn) / float64(tRef)
-		}
-		if refEdges > 0 {
-			work = float64(dynEdges) / float64(refEdges)
-		}
-		series.Normalized = append(series.Normalized, norm)
-		series.WorkRatio = append(series.WorkRatio, work)
+		series.Normalized = append(series.Normalized, ratio(rDyn.Time, rRef.Time))
+		series.WorkRatio = append(series.WorkRatio, ratio(dynEdges, refEdges))
 		series.DynEdges = append(series.DynEdges, dynEdges)
 		series.RefEdges = append(series.RefEdges, refEdges)
 	}
 	return series
 }
 
-func profileScaled(opts Options, bench string) (benchgen.Profile, bool) {
-	for _, pr := range opts.profiles() {
-		if pr.Name == bench {
-			return pr, true
-		}
-	}
-	return benchgen.Profile{}, false
-}
-
-// WriteFigure4 renders the series for the paper's three benchmarks as
-// text columns (one table per client).
-func WriteFigure4(w io.Writer, opts Options) {
+// Figure4 lays the series for the paper's three benchmarks out one row
+// per (client, benchmark, batch).
+func Figure4(opts Options) (Table, error) {
 	opts = opts.WithDefaults()
-	fmt.Fprintf(w, "Figure 4: DYNSUM per-batch time normalised to REFINEPTS (scale %.3f, %d batches)\n",
-		opts.Scale, opts.Batches)
-	fmt.Fprintln(w, "(work columns are edge-traversal ratios: deterministic)")
-	for _, client := range []string{"SafeCast", "NullDeref", "FactoryM"} {
-		fmt.Fprintf(w, "\n[%s]\n", client)
-		var series []Figure4Series
-		var names []string
-		for _, b := range Figure4Benchmarks {
-			if _, ok := profileScaled(opts, b); !ok {
-				continue
-			}
-			series = append(series, RunFigure4(opts, b, client))
-			names = append(names, b)
-		}
-		tw := newTabWriter(w)
-		fmt.Fprint(tw, "batch")
-		for _, n := range names {
-			fmt.Fprintf(tw, "\t%s(time)\t%s(work)", n, n)
-		}
-		fmt.Fprintln(tw)
-		for i := 0; i < opts.Batches; i++ {
-			fmt.Fprintf(tw, "%d", i+1)
-			for _, s := range series {
-				if i < len(s.Normalized) {
-					fmt.Fprintf(tw, "\t%.2f\t%.2f", s.Normalized[i], s.WorkRatio[i])
-				} else {
-					fmt.Fprint(tw, "\t-\t-")
-				}
-			}
-			fmt.Fprintln(tw)
-		}
-		tw.Flush()
+	t := Table{
+		Title: []string{
+			fmt.Sprintf("Figure 4: DYNSUM per-batch time normalised to REFINEPTS (scale %.3f, %d batches)",
+				opts.Scale, opts.Batches),
+			"(work columns are edge-traversal ratios: deterministic)",
+		},
+		Header: []string{"client", "benchmark", "batch", "time-ratio", "work-ratio", "dyn-edges", "ref-edges"},
 	}
+	for _, client := range clients.Names() {
+		for _, bench := range opts.figureBenchmarks() {
+			s := RunFigure4(opts, bench, client)
+			for i := range s.Normalized {
+				t.addf("%s\t%s\t%d\t%.2f\t%.2f\t%d\t%d", client, bench, i+1,
+					s.Normalized[i], s.WorkRatio[i], s.DynEdges[i], s.RefEdges[i])
+			}
+		}
+	}
+	return t, nil
 }

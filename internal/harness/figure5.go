@@ -2,8 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
+	"dynsum/internal/clients"
 	"dynsum/internal/core"
 	"dynsum/internal/stasum"
 )
@@ -27,32 +27,14 @@ type Figure5Series struct {
 // RunFigure5 produces the series for one benchmark and client.
 func RunFigure5(opts Options, bench, client string) Figure5Series {
 	opts = opts.WithDefaults()
-	p, ok := profileScaled(opts, bench)
-	if !ok {
-		panic("harness: unknown benchmark " + bench)
-	}
-	prog := opts.generate(p)
-	n := queryCount(prog, client)
-	per := n / opts.Batches
-	if per == 0 {
-		per = 1
-	}
+	prog := opts.program(bench)
 
 	sta := stasum.New(prog.G, opts.config(), nil)
 	dyn := core.NewDynSum(prog.G, opts.config(), nil)
 
 	series := Figure5Series{Bench: bench, Client: client, StaSumTotal: sta.SummaryCount()}
-	for b := 0; b < opts.Batches; b++ {
-		lo, hi := b*per, (b+1)*per
-		if b == opts.Batches-1 {
-			hi = n
-		}
-		if lo >= n {
-			break
-		}
-		batch := subProgram(prog, client, lo, hi)
-		timedClient(client, batch, dyn)
-		computed := int(dyn.Metrics().Snapshot().Summaries)
+	for _, batch := range batches(prog, client, opts.Batches) {
+		computed := int(runClient(client, batch, dyn).Metrics.Summaries)
 		series.DynCumulative = append(series.DynCumulative, computed)
 		pct := 0.0
 		if series.StaSumTotal > 0 {
@@ -72,46 +54,34 @@ func (s Figure5Series) FinalPercent() float64 {
 	return s.Percent[len(s.Percent)-1]
 }
 
-// WriteFigure5 renders the series for the paper's three benchmarks.
-func WriteFigure5(w io.Writer, opts Options) {
+// paperFinalPercents are the paper's average final percentages per client.
+var paperFinalPercents = map[string]string{"SafeCast": "41.3%", "NullDeref": "47.7%", "FactoryM": "37.3%"}
+
+// Figure5 lays the series for the paper's three benchmarks out one row
+// per (client, benchmark, batch), with each client's average final
+// percentage as a footer line.
+func Figure5(opts Options) (Table, error) {
 	opts = opts.WithDefaults()
-	fmt.Fprintf(w, "Figure 5: cumulative DYNSUM summaries as %% of STASUM's offline total (scale %.3f)\n", opts.Scale)
-	for _, client := range []string{"SafeCast", "NullDeref", "FactoryM"} {
-		fmt.Fprintf(w, "\n[%s]\n", client)
-		var series []Figure5Series
-		var names []string
-		for _, b := range Figure4Benchmarks {
-			if _, ok := profileScaled(opts, b); !ok {
-				continue
-			}
-			series = append(series, RunFigure5(opts, b, client))
-			names = append(names, b)
-		}
-		tw := newTabWriter(w)
-		fmt.Fprint(tw, "batch")
-		for i, n := range names {
-			fmt.Fprintf(tw, "\t%s(%% of %d)", n, series[i].StaSumTotal)
-		}
-		fmt.Fprintln(tw)
-		for i := 0; i < opts.Batches; i++ {
-			fmt.Fprintf(tw, "%d", i+1)
-			for _, s := range series {
-				if i < len(s.Percent) {
-					fmt.Fprintf(tw, "\t%.1f%%", s.Percent[i])
-				} else {
-					fmt.Fprint(tw, "\t-")
-				}
-			}
-			fmt.Fprintln(tw)
-		}
-		tw.Flush()
-		avg := 0.0
-		for _, s := range series {
-			avg += s.FinalPercent()
-		}
-		if len(series) > 0 {
-			avg /= float64(len(series))
-		}
-		fmt.Fprintf(w, "average final: %.1f%% (paper averages: SafeCast 41.3%%, NullDeref 47.7%%, FactoryM 37.3%%)\n", avg)
+	t := Table{
+		Title:  []string{fmt.Sprintf("Figure 5: cumulative DYNSUM summaries as %% of STASUM's offline total (scale %.3f)", opts.Scale)},
+		Header: []string{"client", "benchmark", "batch", "dyn-summaries", "stasum-total", "percent"},
 	}
+	for _, client := range clients.Names() {
+		avg, n := 0.0, 0
+		for _, bench := range opts.figureBenchmarks() {
+			s := RunFigure5(opts, bench, client)
+			for i := range s.Percent {
+				t.addf("%s\t%s\t%d\t%d\t%d\t%.1f", client, bench, i+1,
+					s.DynCumulative[i], s.StaSumTotal, s.Percent[i])
+			}
+			avg += s.FinalPercent()
+			n++
+		}
+		if n > 0 {
+			avg /= float64(n)
+		}
+		t.Footer = append(t.Footer, fmt.Sprintf("average final on %s: %.1f%% (paper: %s)",
+			client, avg, paperFinalPercents[client]))
+	}
+	return t, nil
 }

@@ -13,9 +13,7 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-	"text/tabwriter"
+	"slices"
 	"time"
 
 	"dynsum/internal/benchgen"
@@ -61,11 +59,14 @@ func (o Options) WithDefaults() Options {
 
 func (o Options) config() core.Config { return core.Config{Budget: o.Budget} }
 
-// profiles returns the selected benchmark profiles, scaled.
-func (o Options) profiles() []benchgen.Profile {
+// profiles returns the selected Table 3 profiles, scaled.
+func (o Options) profiles() []benchgen.Profile { return o.selected(benchgen.Profiles) }
+
+// selected returns the profiles of ps the options select, scaled.
+func (o Options) selected(ps []benchgen.Profile) []benchgen.Profile {
 	var out []benchgen.Profile
-	for _, p := range benchgen.Profiles {
-		if len(o.Benchmarks) > 0 && !contains(o.Benchmarks, p.Name) {
+	for _, p := range ps {
+		if len(o.Benchmarks) > 0 && !slices.Contains(o.Benchmarks, p.Name) {
 			continue
 		}
 		out = append(out, p.Scaled(o.Scale))
@@ -73,18 +74,26 @@ func (o Options) profiles() []benchgen.Profile {
 	return out
 }
 
-func contains(s []string, x string) bool {
-	for _, v := range s {
-		if v == x {
-			return true
+// program generates bench, one of the selected Table 3 profiles, at the
+// options' scale and seed.
+func (o Options) program(bench string) *pag.Program {
+	for _, p := range o.profiles() {
+		if p.Name == bench {
+			return benchgen.Generate(p, o.Seed)
 		}
 	}
-	return false
+	panic("harness: unknown benchmark " + bench)
 }
 
-// generate builds one benchmark program.
-func (o Options) generate(p benchgen.Profile) *pag.Program {
-	return benchgen.Generate(p, o.Seed)
+// figureBenchmarks returns the Figure 4 benchmarks the options select.
+func (o Options) figureBenchmarks() []string {
+	var out []string
+	for _, b := range Figure4Benchmarks {
+		if len(o.Benchmarks) == 0 || slices.Contains(o.Benchmarks, b) {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // EngineNames lists the Table 4 engines in paper order.
@@ -103,51 +112,52 @@ func newEngine(name string, g *pag.Graph, cfg core.Config) core.Analysis {
 	panic("harness: unknown engine " + name)
 }
 
-// timedClient runs one client with one engine and returns the elapsed time
-// and the engine metrics.
-func timedClient(client string, prog *pag.Program, a core.Analysis) (time.Duration, *clients.Report, core.Metrics) {
+// ClientRun is one client run on one engine.
+type ClientRun struct {
+	Time    time.Duration
+	Report  *clients.Report
+	Metrics core.Metrics // the engine's counters after the run
+}
+
+// runClient runs client over prog on engine a and reads a's counters
+// afterwards. Given a fresh engine it is the cold client run behind Table
+// 4, the ablations and the table4/, condense/ and cold/ bench records.
+func runClient(client string, prog *pag.Program, a core.Analysis) ClientRun {
 	start := time.Now()
 	rep, err := clients.Run(client, prog, a, 1)
 	if err != nil {
 		panic(err) // client names are internal constants
 	}
-	return time.Since(start), rep, *a.Metrics()
+	return ClientRun{Time: time.Since(start), Report: rep, Metrics: a.Metrics().Snapshot()}
 }
 
-// newTabWriter returns a tabwriter on w with the harness's format.
-func newTabWriter(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-}
-
-// subProgram returns a shallow copy of prog restricted to the [i:j) slice
-// of each client's query sites — the batching device for Figures 4 and 5.
-func subProgram(prog *pag.Program, client string, i, j int) *pag.Program {
-	cp := *prog
-	cp.Casts, cp.Derefs, cp.Factories = nil, nil, nil
+// batches splits client's query sites of prog into n batches of equal
+// size, the last taking the remainder, as in the paper (one site each
+// when there are fewer sites than batches): each batch is a shallow copy
+// of prog holding only its slice of the client's sites — the batching
+// device for Figures 4 and 5.
+func batches(prog *pag.Program, client string, n int) []*pag.Program {
+	var out []*pag.Program
+	split := func(total int, keep func(cp *pag.Program, lo, hi int)) {
+		per := max(total/n, 1)
+		for b := 0; b < n && b*per < total; b++ {
+			hi := (b + 1) * per
+			if b == n-1 {
+				hi = total
+			}
+			cp := *prog
+			cp.Casts, cp.Derefs, cp.Factories = nil, nil, nil
+			keep(&cp, b*per, hi)
+			out = append(out, &cp)
+		}
+	}
 	switch client {
 	case "SafeCast":
-		cp.Casts = prog.Casts[min(i, len(prog.Casts)):min(j, len(prog.Casts))]
+		split(len(prog.Casts), func(cp *pag.Program, lo, hi int) { cp.Casts = prog.Casts[lo:hi] })
 	case "NullDeref":
-		cp.Derefs = prog.Derefs[min(i, len(prog.Derefs)):min(j, len(prog.Derefs))]
+		split(len(prog.Derefs), func(cp *pag.Program, lo, hi int) { cp.Derefs = prog.Derefs[lo:hi] })
 	case "FactoryM":
-		cp.Factories = prog.Factories[min(i, len(prog.Factories)):min(j, len(prog.Factories))]
+		split(len(prog.Factories), func(cp *pag.Program, lo, hi int) { cp.Factories = prog.Factories[lo:hi] })
 	}
-	return &cp
-}
-
-// queryCount returns the number of query sites of client in prog.
-func queryCount(prog *pag.Program, client string) int {
-	switch client {
-	case "SafeCast":
-		return len(prog.Casts)
-	case "NullDeref":
-		return len(prog.Derefs)
-	case "FactoryM":
-		return len(prog.Factories)
-	}
-	return 0
-}
-
-func fmtDuration(d time.Duration) string {
-	return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
+	return out
 }

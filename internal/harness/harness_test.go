@@ -27,10 +27,8 @@ func TestTable1ReproducesReuse(t *testing.T) {
 	if res.S2Reused == 0 {
 		t.Error("s2 reused no summaries")
 	}
-	var sb strings.Builder
-	WriteTable1(&sb)
-	out := sb.String()
-	for _, want := range []string{"query s1", "query s2", "reuse", "points-to(s1)"} {
+	out := renderText(t, Table1, testOpts)
+	for _, want := range []string{"s1  ", "s2  ", "reuse", "points-to(s1)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 output missing %q", want)
 		}
@@ -38,16 +36,18 @@ func TestTable1ReproducesReuse(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows := Table2()
+	tab, err := Table2(testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tab.Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
-	if rows[3].Algorithm != "DYNSUM" || rows[3].Memorization != "Dynamic (across queries)" {
-		t.Errorf("DYNSUM row wrong: %+v", rows[3])
+	if rows[3][0] != "DYNSUM" || rows[3][2] != "Dynamic (across queries)" {
+		t.Errorf("DYNSUM row wrong: %v", rows[3])
 	}
-	var sb strings.Builder
-	WriteTable2(&sb)
-	if !strings.Contains(sb.String(), "STASUM") {
+	if !strings.Contains(renderText(t, Table2, testOpts), "STASUM") {
 		t.Error("Table 2 output missing STASUM")
 	}
 }
@@ -66,9 +66,7 @@ func TestTable3RowsAndLocality(t *testing.T) {
 			t.Errorf("%s: zero query counts: %d/%d/%d", r.Bench, r.QSafe, r.QNull, r.QFactory)
 		}
 	}
-	var sb strings.Builder
-	WriteTable3(&sb, testOpts)
-	if !strings.Contains(sb.String(), "soot-c") {
+	if !strings.Contains(renderText(t, Table3, testOpts), "soot-c") {
 		t.Error("Table 3 output missing soot-c")
 	}
 }
@@ -154,14 +152,24 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestWriteAllRender(t *testing.T) {
-	var sb strings.Builder
-	WriteFigure4(&sb, testOpts)
-	WriteFigure5(&sb, testOpts)
-	WriteTable4(&sb, testOpts)
-	out := sb.String()
-	for _, want := range []string{"Figure 4", "Figure 5", "Table 4", "average DYNSUM speedup"} {
+	out := renderText(t, Figure4, testOpts) + renderText(t, Figure5, testOpts) + renderText(t, Table4, testOpts)
+	for _, want := range []string{"Figure 4", "Figure 5", "Table 4", "average DYNSUM speedup", "average final on NullDeref"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
+}
+
+// renderText runs e and renders its table as text.
+func renderText(t *testing.T, e Experiment, opts Options) string {
+	t.Helper()
+	tab, err := e(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tab.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }

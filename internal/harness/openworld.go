@@ -2,13 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"testing"
+	"slices"
 	"time"
 
 	"dynsum/internal/benchgen"
 	"dynsum/internal/core"
-	"dynsum/internal/intstack"
 	"dynsum/internal/openworld"
 	"dynsum/internal/pag"
 )
@@ -35,15 +33,20 @@ type OpenWorldCell struct {
 	AvgObjects float64       // mean objects per answered query
 	Time       time.Duration // full sweep wall clock
 	Edges      int64         // PAG edges traversed (deterministic)
+	Blended    int64         // Summarize calls the blob model answered (deterministic)
 }
 
 // OpenWorldRow is one open-world workload: the oracle sweep plus the two
 // open-world modes on the stripped counterpart.
 type OpenWorldRow struct {
 	Bench       string
+	Methods     int                      // methods of the stripped program
+	Bodyless    int                      // its bodyless methods
 	Deleted     int                      // stripped methods
 	SpecExact   int                      // derived specs with exact flow rules
 	SpecBlended int                      // derived specs that fell back to blended
+	SpecEdges   int                      // edges the exact specs lower to
+	Active      int                      // methods still blended once the specs apply
 	Cells       map[string]OpenWorldCell // "oracle", "blended", "specs"
 }
 
@@ -78,7 +81,7 @@ func owSweep(eng *core.DynSum, queries []pag.NodeID, oracleSets map[pag.NodeID]*
 	cover map[pag.MethodID]pag.NodeID, oracleG *pag.Graph) OpenWorldCell {
 
 	var cell OpenWorldCell
-	before := eng.Metrics().Snapshot().EdgesTraversed
+	before := eng.Metrics().Snapshot()
 	start := time.Now()
 	totalObjs := 0
 	for _, v := range queries {
@@ -108,33 +111,46 @@ func owSweep(eng *core.DynSum, queries []pag.NodeID, oracleSets map[pag.NodeID]*
 		}
 	}
 	cell.Time = time.Since(start)
-	cell.Edges = eng.Metrics().Snapshot().EdgesTraversed - before
+	after := eng.Metrics().Snapshot()
+	cell.Edges = after.EdgesTraversed - before.EdgesTraversed
+	cell.Blended = after.BlendedSummaries - before.BlendedSummaries
 	if cell.Queries > 0 {
 		cell.AvgObjects = float64(totalObjs) / float64(cell.Queries)
 	}
 	return cell
 }
 
-// openWorldEngines builds the three sweep engines for one workload. The
-// specs engine runs in open-world mode with the derived spec edges
-// applied, so exact rules serve spec'd methods and blended blobs cover the
-// derivation's fallbacks.
-func openWorldEngines(bench *benchgen.OpenWorldBench, cfg core.Config) (oracle, blended, specs *core.DynSum, resolved *openworld.Resolved, err error) {
-	oracle = core.NewDynSum(bench.Oracle.G, cfg, nil)
-
-	blended = core.NewDynSum(bench.Stripped.G, cfg, nil)
-	blended.EnableOpenWorld()
-
-	specs = core.NewDynSum(bench.Stripped.G, cfg, nil)
-	specs.EnableOpenWorld()
-	resolved, err = openworld.Resolve(bench.Stripped.G, bench.Specs)
+// generateOpenWorld generates one open-world workload and resolves its
+// derived specs against the stripped graph.
+func generateOpenWorld(ow benchgen.OWProfile, opts Options) (*benchgen.OpenWorldBench, *openworld.Resolved, error) {
+	bench, err := benchgen.GenerateOpenWorld(ow, opts.Scale, opts.Seed)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	if _, err := specs.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
-		return nil, nil, nil, nil, err
+	resolved, err := openworld.Resolve(bench.Stripped.G, bench.Specs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", ow.Name(), err)
 	}
-	return oracle, blended, specs, resolved, nil
+	return bench, resolved, nil
+}
+
+// openWorldEngine builds the fresh engine one sweep mode runs on: the
+// oracle's full bodies closed-world, the stripped graph under blended
+// summaries, or the stripped graph in open-world mode with the derived
+// spec edges applied, so exact rules serve spec'd methods and blended
+// blobs cover the derivation's fallbacks.
+func openWorldEngine(mode string, bench *benchgen.OpenWorldBench, resolved *openworld.Resolved, cfg core.Config) (*core.DynSum, error) {
+	if mode == "oracle" {
+		return core.NewDynSum(bench.Oracle.G, cfg, nil), nil
+	}
+	d := core.NewDynSum(bench.Stripped.G, cfg, nil)
+	d.EnableOpenWorld()
+	if mode == "specs" {
+		if _, err := d.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
 }
 
 // RunOpenWorld measures every open-world workload at the options' scale.
@@ -142,16 +158,18 @@ func RunOpenWorld(opts Options) ([]OpenWorldRow, error) {
 	opts = opts.WithDefaults()
 	var rows []OpenWorldRow
 	for _, ow := range benchgen.OpenWorldProfiles {
-		if len(opts.Benchmarks) > 0 && !contains(opts.Benchmarks, ow.Base) && !contains(opts.Benchmarks, ow.Name()) {
+		if len(opts.Benchmarks) > 0 && !slices.Contains(opts.Benchmarks, ow.Base) && !slices.Contains(opts.Benchmarks, ow.Name()) {
 			continue
 		}
-		bench, err := benchgen.GenerateOpenWorld(ow, opts.Scale, opts.Seed)
+		bench, resolved, err := generateOpenWorld(ow, opts)
 		if err != nil {
 			return nil, err
 		}
-		oracle, blended, specs, resolved, err := openWorldEngines(bench, opts.config())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", ow.Name(), err)
+		engines := make(map[string]*core.DynSum, len(openWorldModes))
+		for _, mode := range openWorldModes {
+			if engines[mode], err = openWorldEngine(mode, bench, resolved, opts.config()); err != nil {
+				return nil, fmt.Errorf("%s: %w", ow.Name(), err)
+			}
 		}
 
 		cover := make(map[pag.MethodID]pag.NodeID, len(bench.Deleted))
@@ -164,137 +182,70 @@ func RunOpenWorld(opts Options) ([]OpenWorldRow, error) {
 		}
 
 		queries := allQueryVars(bench.Oracle)
+		g := bench.Stripped.G
 		row := OpenWorldRow{
 			Bench:       ow.Name(),
+			Methods:     g.NumMethods(),
+			Bodyless:    g.NumBodyless(),
 			Deleted:     len(bench.Deleted),
 			SpecExact:   len(resolved.Exact),
 			SpecBlended: len(resolved.Blended),
-			Cells:       make(map[string]OpenWorldCell, 3),
+			SpecEdges:   len(resolved.Edges),
+			Active:      len(engines["specs"].OpenWorldActive()),
+			Cells:       make(map[string]OpenWorldCell, len(openWorldModes)),
 		}
 
-		oracleCell := owSweep(oracle, queries, nil, nil, nil)
+		oracle := engines["oracle"]
+		row.Cells["oracle"] = owSweep(oracle, queries, nil, nil, nil)
 		oracleSets := make(map[pag.NodeID]*core.PointsToSet, len(queries))
 		for _, v := range queries {
 			if pts, err := oracle.PointsTo(v); err == nil {
 				oracleSets[v] = pts
 			}
 		}
-		row.Cells["oracle"] = oracleCell
-		row.Cells["blended"] = owSweep(blended, queries, oracleSets, cover, bench.Oracle.G)
-		row.Cells["specs"] = owSweep(specs, queries, oracleSets, cover, bench.Oracle.G)
+		for _, mode := range openWorldModes[1:] {
+			row.Cells[mode] = owSweep(engines[mode], queries, oracleSets, cover, bench.Oracle.G)
+		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// WriteOpenWorld renders the open-world soundness/precision/speed table.
-func WriteOpenWorld(w io.Writer, opts Options) error {
+// OpenWorld tabulates RunOpenWorld one row per (workload, mode), each
+// row carrying its workload's program and spec figures.
+func OpenWorld(opts Options) (Table, error) {
 	opts = opts.WithDefaults()
 	rows, err := RunOpenWorld(opts)
 	if err != nil {
-		return err
+		return Table{}, err
 	}
-	fmt.Fprintf(w, "Open-world evaluation (scale %.3f, budget %d)\n", opts.Scale, opts.Budget)
-	fmt.Fprintf(w, "modes: oracle = full bodies; blended = deleted bodies, blob summaries; specs = derived specs applied\n\n")
-	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "workload\tdeleted\tspecs(exact/blended)\tmode\tqueries\tskipped\tunsound\tavg objs\ttime\tedges")
+	t := Table{
+		Title: []string{
+			fmt.Sprintf("Open-world evaluation (scale %.3f, budget %d)", opts.Scale, opts.Budget),
+			"modes: oracle = full bodies; blended = deleted bodies, blob summaries; specs = derived specs applied",
+			"",
+		},
+		Header: []string{"workload", "methods", "bodyless", "deleted", "spec-exact", "spec-blended", "spec-edges",
+			"active-after-specs", "mode", "queries", "skipped", "unsound", "avg-objs", "blended", "time(ms)", "edges"},
+	}
 	totalUnsound := 0
 	for _, r := range rows {
-		for i, mode := range openWorldModes {
+		for _, mode := range openWorldModes {
 			c := r.Cells[mode]
-			name, del, sp := "", "", ""
-			if i == 0 {
-				name = r.Bench
-				del = fmt.Sprintf("%d", r.Deleted)
-				sp = fmt.Sprintf("%d/%d", r.SpecExact, r.SpecBlended)
-			}
 			unsound := "-"
 			if mode != "oracle" {
-				unsound = fmt.Sprintf("%d", c.Unsound)
+				unsound = fmt.Sprint(c.Unsound)
 				totalUnsound += c.Unsound
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d\t%s\t%.2f\t%s\t%d\n",
-				name, del, sp, mode, c.Queries, c.Skipped, unsound, c.AvgObjects,
-				fmtDuration(c.Time), c.Edges)
+			t.addf("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%d\t%d\t%s\t%.2f\t%d\t%s\t%d",
+				r.Bench, r.Methods, r.Bodyless, r.Deleted, r.SpecExact, r.SpecBlended, r.SpecEdges, r.Active,
+				mode, c.Queries, c.Skipped, unsound, c.AvgObjects, c.Blended, ms(c.Time), c.Edges)
 		}
 	}
-	tw.Flush()
 	if totalUnsound > 0 {
-		fmt.Fprintf(w, "\nUNSOUND: %d open-world answers dropped oracle objects\n", totalUnsound)
+		t.Footer = []string{"", fmt.Sprintf("UNSOUND: %d open-world answers dropped oracle objects", totalUnsound)}
 	} else {
-		fmt.Fprintf(w, "\nsoundness holds: every open-world answer covers the oracle (blob-for-deleted-allocation)\n")
+		t.Footer = []string{"", "soundness holds: every open-world answer covers the oracle (blob-for-deleted-allocation)"}
 	}
-	return nil
-}
-
-// OpenWorldBenchProfiles lists the workloads the bench-JSON emitter
-// measures — one whole-method and one leaf-biased deletion per base row at
-// the middle fraction, keeping the snapshot's runtime bounded while both
-// deletion strategies stay on the regression radar.
-var OpenWorldBenchProfiles = []string{"avrora-ow25", "avrora-owleaf25", "luindex-ow25", "luindex-owleaf25"}
-
-// appendOpenWorldRecords measures the openworld/<bench>/{oracle,blended,
-// specs} trajectory records: one op = a fresh engine answering the full
-// query sweep.
-func appendOpenWorldRecords(snap *BenchSnapshot, opts Options) {
-	for _, name := range OpenWorldBenchProfiles {
-		ow, ok := benchgen.OpenWorldProfileByName(name)
-		if !ok {
-			panic("harness: unknown open-world bench profile " + name)
-		}
-		bench, err := benchgen.GenerateOpenWorld(ow, opts.Scale, opts.Seed)
-		if err != nil {
-			panic(err)
-		}
-		resolved, err := openworld.Resolve(bench.Stripped.G, bench.Specs)
-		if err != nil {
-			panic(err)
-		}
-		queries := allQueryVars(bench.Oracle)
-		dst := core.NewPointsToSet()
-
-		sweep := func(mk func() *core.DynSum) BenchRecord {
-			var edges, blendedSummaries int64
-			r := measure(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					d := mk()
-					for _, v := range queries {
-						dst.Reset()
-						d.Query(nil, dst, v, intstack.Empty) // budget failures are part of the workload
-					}
-					m := d.Metrics().Snapshot()
-					edges = m.EdgesTraversed
-					blendedSummaries = m.BlendedSummaries
-				}
-			})
-			rec := record("", opts.Scale, r)
-			rec.EdgesTraversed = edges
-			rec.BlendedSummaries = blendedSummaries
-			return rec
-		}
-
-		rec := sweep(func() *core.DynSum { return core.NewDynSum(bench.Oracle.G, opts.config(), nil) })
-		rec.Name = fmt.Sprintf("openworld/%s/oracle", name)
-		snap.Records = append(snap.Records, rec)
-
-		rec = sweep(func() *core.DynSum {
-			d := core.NewDynSum(bench.Stripped.G, opts.config(), nil)
-			d.EnableOpenWorld()
-			return d
-		})
-		rec.Name = fmt.Sprintf("openworld/%s/blended", name)
-		snap.Records = append(snap.Records, rec)
-
-		rec = sweep(func() *core.DynSum {
-			d := core.NewDynSum(bench.Stripped.G, opts.config(), nil)
-			d.EnableOpenWorld()
-			if _, err := d.ApplySpecs(resolved.Edges, resolved.Exact); err != nil {
-				panic(err)
-			}
-			return d
-		})
-		rec.Name = fmt.Sprintf("openworld/%s/specs", name)
-		snap.Records = append(snap.Records, rec)
-	}
+	return t, nil
 }

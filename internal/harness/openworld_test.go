@@ -46,12 +46,7 @@ func TestRunOpenWorldTable(t *testing.T) {
 }
 
 func TestWriteOpenWorld(t *testing.T) {
-	var sb strings.Builder
-	err := WriteOpenWorld(&sb, Options{Scale: 0.005, Seed: 1, Benchmarks: []string{"avrora-ow10"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := renderText(t, OpenWorld, Options{Scale: 0.005, Seed: 1, Benchmarks: []string{"avrora-ow10"}})
 	for _, want := range []string{"avrora-ow10", "oracle", "blended", "specs", "soundness holds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"dynsum/internal/clients"
@@ -34,7 +33,7 @@ type ParallelSeries struct {
 	Points  []ParallelPoint
 }
 
-// ParallelWorkerCounts is the default sweep used by WriteParallel.
+// ParallelWorkerCounts is the sweep the Parallel table runs.
 var ParallelWorkerCounts = []int{1, 2, 4, 8}
 
 // RunParallelSpeedup times a cold serial query loop against cold
@@ -42,11 +41,7 @@ var ParallelWorkerCounts = []int{1, 2, 4, 8}
 // for one Table 3 benchmark.
 func RunParallelSpeedup(opts Options, bench, client string, workerCounts []int) ParallelSeries {
 	opts = opts.WithDefaults()
-	p, ok := profileScaled(opts, bench)
-	if !ok {
-		panic("harness: unknown benchmark " + bench)
-	}
-	prog := opts.generate(p)
+	prog := opts.program(bench)
 	queries, err := clients.Queries(client, prog)
 	if err != nil {
 		panic(err) // client names are internal constants
@@ -67,39 +62,31 @@ func RunParallelSpeedup(opts Options, bench, client string, workerCounts []int) 
 		start := time.Now()
 		d.BatchPointsToCtx(nil, queries, w)
 		elapsed := time.Since(start)
-		speedup := 0.0
-		if elapsed > 0 {
-			speedup = float64(serial) / float64(elapsed)
-		}
-		series.Points = append(series.Points, ParallelPoint{Workers: w, Elapsed: elapsed, Speedup: speedup})
+		series.Points = append(series.Points, ParallelPoint{Workers: w, Elapsed: elapsed, Speedup: ratio(serial, elapsed)})
 	}
 	return series
 }
 
-// WriteParallel renders the speedup sweep for the Figure 4 benchmarks and
+// Parallel tabulates the speedup sweep for the Figure 4 benchmarks and
 // all three clients.
-func WriteParallel(w io.Writer, opts Options) {
+func Parallel(opts Options) (Table, error) {
 	opts = opts.WithDefaults()
-	fmt.Fprintf(w, "Parallel batch speedup: BatchPointsTo vs serial loop (scale %.3f, cold caches)\n", opts.Scale)
-	for _, client := range clients.Names() {
-		fmt.Fprintf(w, "\n[%s]\n", client)
-		tw := newTabWriter(w)
-		fmt.Fprint(tw, "bench\tqueries\tserial")
-		for _, n := range ParallelWorkerCounts {
-			fmt.Fprintf(tw, "\tw%d\tspeedup", n)
-		}
-		fmt.Fprintln(tw)
-		for _, b := range Figure4Benchmarks {
-			if _, ok := profileScaled(opts, b); !ok {
-				continue
-			}
-			s := RunParallelSpeedup(opts, b, client, ParallelWorkerCounts)
-			fmt.Fprintf(tw, "%s\t%d\t%s", s.Bench, s.Queries, fmtDuration(s.Serial))
-			for _, pt := range s.Points {
-				fmt.Fprintf(tw, "\t%s\t%.2fx", fmtDuration(pt.Elapsed), pt.Speedup)
-			}
-			fmt.Fprintln(tw)
-		}
-		tw.Flush()
+	t := Table{
+		Title:  []string{fmt.Sprintf("Parallel batch speedup: BatchPointsTo vs serial loop (scale %.3f, cold caches)", opts.Scale)},
+		Header: []string{"client", "benchmark", "queries", "serial(ms)"},
 	}
+	for _, n := range ParallelWorkerCounts {
+		t.Header = append(t.Header, fmt.Sprintf("w%d(ms)", n), fmt.Sprintf("w%d-speedup", n))
+	}
+	for _, client := range clients.Names() {
+		for _, b := range opts.figureBenchmarks() {
+			s := RunParallelSpeedup(opts, b, client, ParallelWorkerCounts)
+			row := []string{client, s.Bench, fmt.Sprint(s.Queries), ms(s.Serial)}
+			for _, pt := range s.Points {
+				row = append(row, ms(pt.Elapsed), fmt.Sprintf("%.2f", pt.Speedup))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+	}
+	return t, nil
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"dynsum/internal/core"
@@ -20,6 +19,7 @@ type Table1Result struct {
 	S2Reused               int // cache hits during s2
 	S1Trace, S2Trace       []core.TraceEvent
 	S1PointsTo, S2PointsTo string
+	Graph                  *pag.Graph // the Figure 2 program the traces name
 }
 
 // RunTable1 executes the two queries of the motivating example with
@@ -31,7 +31,7 @@ type Table1Result struct {
 func RunTable1() *Table1Result {
 	f := fixture.BuildFigure2()
 	d := core.NewDynSum(f.Prog.G, core.Config{}, nil)
-	res := &Table1Result{}
+	res := &Table1Result{Graph: f.Prog.G}
 
 	var trace []core.TraceEvent
 	d.Tracer = func(ev core.TraceEvent) { trace = append(trace, ev) }
@@ -62,20 +62,26 @@ func RunTable1() *Table1Result {
 	return res
 }
 
-// WriteTable1 renders the traces in the layout of paper Table 1.
-func WriteTable1(w io.Writer) {
+// Table1 lays the traces out as paper Table 1, one row per driver step
+// of either query.
+func Table1(Options) (Table, error) {
 	res := RunTable1()
-	f := fixture.BuildFigure2()
-	g := f.Prog.G
-
-	fmt.Fprintln(w, "Table 1: DYNSUM traversals answering the points-to queries for s1 and s2")
-	fmt.Fprintln(w, "(full driver trace; the paper prints only the productive path)")
-	fmt.Fprintln(w)
+	g := res.Graph
+	t := Table{
+		Title: []string{
+			"Table 1: DYNSUM traversals answering the points-to queries for s1 and s2",
+			"(full driver trace; the paper prints only the productive path)",
+		},
+		Header: []string{"query", "step", "v", "f", "s", "c", "note"},
+		Footer: []string{
+			"points-to(s1) = " + res.S1PointsTo,
+			"points-to(s2) = " + res.S2PointsTo,
+			fmt.Sprintf("s1: %d driver steps, %d summaries computed", res.S1Steps, res.S1Summaries),
+			fmt.Sprintf("s2: %d driver steps, %d summaries computed, %d reused",
+				res.S2Steps, res.S2Summaries, res.S2Reused),
+		},
+	}
 	for qi, tr := range [][]core.TraceEvent{res.S1Trace, res.S2Trace} {
-		name := [2]string{"s1", "s2"}[qi]
-		fmt.Fprintf(w, "--- query %s ---\n", name)
-		tw := newTabWriter(w)
-		fmt.Fprintln(tw, "step\tv\tf\ts\tc\tnote")
 		step := 0
 		for _, ev := range tr {
 			if ev.Kind != "tuple" {
@@ -85,21 +91,13 @@ func WriteTable1(w io.Writer) {
 			if ev.Reused {
 				note = "reuse"
 			}
-			fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\n",
+			t.addf("s%d\t%d\t%s\t%s\t%s\t%s\t%s", qi+1,
 				step, g.NodeString(ev.Node), formatFields(g, ev.Fields),
 				ev.State, formatCtx(g, ev.Ctx), note)
 			step++
 		}
-		tw.Flush()
-		pts := res.S1PointsTo
-		if qi == 1 {
-			pts = res.S2PointsTo
-		}
-		fmt.Fprintf(w, "points-to(%s) = %s\n\n", name, pts)
 	}
-	fmt.Fprintf(w, "s1: %d driver steps, %d summaries computed\n", res.S1Steps, res.S1Summaries)
-	fmt.Fprintf(w, "s2: %d driver steps, %d summaries computed, %d reused\n",
-		res.S2Steps, res.S2Summaries, res.S2Reused)
+	return t, nil
 }
 
 // formatFields renders a field stack paper-style: [arr,elems] with the

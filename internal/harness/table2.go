@@ -1,39 +1,18 @@
 package harness
 
-import (
-	"fmt"
-	"io"
-)
-
-// Table2Row is one row of the paper's qualitative comparison (Table 2).
-type Table2Row struct {
-	Algorithm    string
-	FullPrec     string
-	Memorization string
-	Reuse        string
-	OnDemand     string
-}
-
-// Table2 returns the paper's Table 2 verbatim. Each cell is backed by a
-// behavioural test in table2_test.go: full precision by the cross-engine
-// equivalences, memorisation and reuse by the cache metrics, and
-// on-demandness by the offline-pass counters.
-func Table2() []Table2Row {
-	return []Table2Row{
-		{"NOREFINE", "Yes", "No", "No", "Yes"},
-		{"REFINEPTS", "Yes", "Dynamic (within queries)", "Context Dependent", "Yes"},
-		{"STASUM", "No", "Static (across queries)", "Context Independent", "Partly"},
-		{"DYNSUM", "Yes", "Dynamic (across queries)", "Context Independent", "Yes"},
-	}
-}
-
-// WriteTable2 renders Table 2.
-func WriteTable2(w io.Writer) {
-	fmt.Fprintln(w, "Table 2: strengths and weaknesses of four demand-driven points-to analyses")
-	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "Algorithm\tFull Precision\tMemorization\tReuse\tOn-Demandness")
-	for _, r := range Table2() {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", r.Algorithm, r.FullPrec, r.Memorization, r.Reuse, r.OnDemand)
-	}
-	tw.Flush()
+// Table2 returns the paper's qualitative comparison (Table 2) verbatim.
+// Each cell is backed by behavioural tests: full precision by the
+// cross-engine equivalences, memorisation and reuse by the cache metrics,
+// and on-demandness by the offline-pass counters.
+func Table2(Options) (Table, error) {
+	return Table{
+		Title:  []string{"Table 2: strengths and weaknesses of four demand-driven points-to analyses"},
+		Header: []string{"Algorithm", "Full Precision", "Memorization", "Reuse", "On-Demandness"},
+		Rows: [][]string{
+			{"NOREFINE", "Yes", "No", "No", "Yes"},
+			{"REFINEPTS", "Yes", "Dynamic (within queries)", "Context Dependent", "Yes"},
+			{"STASUM", "No", "Static (across queries)", "Context Independent", "Partly"},
+			{"DYNSUM", "Yes", "Dynamic (across queries)", "Context Independent", "Yes"},
+		},
+	}, nil
 }

@@ -2,8 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
+	"dynsum/internal/benchgen"
 	"dynsum/internal/pag"
 )
 
@@ -24,7 +24,7 @@ func RunTable3(opts Options) []Table3Row {
 	opts = opts.WithDefaults()
 	var rows []Table3Row
 	for _, p := range opts.profiles() {
-		prog := opts.generate(p)
+		prog := benchgen.Generate(p, opts.Seed)
 		rows = append(rows, Table3Row{
 			Bench:         p.Name,
 			Stats:         prog.G.Stats(),
@@ -37,19 +37,21 @@ func RunTable3(opts Options) []Table3Row {
 	return rows
 }
 
-// WriteTable3 renders Table 3 in the paper's column layout.
-func WriteTable3(w io.Writer, opts Options) {
+// Table3 lays the statistics out in the paper's column layout.
+func Table3(opts Options) (Table, error) {
 	opts = opts.WithDefaults()
-	fmt.Fprintf(w, "Table 3: benchmark statistics (scale %.3f, seed %d)\n", opts.Scale, opts.Seed)
-	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "Benchmark\t#Methods\tO\tV\tG\tnew\tassign\tload\tstore\tentry\texit\tassignglobal\tLocality\tpaper\tSafeCast\tNullDeref\tFactoryM")
+	t := Table{
+		Title: []string{fmt.Sprintf("Table 3: benchmark statistics (scale %.3f, seed %d)", opts.Scale, opts.Seed)},
+		Header: []string{"Benchmark", "#Methods", "O", "V", "G", "new", "assign", "load", "store",
+			"entry", "exit", "assignglobal", "Locality%", "paper%", "SafeCast", "NullDeref", "FactoryM"},
+	}
 	for _, r := range RunTable3(opts) {
 		s := r.Stats
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t%d\t%d\t%d\n",
+		t.addf("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\t%.1f\t%d\t%d\t%d",
 			r.Bench, s.Methods, s.Objects, s.LocalVars, s.GlobalVars,
 			s.Edges[pag.New], s.Edges[pag.Assign], s.Edges[pag.Load], s.Edges[pag.Store],
 			s.Edges[pag.Entry], s.Edges[pag.Exit], s.Edges[pag.AssignGlobal],
 			s.Locality(), r.PaperLocality, r.QSafe, r.QNull, r.QFactory)
 	}
-	tw.Flush()
+	return t, nil
 }

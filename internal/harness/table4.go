@@ -2,45 +2,27 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"time"
 
+	"dynsum/internal/benchgen"
 	"dynsum/internal/clients"
-	"dynsum/internal/core"
 )
-
-// Table4Cell is one (benchmark, client, engine) measurement.
-type Table4Cell struct {
-	Time    time.Duration
-	Edges   int64 // PAG edges traversed (deterministic work proxy)
-	Report  *clients.Report
-	Metrics core.Metrics
-}
 
 // Table4Row is one (benchmark, client) row with all engines.
 type Table4Row struct {
 	Bench  string
 	Client string
-	Cells  map[string]Table4Cell // engine name -> cell
+	Cells  map[string]ClientRun // engine name -> its cold run
 }
 
 // Speedup returns engine a's time divided by engine b's.
 func (r Table4Row) Speedup(a, b string) float64 {
-	tb := r.Cells[b].Time
-	if tb == 0 {
-		return 0
-	}
-	return float64(r.Cells[a].Time) / float64(tb)
+	return ratio(r.Cells[a].Time, r.Cells[b].Time)
 }
 
 // WorkRatio returns engine a's traversed edges divided by engine b's —
 // the machine-independent speedup proxy.
 func (r Table4Row) WorkRatio(a, b string) float64 {
-	wb := r.Cells[b].Edges
-	if wb == 0 {
-		return 0
-	}
-	return float64(r.Cells[a].Edges) / float64(wb)
+	return ratio(r.Cells[a].Metrics.EdgesTraversed, r.Cells[b].Metrics.EdgesTraversed)
 }
 
 // RunTable4 measures the three engines on the three clients across the
@@ -52,13 +34,11 @@ func RunTable4(opts Options) []Table4Row {
 	opts = opts.WithDefaults()
 	var rows []Table4Row
 	for _, p := range opts.profiles() {
-		prog := opts.generate(p)
+		prog := benchgen.Generate(p, opts.Seed)
 		for _, client := range clients.Names() {
-			row := Table4Row{Bench: p.Name, Client: client, Cells: make(map[string]Table4Cell)}
+			row := Table4Row{Bench: p.Name, Client: client, Cells: make(map[string]ClientRun)}
 			for _, eng := range EngineNames {
-				a := newEngine(eng, prog.G, opts.config())
-				elapsed, rep, m := timedClient(client, prog, a)
-				row.Cells[eng] = Table4Cell{Time: elapsed, Edges: m.EdgesTraversed, Report: rep, Metrics: m}
+				row.Cells[eng] = runClient(client, prog, newEngine(eng, prog.G, opts.config()))
 			}
 			rows = append(rows, row)
 		}
@@ -66,65 +46,47 @@ func RunTable4(opts Options) []Table4Row {
 	return rows
 }
 
-// WriteTable4 renders Table 4 in the paper's layout (engines as rows,
-// benchmarks as columns, one block per client), followed by the average
-// DYNSUM speedups the paper headlines (1.95x / 2.28x / 1.37x).
-func WriteTable4(w io.Writer, opts Options) {
+// paperSpeedups are the average DYNSUM speedups over REFINEPTS the paper
+// headlines per client.
+var paperSpeedups = map[string]string{"SafeCast": "1.95x", "NullDeref": "2.28x", "FactoryM": "1.37x"}
+
+// Table4 lays Table 4 out one row per (benchmark, client, engine) cell,
+// each engine's speedup and work ratio taken against REFINEPTS, with the
+// average DYNSUM speedups the paper headlines as footer lines.
+func Table4(opts Options) (Table, error) {
 	opts = opts.WithDefaults()
 	rows := RunTable4(opts)
-
-	benches := []string{}
-	byKey := map[string]Table4Row{}
+	t := Table{
+		Title: []string{fmt.Sprintf("Table 4: analysis times (scale %.3f, budget %d)", opts.Scale, opts.Budget)},
+		Header: []string{"benchmark", "client", "engine", "time(ms)", "edges", "queries",
+			"proven", "violations", "unknown", "speedup-vs-REFINEPTS", "work-ratio-vs-REFINEPTS"},
+	}
 	for _, r := range rows {
-		if !contains(benches, r.Bench) {
-			benches = append(benches, r.Bench)
-		}
-		byKey[r.Bench+"/"+r.Client] = r
-	}
-
-	fmt.Fprintf(w, "Table 4: analysis times (scale %.3f, budget %d)\n", opts.Scale, opts.Budget)
-	for _, client := range clients.Names() {
-		fmt.Fprintf(w, "\n[%s]\n", client)
-		tw := newTabWriter(w)
-		fmt.Fprint(tw, "engine")
-		for _, b := range benches {
-			fmt.Fprintf(tw, "\t%s", b)
-		}
-		fmt.Fprintln(tw)
 		for _, eng := range EngineNames {
-			fmt.Fprint(tw, eng)
-			for _, b := range benches {
-				fmt.Fprintf(tw, "\t%s", fmtDuration(byKey[b+"/"+client].Cells[eng].Time))
-			}
-			fmt.Fprintln(tw)
+			c := r.Cells[eng]
+			t.addf("%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%.2f\t%.2f",
+				r.Bench, r.Client, eng, ms(c.Time), c.Metrics.EdgesTraversed,
+				c.Report.Queries, c.Report.Proven, c.Report.Violations, c.Report.Unknown,
+				r.Speedup("REFINEPTS", eng), r.WorkRatio("REFINEPTS", eng))
 		}
-		fmt.Fprint(tw, "speedup vs REFINEPTS")
-		for _, b := range benches {
-			fmt.Fprintf(tw, "\t%.2fx", byKey[b+"/"+client].Speedup("REFINEPTS", "DYNSUM"))
-		}
-		fmt.Fprintln(tw)
-		fmt.Fprint(tw, "work ratio (edges)")
-		for _, b := range benches {
-			fmt.Fprintf(tw, "\t%.2fx", byKey[b+"/"+client].WorkRatio("REFINEPTS", "DYNSUM"))
-		}
-		fmt.Fprintln(tw)
-		tw.Flush()
-
-		geoT, geoW := averages(byKey, benches, client)
-		fmt.Fprintf(w, "average DYNSUM speedup over REFINEPTS: %.2fx (time), %.2fx (edges traversed); paper: %s\n",
-			geoT, geoW, map[string]string{"SafeCast": "1.95x", "NullDeref": "2.28x", "FactoryM": "1.37x"}[client])
 	}
+	for _, client := range clients.Names() {
+		timeAvg, workAvg := averages(rows, client)
+		t.Footer = append(t.Footer, fmt.Sprintf(
+			"average DYNSUM speedup over REFINEPTS on %s: %.2fx (time), %.2fx (edges traversed); paper: %s",
+			client, timeAvg, workAvg, paperSpeedups[client]))
+	}
+	return t, nil
 }
 
-// averages returns the arithmetic means of the per-benchmark speedups, as
-// the paper reports ("average speedups").
-func averages(byKey map[string]Table4Row, benches []string, client string) (timeAvg, workAvg float64) {
+// averages returns the arithmetic means of client's per-benchmark DYNSUM
+// speedups, as the paper reports ("average speedups").
+func averages(rows []Table4Row, client string) (timeAvg, workAvg float64) {
 	n := 0
-	for _, b := range benches {
-		r := byKey[b+"/"+client]
+	for _, r := range rows {
 		st := r.Speedup("REFINEPTS", "DYNSUM")
 		sw := r.WorkRatio("REFINEPTS", "DYNSUM")
-		if st > 0 && sw > 0 {
+		if r.Client == client && st > 0 && sw > 0 {
 			timeAvg += st
 			workAvg += sw
 			n++

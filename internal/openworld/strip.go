@@ -53,30 +53,7 @@ func StripBodies(src *pag.Graph, deleted []pag.MethodID) (*pag.Graph, error) {
 		del[m] = true
 	}
 
-	ng := pag.NewGraph()
-	for c := 0; c < src.NumClasses(); c++ {
-		ci := src.ClassInfo(pag.ClassID(c))
-		ng.AddClass(ci.Name, ci.Parent)
-	}
-	for f := 0; f < src.NumFields(); f++ {
-		ng.AddField(src.FieldName(pag.FieldID(f)))
-	}
-	for m := 0; m < src.NumMethods(); m++ {
-		mi := src.MethodInfo(pag.MethodID(m))
-		ng.AddMethod(mi.Name, mi.Class)
-	}
-	for cs := 0; cs < src.NumCallSites(); cs++ {
-		info := src.CallSiteInfo(pag.CallSiteID(cs))
-		id := ng.AddCallSite(info.Caller, info.Name)
-		for _, t := range info.Targets {
-			ng.AddCallTarget(id, t)
-		}
-	}
-	total := src.NumNodes()
-	for n := 0; n < total; n++ {
-		nd := src.Node(pag.NodeID(n))
-		ng.AddNode(nd.Kind, nd.Method, nd.Class, nd.Name)
-	}
+	ng := pag.CopyTables(src)
 	for _, e := range src.Edges() {
 		// A local edge belongs to the method of its source (for New edges
 		// the object's allocating method, which validation pins to the

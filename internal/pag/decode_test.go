@@ -339,7 +339,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		img := image(t, p.G)
-		if _, err := pag.FromImage(img); err != nil {
+		if _, err := pag.FromImage(img, p.G.FieldOrder()); err != nil {
 			t.Fatalf("FromImage rejects a decoded graph: %v", err)
 		}
 		if err := p.CheckSites(); err != nil {
@@ -413,5 +413,43 @@ func BenchmarkDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestFromImageFieldOrder: FromImage restores the by-field Load/Store
+// lists in the order FieldOrder records, and rejects an order that is
+// short, indexes outside the out-edge array, repeats an edge or names an
+// edge that is no load or store.
+func TestFromImageFieldOrder(t *testing.T) {
+	for seed := range int64(25) {
+		g := fixture.RandProgram(seed, fixture.RandConfig{Methods: 5, Calls: 6, Globals: 2, GlobalAssigns: 3}).G
+		r, err := pag.FromImage(image(t, g), g.FieldOrder())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for f := range pag.FieldID(g.NumFields()) {
+			if !slices.Equal(r.LoadsOf(f), g.LoadsOf(f)) || !slices.Equal(r.StoresOf(f), g.StoresOf(f)) {
+				t.Errorf("seed %d field %d: restored loads %v stores %v, frozen %v %v",
+					seed, f, r.LoadsOf(f), r.StoresOf(f), g.LoadsOf(f), g.StoresOf(f))
+			}
+		}
+	}
+
+	g := fixture.BuildFigure2().Prog.G
+	img, order := image(t, g), g.FieldOrder()
+	notField := slices.IndexFunc(img.OutEdges, func(e pag.Edge) bool { return e.Kind != pag.Load && e.Kind != pag.Store })
+	if len(order) < 2 || notField < 0 {
+		t.Fatalf("figure 2 has %d loads and stores, first other edge at %d", len(order), notField)
+	}
+	for name, bad := range map[string][]int32{
+		"short":        order[1:],
+		"out-of-range": append([]int32{int32(len(img.OutEdges))}, order[1:]...),
+		"negative":     append([]int32{-1}, order[1:]...),
+		"repeated":     append([]int32{order[1]}, order[1:]...),
+		"not-a-field":  append([]int32{int32(notField)}, order[1:]...),
+	} {
+		if _, err := pag.FromImage(img, bad); err == nil {
+			t.Errorf("%s field order accepted", name)
+		}
 	}
 }

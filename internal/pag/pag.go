@@ -477,6 +477,53 @@ func (g *Graph) AddCallTarget(cs CallSiteID, m MethodID) {
 	g.callSites[cs].Targets = append(g.callSites[cs].Targets, m)
 }
 
+// Tables is the table side of a graph, read by ID: its classes, fields,
+// methods, call sites and nodes. *Graph has it, and so has the delta
+// overlay, whose tables extend its base graph's.
+type Tables interface {
+	NumClasses() int
+	ClassInfo(ClassID) Class
+	NumFields() int
+	FieldName(FieldID) string
+	NumMethods() int
+	MethodInfo(MethodID) Method
+	NumCallSites() int
+	CallSiteInfo(CallSiteID) CallSite
+	NumNodes() int
+	Node(NodeID) Node
+}
+
+// CopyTables returns a graph under construction holding src's classes,
+// fields, methods, call sites with their targets, and nodes, each under
+// its ID in src, and no edges: the start of every rebuild that must keep
+// IDs stable.
+func CopyTables(src Tables) *Graph {
+	g := NewGraph()
+	for c := range ClassID(src.NumClasses()) {
+		ci := src.ClassInfo(c)
+		g.AddClass(ci.Name, ci.Parent)
+	}
+	for f := range FieldID(src.NumFields()) {
+		g.AddField(src.FieldName(f))
+	}
+	for m := range MethodID(src.NumMethods()) {
+		mi := src.MethodInfo(m)
+		g.AddMethod(mi.Name, mi.Class)
+	}
+	for cs := range CallSiteID(src.NumCallSites()) {
+		info := src.CallSiteInfo(cs)
+		id := g.AddCallSite(info.Caller, info.Name)
+		for _, t := range info.Targets {
+			g.AddCallTarget(id, t)
+		}
+	}
+	for n := range NodeID(src.NumNodes()) {
+		nd := src.Node(n)
+		g.AddNode(nd.Kind, nd.Method, nd.Class, nd.Name)
+	}
+	return g
+}
+
 // AddNode appends a node and returns its ID. On a frozen graph it panics
 // with a *FrozenError (wrapping ErrFrozen) naming the target method; use
 // the delta overlay (internal/delta) to grow a frozen graph.

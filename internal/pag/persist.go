@@ -11,8 +11,8 @@ import (
 // without re-running Freeze. The rebuild installs the CSR arrays and the
 // condensation directly, so a warm start skips edge insertion, CSR
 // compaction and the Tarjan condensation pass entirely; only the cheap
-// derived indexes (edge counts, the by-field Load/Store lists, the
-// field-name intern map) are rescanned from the flat edge array.
+// derived indexes (edge counts, the by-field Load/Store lists in the
+// order FieldOrder records, the field-name intern map) are rebuilt.
 
 // FrozenImage is the flat, encoding-friendly view of a frozen Graph: the
 // symbol tables, the node table, both CSR directions with their partition
@@ -114,14 +114,39 @@ func (g *Graph) Image() (*FrozenImage, error) {
 	return img, nil
 }
 
-// FromImage rebuilds a frozen graph from an image. Every structural
-// invariant the CSR accessors rely on is re-verified first — offset
-// monotonicity, partition boundaries inside their spans, endpoint ranges —
-// so a corrupted or adversarial image yields an error, never an engine
-// that indexes out of bounds later. The derived indexes (edge counts,
-// by-field lists, intern maps) are rebuilt by one scan of the out-edge
-// array, and the image's arrays are adopted, not copied.
-func FromImage(img *FrozenImage) (*Graph, error) {
+// FieldOrder returns the OutEdges index (in the graph's Image) of every
+// Load and Store edge, field by field, each field's loads in LoadsOf order
+// and then its stores in StoresOf order. Freeze orders those lists by the
+// edge list, which the CSR arrays do not record, so a snapshot carries
+// this next to the image for FromImage to restore them.
+func (g *Graph) FieldOrder() []int32 {
+	f := g.frozen
+	out := make([]int32, 0, g.edgeCount[Load]+g.edgeCount[Store])
+	for fld := FieldID(0); int(fld) < len(g.fields); fld++ {
+		for _, es := range [2][]Edge{g.loadsByField[fld], g.storesByField[fld]} {
+			for _, e := range es {
+				for j := f.outStart[e.Src]; j < f.outSplit[e.Src]; j++ {
+					if f.outEdges[j] == e {
+						out = append(out, j)
+						break
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// FromImage rebuilds a frozen graph from an image and the graph's
+// FieldOrder. Every structural invariant the CSR accessors rely on is
+// re-verified first — offset monotonicity, partition boundaries inside
+// their spans, endpoint ranges, and that fieldOrder names every Load and
+// Store edge exactly once — so a corrupted or adversarial image yields an
+// error, never an engine that indexes out of bounds later. The edge
+// counts and intern maps are rebuilt by one scan of the out-edge array,
+// the by-field lists in fieldOrder's order, so a restored graph lists
+// them as Freeze did; the image's arrays are adopted, not copied.
+func FromImage(img *FrozenImage, fieldOrder []int32) (*Graph, error) {
 	n := len(img.Nodes)
 	if err := checkCSRShape("csr", n, img.OutEdges, img.OutStart, img.OutSplit, img.InEdges, img.InStart, img.InSplit); err != nil {
 		return nil, err
@@ -210,18 +235,31 @@ func FromImage(img *FrozenImage) (*Graph, error) {
 		return nil, err
 	}
 
-	// Rebuild the derived indexes from the flat out-edge array (every edge
-	// appears exactly once there).
+	// Rebuild the edge counts from the flat out-edge array (every edge
+	// appears exactly once there), then the by-field lists in fieldOrder's
+	// order.
 	for _, e := range img.OutEdges {
 		if e.Kind >= EdgeKind(NumEdgeKinds) {
 			return nil, fmt.Errorf("pag: image edge %v has invalid kind", e)
 		}
 		g.edgeCount[e.Kind]++
-		switch e.Kind {
+	}
+	if want := g.edgeCount[Load] + g.edgeCount[Store]; len(fieldOrder) != want {
+		return nil, fmt.Errorf("pag: image field order lists %d edges for %d loads and stores", len(fieldOrder), want)
+	}
+	listed := make([]bool, len(img.OutEdges))
+	for _, i := range fieldOrder {
+		if i < 0 || int(i) >= len(img.OutEdges) || listed[i] {
+			return nil, fmt.Errorf("pag: image field order index %d is out of range or repeated", i)
+		}
+		listed[i] = true
+		switch e := img.OutEdges[i]; e.Kind {
 		case Load:
 			g.loadsByField[e.Field()] = append(g.loadsByField[e.Field()], e)
 		case Store:
 			g.storesByField[e.Field()] = append(g.storesByField[e.Field()], e)
+		default:
+			return nil, fmt.Errorf("pag: image field order index %d names %v, not a load or store", i, e)
 		}
 	}
 	g.ResolveDerived()

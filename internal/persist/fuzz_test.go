@@ -37,7 +37,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if _, err := decodeSnapshot(re); err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
-		if _, err := pag.FromImage(s.img); err != nil {
+		if _, err := pag.FromImage(s.img, s.fieldOrder); err != nil {
 			// Rejection is fine; only a panic would fail the target.
 			return
 		}
@@ -76,13 +76,11 @@ func corruptedSnapshotSeeds() [][]byte {
 
 // testSnapshot builds a tiny deterministic snapshot for the fuzz seeds.
 func testSnapshot() *snapshot {
-	prog := frozenProgram(3)
-	img, err := prog.G.Image()
+	s, err := programSnapshot(2, frozenProgram(3))
 	if err != nil {
 		panic(err)
 	}
-	return &snapshot{epoch: 2, name: prog.Name, img: img,
-		casts: prog.Casts, derefs: prog.Derefs, factories: prog.Factories}
+	return s
 }
 
 // TestWriteFuzzCorpus regenerates the committed corpus when

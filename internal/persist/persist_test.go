@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -605,6 +606,18 @@ func TestSnapshotCorruptionTaxonomy(t *testing.T) {
 			t.Errorf("version skew misclassified as corruption")
 		}
 	})
+	t.Run("previous-version", func(t *testing.T) {
+		// A version-1 snapshot has no field order in its csr section:
+		// Open refuses it by version rather than misreading it.
+		old := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(old[len(Magic):], Version-1)
+		if err := os.WriteFile(filepath.Join(dir, snapshotFile), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{Config: bigBudget}); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("err = %v, want ErrSnapshotVersion", err)
+		}
+	})
 	t.Run("payload-bitrot", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[snapHeaderSize+sectionHdrSize+2] ^= 0x40 // inside the meta payload
@@ -658,12 +671,10 @@ func TestCreateOverwritesStaleStore(t *testing.T) {
 // re-encoding it reproduces the bytes — the codec has one canonical form.
 func TestEncodeDecodeIsIdentity(t *testing.T) {
 	prog := frozenProgram(25)
-	img, err := prog.G.Image()
+	s, err := programSnapshot(7, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &snapshot{epoch: 7, name: prog.Name, img: img,
-		casts: prog.Casts, derefs: prog.Derefs, factories: prog.Factories}
 	enc := encodeSnapshot(s)
 	dec, err := decodeSnapshot(enc)
 	if err != nil {

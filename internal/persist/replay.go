@@ -56,21 +56,14 @@ func OpenReplay(dir string) (*journal.Journal, error) {
 // WriteBaseSnapshot installs the epoch-0 snapshot of base in dir,
 // creating dir if needed, durable before return.
 func WriteBaseSnapshot(dir string, base *pag.Program) error {
-	img, err := base.G.Image()
+	snap, err := programSnapshot(0, base)
 	if err != nil {
 		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeSnapshot(dir, &snapshot{
-		epoch:     0,
-		name:      base.Name,
-		img:       img,
-		casts:     base.Casts,
-		derefs:    base.Derefs,
-		factories: base.Factories,
-	})
+	return writeSnapshot(dir, snap)
 }
 
 // SaveReplay writes dir as the replay image of a session that evolved

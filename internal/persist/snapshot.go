@@ -32,7 +32,7 @@ import (
 // Magic opens every snapshot file; Version guards the section layout.
 const (
 	Magic   = "DSUMSNAP"
-	Version = 1
+	Version = 2
 
 	snapHeaderSize = len(Magic) + 4 + 4 // magic + u32 version + u32 section count
 	sectionHdrSize = 4 + 4 + 4          // u32 kind + u32 len + u32 crc
@@ -66,13 +66,25 @@ var sectionNames = [maxSectionKind + 1]string{
 
 // snapshot is the decoded (or to-be-encoded) content of a snapshot file.
 type snapshot struct {
-	epoch     uint64
-	name      string
-	img       *pag.FrozenImage
-	casts     []pag.CastSite
-	derefs    []pag.DerefSite
-	factories []pag.FactorySite
-	cache     *core.SummarySnapshot // nil when not persisted
+	epoch      uint64
+	name       string
+	img        *pag.FrozenImage
+	fieldOrder []int32 // the graph's FieldOrder, stored in the csr section
+	casts      []pag.CastSite
+	derefs     []pag.DerefSite
+	factories  []pag.FactorySite
+	cache      *core.SummarySnapshot // nil when not persisted
+}
+
+// programSnapshot captures prog at epoch: its frozen graph's image and
+// field order, and its client sites.
+func programSnapshot(epoch uint64, prog *pag.Program) (*snapshot, error) {
+	img, err := prog.G.Image()
+	if err != nil {
+		return nil, err
+	}
+	return &snapshot{epoch: epoch, name: prog.Name, img: img, fieldOrder: prog.G.FieldOrder(),
+		casts: prog.Casts, derefs: prog.Derefs, factories: prog.Factories}, nil
 }
 
 // --- encoding ---
@@ -144,6 +156,7 @@ func encodeSections(s *snapshot) []section {
 	b = appendI32s(b, img.InStart)
 	b = appendI32s(b, img.InSplit)
 	b = appendBytes(b, img.Flags)
+	b = appendI32s(b, s.fieldOrder)
 	add(secCSR, b)
 
 	b = nil
@@ -497,6 +510,9 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 			return err
 		}
 		if img.Flags, err = r.bytes(); err != nil {
+			return err
+		}
+		if s.fieldOrder, err = r.i32s(); err != nil {
 			return err
 		}
 		return r.done()

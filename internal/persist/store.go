@@ -87,7 +87,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := pag.FromImage(snap.img)
+	g, err := pag.FromImage(snap.img, snap.fieldOrder)
 	if err != nil {
 		return nil, corruptSection("csr", err)
 	}
@@ -204,21 +204,13 @@ func (s *Store) Compact() error {
 		if err := s.eng.Compact(); err != nil {
 			return err
 		}
-		s.rebindProgram()
 	}
-	img, err := s.eng.Graph().Image()
+	s.rebindProgram()
+	snap, err := programSnapshot(s.epoch, s.prog)
 	if err != nil {
 		return err
 	}
-	snap := &snapshot{
-		epoch:     s.epoch,
-		name:      s.prog.Name,
-		img:       img,
-		casts:     s.prog.Casts,
-		derefs:    s.prog.Derefs,
-		factories: s.prog.Factories,
-		cache:     s.eng.ExportSummaries(),
-	}
+	snap.cache = s.eng.ExportSummaries()
 	if err := writeSnapshot(s.dir, snap); err != nil {
 		return err
 	}
