@@ -45,8 +45,8 @@ lint:
 	./scripts/lint.sh
 
 # fuzz smokes the native fuzz targets over the validator stack, the
-# open-world spec parser, the summary cache and the PAG text decoder for
-# FUZZ_TIME each; the
+# open-world spec parser, the summary cache, the PAG text decoder and the
+# serving session model for FUZZ_TIME each; the
 # committed seed corpora replay in plain `make test`.
 .PHONY: fuzz
 fuzz:
@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/openworld -run '^$$' -fuzz FuzzSpecParse -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSummaryCache -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/pag -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSessionModel -fuzztime $(FUZZ_TIME)
 
 # faultcheck runs the query-lifecycle hardening suite: deterministic
 # fault-injection crash-consistency sweeps (internal/enginetest), the

@@ -7,6 +7,12 @@
 // under a deadline, dirty sessions persist to -state-dir, and the
 // process exits 0.
 //
+// With -state-dir, each session is a persist.Store in a subdirectory
+// named by its ID: the store journals every applied delta (no fsync
+// per apply) and a persist adds the epoch-0 base snapshot and syncs the
+// journal. A session directory is reopenable with persist.Open only from
+// the session's first persist onwards.
+//
 // Usage:
 //
 //	dynsumd -addr :7457 prog.pag                # serve a compiled PAG
@@ -81,7 +87,7 @@ func main() {
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 		quotaRate    = flag.Float64("quota-rate", 0, "per-tenant requests/sec refill (0 = no quotas)")
 		quotaBurst   = flag.Float64("quota-burst", 0, "per-tenant burst size")
-		stateDir     = flag.String("state-dir", "", "journal session deltas here as they apply; persist dirty sessions on drain")
+		stateDir     = flag.String("state-dir", "", "keep each session's store here: deltas journaled as they apply, the base snapshot added when the session persists (on drain)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM/SIGINT")
 		openWorld    = flag.Bool("openworld", false, "serve bodyless methods under blended blob summaries instead of silently under-approximating")
 		specFile     = flag.String("specs", "", "library points-to spec file, resolved once at startup and applied to every session (implies -openworld)")

@@ -91,6 +91,12 @@ const (
 	// persistence must be unaffected and a retry must succeed.
 	ServeDrain
 
+	// JournalTruncate fires in a journal cut (journal.Truncate) before
+	// the file is cut — the records past the cut point are still there,
+	// so the journal must refuse every later append and sync. It is
+	// declared last so the points before it keep their values.
+	JournalTruncate
+
 	numPoints
 )
 
@@ -110,6 +116,8 @@ var pointNames = [numPoints]string{
 	ServeDispatch:     "serve-dispatch",
 	ServeSessionApply: "serve-session-apply",
 	ServeDrain:        "serve-drain",
+
+	JournalTruncate: "journal-truncate",
 }
 
 func (p Point) String() string {

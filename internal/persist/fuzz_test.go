@@ -84,23 +84,43 @@ func testSnapshot() *snapshot {
 }
 
 // TestWriteFuzzCorpus regenerates the committed corpus when
-// PERSIST_WRITE_CORPUS=1; by default it only verifies the corpus exists.
+// PERSIST_WRITE_CORPUS=1. By default it fails when the committed seeds
+// are not exactly corruptedSnapshotSeeds(): after a snapshot format
+// change, stale seeds would stop at the version check and reach no
+// section decoder.
 func TestWriteFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode")
+	seeds := corruptedSnapshotSeeds()
+	body := func(seed []byte) string {
+		return "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
+	}
 	if os.Getenv("PERSIST_WRITE_CORPUS") == "" {
+		const regen = "set PERSIST_WRITE_CORPUS=1 to rewrite it"
 		ents, err := os.ReadDir(dir)
-		if err != nil || len(ents) == 0 {
-			t.Fatalf("committed fuzz corpus missing at %s (set PERSIST_WRITE_CORPUS=1 to write it): %v", dir, err)
+		if err != nil {
+			t.Fatalf("committed fuzz corpus missing at %s (%s): %v", dir, regen, err)
+		}
+		if len(ents) != len(seeds) {
+			t.Fatalf("committed fuzz corpus at %s holds %d seeds, corruptedSnapshotSeeds() %d (%s)", dir, len(ents), len(seeds), regen)
+		}
+		for i, seed := range seeds {
+			name := filepath.Join(dir, "seed-"+strconv.Itoa(i))
+			got, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatalf("%v (%s)", err, regen)
+			}
+			if string(got) != body(seed) {
+				t.Errorf("committed fuzz seed %s is not corruptedSnapshotSeeds()[%d] (%s)", name, i, regen)
+			}
 		}
 		return
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, seed := range corruptedSnapshotSeeds() {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
+	for i, seed := range seeds {
 		name := filepath.Join(dir, "seed-"+strconv.Itoa(i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(name, []byte(body(seed)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

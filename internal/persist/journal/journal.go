@@ -247,6 +247,11 @@ func (j *Journal) Truncate(size int64) error {
 	if size < int64(headerSize) || size > j.size {
 		return fmt.Errorf("journal: truncate to %d outside [%d, %d]", size, headerSize, j.size)
 	}
+	// Refuse appends while the cut is under way, so a cut that stops
+	// midway — a panic included — leaves the journal refusing.
+	broken := j.broken
+	j.broken = fmt.Errorf("journal: cut to %d bytes interrupted, %s may hold records past it", size, j.path)
+	faultinject.Fire(faultinject.JournalTruncate)
 	err := j.f.Truncate(size)
 	if err == nil {
 		_, err = j.f.Seek(size, io.SeekStart)
@@ -259,6 +264,7 @@ func (j *Journal) Truncate(size int64) error {
 		j.broken = fmt.Errorf("journal: cut to %d bytes failed, %s may hold records past it: %w", size, j.path, err)
 		return j.broken
 	}
+	j.broken = broken
 	return nil
 }
 
@@ -297,8 +303,8 @@ func (j *Journal) reset() error {
 
 // Sync flushes appended records to stable storage regardless of the
 // sync policy — the batch counterpart to SyncAlways for writers that
-// append a burst under SyncNever and make it durable once (the serve
-// layer's drain persistence).
+// append under SyncNever and make the journal durable once (an attached
+// persist.Store's Sync).
 func (j *Journal) Sync() error {
 	if j.f == nil {
 		return os.ErrClosed
@@ -312,18 +318,14 @@ func (j *Journal) Sync() error {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Close syncs (under SyncAlways) and closes the file. Safe to call twice.
+// Close closes the file. Every write of a SyncAlways journal was synced
+// as it was made; records appended under SyncNever are durable only if
+// Sync ran since. Safe to call twice.
 func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
 	f := j.f
 	j.f = nil
-	if j.sync == SyncAlways {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
 	return f.Close()
 }

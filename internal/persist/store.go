@@ -38,7 +38,6 @@ type Options struct {
 // own mutators, Store methods must not race in-flight queries.
 type Store struct {
 	dir  string
-	opts Options
 	prog *pag.Program
 	eng  *core.DynSum
 	jr   *journal.Journal
@@ -48,28 +47,27 @@ type Store struct {
 	// clock, independent of the overlay's internal epoch (which resets at
 	// every compaction).
 	epoch uint64
+
+	// base is the epoch-0 snapshot an attached store has yet to install
+	// (Sync writes it); nil once dir holds a snapshot.
+	base *pag.Program
+	// err is the error Close kept — a failed journal cut's, or its final
+	// sync's — so that a Sync after Close refuses too.
+	err error
 }
 
 // Create initialises dir as a store for prog: an epoch-0 snapshot and an
 // empty journal, both durable before return. prog.G must be frozen. The
 // directory is created if needed; existing store files are overwritten.
 func Create(dir string, prog *pag.Program, opts Options) (*Store, error) {
-	if err := WriteBaseSnapshot(dir, prog); err != nil {
-		return nil, err
-	}
-	jr, recs, err := journal.Open(filepath.Join(dir, journalFile), journal.SyncAlways)
+	s, err := attach(dir, prog, nil, journal.SyncAlways)
 	if err != nil {
 		return nil, err
 	}
-	if len(recs) > 0 {
-		// Stale journal from a previous store in this dir: the fresh
-		// snapshot is epoch 0, so nothing in it may replay.
-		if err := jr.Reset(); err != nil {
-			jr.Close()
-			return nil, err
-		}
+	if err := s.Sync(); err != nil {
+		s.Close()
+		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, prog: prog, jr: jr}
 	s.eng = core.NewDynSum(prog.G, opts.Config, opts.Ctxs)
 	return s, nil
 }
@@ -99,7 +97,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, corruptSection("sites", err)
 	}
 
-	s := &Store{dir: dir, opts: opts, prog: prog, epoch: snap.epoch}
+	s := &Store{dir: dir, prog: prog, epoch: snap.epoch}
 	s.eng = core.NewDynSum(g, opts.Config, opts.Ctxs)
 	if err := s.eng.ImportSummaries(snap.cache); err != nil {
 		return nil, corruptSection("cache", err)
@@ -142,54 +140,74 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// ApplyJournaled applies l to eng as the given epoch with write-ahead
-// journaling: l's wire encoding is appended to jr as that epoch's record
-// first, then the engine applies it, and the record is cut off again
-// unless the engine keeps the epoch — on an error or a panic — so jr
-// holds exactly the applied history. applied reports whether the engine
-// kept the epoch: it is true with a nil error, and also when the epoch
-// applied but its auto-compaction failed (core.ErrAutoCompact). A crash
-// between the journal write and the cut leaves a record the engine never
-// acknowledged, which recovery may replay. A failed cut leaves jr
-// refusing further appends (journal.Truncate).
-func ApplyJournaled(jr *journal.Journal, epoch uint64, eng *core.DynSum, l *delta.Log) (res core.DeltaResult, applied bool, err error) {
-	size := jr.Size()
+// Append applies one epoch of program changes and journals it under the
+// next epoch number, write-ahead: l's wire encoding is journaled first,
+// and cut off again unless the engine keeps the epoch (on an error or a
+// panic), so the journal holds exactly the applied history. When Append
+// returns nil the epoch is journaled, and durable unless the store was
+// attached. An epoch whose auto-compaction failed stays applied and
+// journaled, and the error matches core.ErrAutoCompact; on any other
+// error the engine and the journal are as they were. A crash before the
+// cut leaves a record the engine never acknowledged, which recovery may
+// replay; a failed cut makes every later Append and Sync refuse.
+func (s *Store) Append(l *delta.Log) (res core.DeltaResult, err error) {
+	size := s.jr.Size()
+	applied := false
 	defer func() {
 		if !applied {
-			if cerr := jr.Truncate(size); cerr != nil {
+			if cerr := s.jr.Truncate(size); cerr != nil {
 				err = errors.Join(err, cerr)
 			}
 		}
 	}()
+	epoch := s.epoch + 1
 	enc := encBufs.Get().(*[]byte)
 	*enc = l.AppendBinary((*enc)[:0])
-	err = jr.Append(epoch, *enc)
+	err = s.jr.Append(epoch, *enc)
 	encBufs.Put(enc)
 	if err != nil {
-		return res, false, fmt.Errorf("persist: journal epoch %d: %w", epoch, err)
+		return res, fmt.Errorf("persist: journal epoch %d: %w", epoch, err)
 	}
-	res, err = eng.ApplyDelta(l)
-	return res, core.EpochApplied(err), err
-}
-
-// encBufs holds the buffers ApplyJournaled encodes deltas into. The
-// journal writes a payload out before Append returns, so a buffer is free
-// again at once; pooling them, rather than keeping one per journal, keeps
-// an idle session from holding the largest delta it ever applied.
-var encBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// Append applies one epoch of program changes and journals it under the
-// next epoch number, write-ahead (ApplyJournaled). When Append returns
-// nil the epoch is durable. An epoch whose auto-compaction failed stays
-// applied and journaled, and the error matches core.ErrAutoCompact; on
-// any other error the engine and the journal are as they were.
-func (s *Store) Append(l *delta.Log) (core.DeltaResult, error) {
-	res, applied, err := ApplyJournaled(s.jr, s.epoch+1, s.eng, l)
-	if applied {
-		s.epoch++
+	res, err = s.eng.ApplyDelta(l)
+	if applied = core.EpochApplied(err); applied {
+		s.epoch = epoch
 		s.rebindProgram()
 	}
 	return res, err
+}
+
+// encBufs holds the buffers Append encodes deltas into. The journal
+// writes a payload out before Append returns, so a buffer is free again
+// at once; pooling them, rather than keeping one per store, keeps an idle
+// session from holding the largest delta it ever applied.
+var encBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Sync makes the store durable as it stands: an attached store first
+// installs its epoch-0 base snapshot if dir has none yet, then the
+// journal is fsynced. Once a journal cut has failed, Sync refuses with
+// that error, after Close too. After a clean Close, Sync only installs a
+// snapshot still missing: Close synced the journal.
+func (s *Store) Sync() error {
+	if s.jr != nil {
+		s.err = s.jr.Err()
+	}
+	if s.err != nil {
+		return s.err
+	}
+	if s.base != nil {
+		snap, err := programSnapshot(0, s.base)
+		if err == nil {
+			err = writeSnapshot(s.dir, snap)
+		}
+		if err != nil {
+			return err
+		}
+		s.base = nil
+	}
+	if s.jr == nil {
+		return nil
+	}
+	return s.jr.Sync()
 }
 
 // Compact rotates the store: the engine's overlay (if any) is merged into
@@ -214,6 +232,7 @@ func (s *Store) Compact() error {
 	if err := writeSnapshot(s.dir, snap); err != nil {
 		return err
 	}
+	s.base = nil
 	return s.jr.Reset()
 }
 
@@ -248,13 +267,23 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the journal. Safe to call twice, and safe to call on a
-// store whose last operation failed mid-write.
+// JournalSize returns the journal's length in bytes: its header and every
+// record appended since the last rotation.
+func (s *Store) JournalSize() int64 { return s.jr.Size() }
+
+// Close syncs and releases the journal. It keeps the error of a failed
+// journal cut, or of its own sync, for Sync to refuse with. Safe to call
+// twice, and safe to call on a store whose last operation failed
+// mid-write.
 func (s *Store) Close() error {
 	if s.jr == nil {
 		return nil
 	}
 	jr := s.jr
 	s.jr = nil
-	return jr.Close()
+	s.err = jr.Sync()
+	if err := jr.Close(); s.err == nil {
+		return err
+	}
+	return s.err
 }

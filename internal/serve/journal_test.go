@@ -244,19 +244,23 @@ func TestFailedCutRefusesPersist(t *testing.T) {
 	if _, err := srv.Apply(ctx, sess.ID, waveLog(t, sess, ev, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Close the journal's file beneath the session: the next append
-	// fails, and so does the cut that undoes it.
-	sess.mu.Lock()
-	sess.jr.Close()
-	sess.mu.Unlock()
+	// Tear the next append between header and payload, and fail the cut
+	// that undoes it.
+	sched := faultinject.NewSchedule()
+	sched.Arm(faultinject.JournalAppend, 1)
+	sched.Arm(faultinject.JournalTruncate, 1)
+	faultinject.Activate(sched)
+	defer faultinject.Deactivate()
 	for i := 1; i <= 2; i++ {
 		if _, err := srv.Apply(ctx, sess.ID, waveLog(t, sess, ev, 2)); err == nil {
 			t.Fatalf("apply %d after a failed cut succeeded", i)
 		}
 	}
-	sess.mu.RLock()
-	cut := sess.jr.Err()
-	sess.mu.RUnlock()
+	faultinject.Deactivate()
+	// What a persist now refuses with: the failed cut's error.
+	sess.mu.Lock()
+	cut := sess.st.Sync()
+	sess.mu.Unlock()
 	if cut == nil {
 		t.Fatal("the failed cut left the journal accepting appends")
 	}
@@ -272,6 +276,87 @@ func TestFailedCutRefusesPersist(t *testing.T) {
 	}
 	if err := srv.PersistSession(sess.ID); !errors.Is(err, cut) {
 		t.Fatalf("PersistSession after Drain = %v, want the failed cut %v", err, cut)
+	}
+}
+
+// TestPersistedCleanSessionSurvivesApply: a session persisted at epoch 0
+// stays reopenable after its next apply, which journals beside the base
+// snapshot instead of starting the directory afresh.
+func TestPersistedCleanSessionSurvivesApply(t *testing.T) {
+	ev := testEvolve(t, 2)
+	stateDir := t.TempDir()
+	srv := newTestServer(t, ev, Config{StateDir: stateDir})
+	sess, err := srv.CreateSession("s", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.PersistSession(sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	applyWave(t, srv, sess, ev, 1)
+	st, err := persist.Open(filepath.Join(stateDir, sess.ID), persist.Options{Config: testEngineCfg, Ctxs: srv.Ctxs()})
+	if err != nil {
+		t.Fatalf("reopen after persist at epoch 0 and one apply: %v", err)
+	}
+	defer st.Close()
+	if st.Epoch() != 1 {
+		t.Fatalf("reopened at epoch %d, want 1", st.Epoch())
+	}
+	for _, q := range queryVars(ev, 1) {
+		want, err := queryCtx(sess.Engine(), q.Var, q.Ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := queryCtx(st.Engine(), q.Var, q.Ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("var %d: recovered answer diverges from the live session", q.Var)
+		}
+	}
+}
+
+// TestDrainWritesSaveReplayImage: the files a drain leaves for a session
+// are byte for byte those persist.SaveReplay writes for the same delta
+// payloads, so the ledger, which times SaveReplay in place of the
+// daemon's drain, measures what the daemon writes.
+func TestDrainWritesSaveReplayImage(t *testing.T) {
+	ev := testEvolve(t, 4)
+	stateDir := t.TempDir()
+	srv := newTestServer(t, ev, Config{StateDir: stateDir})
+	sess, err := srv.CreateSession("s", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for k := 1; k <= 3; k++ {
+		log := waveLog(t, sess, ev, k)
+		payloads = append(payloads, log.AppendBinary(nil))
+		if _, err := srv.Apply(context.Background(), sess.ID, log); err != nil {
+			t.Fatalf("apply wave %d: %v", k, err)
+		}
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mirror := t.TempDir()
+	if err := persist.SaveReplay(mirror, ev.Base, payloads); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"snapshot.dsum", "journal.dsum"} {
+		drained, err := os.ReadFile(filepath.Join(stateDir, sess.ID, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(filepath.Join(mirror, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d B drained, %d B saved", name, len(drained), len(saved))
+		if !bytes.Equal(drained, saved) {
+			t.Errorf("%s: the drained file differs from SaveReplay's", name)
+		}
 	}
 }
 

@@ -13,13 +13,14 @@
 // overload is a fast *OverloadError, never queue growth or a stalled
 // caller.
 //
-// Persistence: with a StateDir, each session journals every delta as it
-// applies it. Graceful drain: Drain stops admission, lets queued and
-// in-flight work finish under a deadline (cancelling cooperatively past
-// it), then persists every dirty session — the base snapshot written
-// beside its journal, the journal synced — so a drained process restarts
-// with every tenant's state recoverable through the ordinary
-// persist.Open path.
+// Persistence: with a StateDir, each session is a persist.Store over the
+// shared base, attached at its first apply or PersistSession. It journals
+// every delta as the session applies it, and a persist installs the base
+// snapshot beside the journal, so a session directory reopens through
+// persist.Open from its first persist onwards. Graceful drain: Drain
+// stops admission, lets queued and in-flight work finish under a
+// deadline (cancelling cooperatively past it), then persists every dirty
+// session and closes every store.
 package serve
 
 import (
@@ -55,8 +56,9 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// WatchdogInterval is the deadline-scan resolution (default 2ms).
 	WatchdogInterval time.Duration
-	// StateDir, when set, is where Drain persists dirty sessions (one
-	// subdirectory per session ID).
+	// StateDir, when set, holds each session's store (one subdirectory
+	// per session ID): its journal from the first apply, and its base
+	// snapshot from the first persist.
 	StateDir string
 	// Engine configures every session's core.DynSum.
 	Engine core.Config
@@ -493,15 +495,14 @@ func (s *Server) complete(r *request, resp *Response, err error) bool {
 
 // Apply applies one delta epoch to a session, serialised against that
 // session's in-flight queries (and only that session's). With a StateDir
-// the log's wire encoding is journaled first (write-ahead) and cut off
-// again if the epoch does not apply, so the session's journal always
-// holds exactly its applied history; a failed append refuses the epoch
-// with the engine untouched. An epoch whose auto-compaction failed stays
-// applied (and journaled), and the error matches core.ErrAutoCompact. A
-// panic during apply — injected or real — surfaces as a typed
-// *PanicError; the engine's own mutator quarantine has already kept the
-// overlay consistent or marked the session broken
-// (core.MutatorPanicError semantics).
+// the epoch goes through the session's store (persist.Store.Append), so
+// the session's journal always holds exactly its applied history; a
+// failed append refuses the epoch with the engine untouched. An epoch
+// whose auto-compaction failed stays applied (and journaled), and the
+// error matches core.ErrAutoCompact. A panic during apply — injected or
+// real — surfaces as a typed *PanicError; the engine's own mutator
+// quarantine has already kept the overlay consistent or marked the
+// session broken (core.MutatorPanicError semantics).
 func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (res core.DeltaResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -529,24 +530,38 @@ func (s *Server) Apply(ctx context.Context, sessionID string, log *delta.Log) (r
 	faultinject.Fire(faultinject.ServeSessionApply)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	var applied bool
 	if s.cfg.StateDir == "" {
 		res, err = sess.eng.ApplyDelta(log)
-		applied = core.EpochApplied(err)
-	} else {
-		var journaled int64
-		res, applied, journaled, err = sess.applyJournaled(s.sessionDir(sess), log)
-		s.journalBytes.Add(journaled)
+		if core.EpochApplied(err) {
+			sess.epoch.Add(1)
+		}
+		return res, err
 	}
-	if applied {
+	st, err := s.store(sess)
+	if err != nil {
+		return res, err
+	}
+	epoch, size := st.Epoch(), st.JournalSize()
+	res, err = st.Append(log)
+	if st.Epoch() > epoch {
 		sess.epoch.Add(1)
+		s.journalBytes.Add(st.JournalSize() - size)
 	}
 	return res, err
 }
 
-// sessionDir is the session's store directory under Config.StateDir.
-func (s *Server) sessionDir(sess *Session) string {
-	return filepath.Join(s.cfg.StateDir, sess.ID)
+// store returns the session's store under Config.StateDir, attaching it
+// at first use; the attach clears what an earlier server left in the
+// session's directory. The caller holds sess.mu for writing.
+func (s *Server) store(sess *Session) (*persist.Store, error) {
+	if sess.st == nil {
+		st, err := persist.Attach(filepath.Join(s.cfg.StateDir, sess.ID), s.base, sess.eng)
+		if err != nil {
+			return nil, fmt.Errorf("serve: session %s: open store: %w", sess.ID, err)
+		}
+		sess.st = st
+	}
+	return sess.st, nil
 }
 
 // Drain gracefully stops the server: admission closes immediately (new
@@ -554,9 +569,9 @@ func (s *Server) sessionDir(sess *Session) string {
 // requests run to completion while ctx lasts, then anything still
 // running is cancelled cooperatively and anything still queued refused —
 // either way every accepted request completes and every worker exits.
-// Finally each dirty session is persisted to Config.StateDir (when set)
-// — its base snapshot written and its journal synced — recoverable with
-// persist.Open, and every session's journal is closed.
+// Finally, with a Config.StateDir, each dirty session's store is synced
+// — its base snapshot installed and its journal made durable —
+// recoverable with persist.Open, and every session's store is closed.
 // Per-session persistence failures are collected (errors.Join), never
 // allowed to stop the other sessions. Drain returns ErrNotRunning if the
 // server is already draining or closed.
@@ -599,9 +614,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// persistDirty persists every dirty session, then syncs and closes every
-// session's journal — a failed persist included, so PersistSession's
-// retry need only write the snapshot.
+// persistDirty persists every dirty session, then closes every session's
+// store — a failed persist's included: Close makes its journal durable,
+// so PersistSession's retry need only install the snapshot.
 func (s *Server) persistDirty() error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -614,11 +629,12 @@ func (s *Server) persistDirty() error {
 			}
 		}
 		sess.mu.Lock()
-		err := sess.closeJournal()
-		sess.mu.Unlock()
-		if err != nil {
-			errs = append(errs, err)
+		if sess.st != nil {
+			if err := sess.st.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("serve: session %s: close store: %w", sess.ID, err))
+			}
 		}
+		sess.mu.Unlock()
 	}
 	return errors.Join(errs...)
 }
@@ -626,8 +642,8 @@ func (s *Server) persistDirty() error {
 // PersistSession persists one session's state immediately — the retry
 // path when Drain reported a per-session persistence failure (e.g. an
 // injected drain fault), and usable for snapshotting a session while the
-// server runs: it writes the session directory's base snapshot and syncs
-// the journal its applies wrote.
+// server runs: it syncs the session's store. A session without a store
+// once the server stops running gets ErrNotRunning.
 func (s *Server) PersistSession(id string) error {
 	if s.cfg.StateDir == "" {
 		return errors.New("serve: no StateDir configured")
@@ -646,12 +662,18 @@ func (s *Server) persistSession(sess *Session) (err error) {
 		}
 	}()
 	faultinject.Fire(faultinject.ServeDrain)
-	sess.mu.RLock()
-	defer sess.mu.RUnlock()
-	if err := persist.WriteBaseSnapshot(s.sessionDir(sess), s.base); err != nil {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	// Drain closes the stores it finds after it stops the server, so a
+	// store attached later would never be closed.
+	if sess.st == nil && s.state.Load() != stateRunning {
+		return ErrNotRunning
+	}
+	st, err := s.store(sess)
+	if err != nil {
 		return err
 	}
-	return sess.syncJournal()
+	return st.Sync()
 }
 
 // MetricsSnapshot returns the serving counters plus engine metrics and

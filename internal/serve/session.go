@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"dynsum/internal/core"
-	"dynsum/internal/delta"
 	"dynsum/internal/persist"
-	"dynsum/internal/persist/journal"
 )
 
 // Session is one tenant's private view of the shared program: its own
@@ -41,15 +38,12 @@ type Session struct {
 	// tests read it without touching the lock.
 	epoch atomic.Uint64
 
-	// With Config.StateDir set, jr is the session's write-ahead journal:
-	// each delta's wire encoding is appended before the engine applies
-	// it and cut off again if the apply fails, so the journal always
-	// holds exactly the applied history (a failed cut makes it refuse
-	// every later append and sync). It is opened at the first apply and
-	// closed by Drain; jrErr keeps a failed cut's error past the close,
-	// so a persist after Drain is refused too. Both are guarded by mu.
-	jr    *journal.Journal
-	jrErr error
+	// With Config.StateDir set, st is the session's store: it journals
+	// each delta write-ahead as the session applies it and makes the
+	// session durable when it is persisted. It is attached at the first
+	// apply or the first persist, whichever comes first, and closed by
+	// Drain. Guarded by mu.
+	st *persist.Store
 }
 
 // Engine exposes the session's engine for direct (test/oracle) use.
@@ -70,56 +64,4 @@ func (s *Session) overlayBytes() int64 {
 		return ov.Stats().Bytes
 	}
 	return 0
-}
-
-// applyJournaled applies log to the session's engine with write-ahead
-// journaling (persist.ApplyJournaled), opening the journal in dir at the
-// first apply. applied reports whether the engine kept the epoch, and
-// journaled the bytes the epoch added to the journal. The caller holds mu
-// for writing.
-func (s *Session) applyJournaled(dir string, log *delta.Log) (res core.DeltaResult, applied bool, journaled int64, err error) {
-	if s.jr == nil {
-		jr, err := persist.OpenReplay(dir)
-		if err != nil {
-			return res, false, 0, fmt.Errorf("serve: session %s: open journal: %w", s.ID, err)
-		}
-		s.jr = jr
-	}
-	size := s.jr.Size()
-	res, applied, err = persist.ApplyJournaled(s.jr, s.Epoch()+1, s.eng, log)
-	if applied {
-		journaled = s.jr.Size() - size
-	}
-	return res, applied, journaled, err
-}
-
-// syncJournal makes the journaled epochs durable. A journal Drain
-// closed was synced then, unless a cut had failed. The caller holds mu.
-func (s *Session) syncJournal() error {
-	err := s.jrErr
-	if s.jr != nil {
-		err = s.jr.Sync()
-	}
-	if err != nil {
-		return fmt.Errorf("serve: session %s: sync journal: %w", s.ID, err)
-	}
-	return nil
-}
-
-// closeJournal syncs and releases the session's journal, if it has one.
-// The caller holds mu for writing.
-func (s *Session) closeJournal() error {
-	if s.jr == nil {
-		return nil
-	}
-	s.jrErr = s.jr.Err()
-	err := s.jr.Sync()
-	if cerr := s.jr.Close(); err == nil {
-		err = cerr
-	}
-	s.jr = nil
-	if err != nil {
-		return fmt.Errorf("serve: session %s: close journal: %w", s.ID, err)
-	}
-	return nil
 }
